@@ -284,7 +284,7 @@ func BenchmarkSweepParallel(b *testing.B) {
 // hierarchy behind every L1: a 4-line victim buffer plus a 256KB unified L2
 // (large enough to back the split grid's biggest 2×64KB pass). Neither
 // extension preserves stack inclusion, so the registry routes every pass to
-// the per-size hierarchy engine; the recorded BENCH_6.json pair (exact vs
+// the per-size engine; the recorded BENCH_6.json pair (exact vs
 // hierarchy) prices that routing against the one-pass stack engines the
 // single-level sweep gets to use.
 func BenchmarkSweepHierarchy(b *testing.B) {

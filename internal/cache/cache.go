@@ -113,20 +113,33 @@ const fibMult = 0x9E3779B97F4A7C15
 
 func newSet(assoc int) set {
 	s := set{nodes: make([]node, assoc)}
-	s.lists[0] = chain{head: -1, tail: -1}
-	s.lists[1] = chain{head: -1, tail: -1}
 	if assoc > linearScanAssoc {
 		m := 1
 		for m < 2*assoc {
 			m <<= 1
 		}
 		s.table = make([]tagSlot, m)
-		for i := range s.table {
-			s.table[i].ni = -1
-		}
 		s.shift = 64 - uint(bits.TrailingZeros(uint(m)))
 	}
+	s.reset()
 	return s
+}
+
+// reset empties the set in place, keeping its frame and table arrays: no
+// frame in use, empty lists and tag table, no ARC ghosts, target or free
+// frames.
+func (s *set) reset() {
+	clear(s.nodes)
+	s.lists[0] = chain{head: -1, tail: -1}
+	s.lists[1] = chain{head: -1, tail: -1}
+	s.used = 0
+	for i := range s.table {
+		s.table[i] = tagSlot{ni: -1}
+	}
+	s.ghosts[0] = s.ghosts[0][:0]
+	s.ghosts[1] = s.ghosts[1][:0]
+	s.p = 0
+	s.free = s.free[:0]
 }
 
 // home returns a tag's preferred table slot.
@@ -262,6 +275,30 @@ func (c *Cache) Stats() Stats { return c.stats }
 // ResetStats zeroes the statistics without disturbing cache contents, e.g.
 // to exclude a warm-up period.
 func (c *Cache) ResetStats() { c.stats = Stats{} }
+
+// Reset returns the cache to the state New left it in, reusing its arrays:
+// no resident lines, an empty victim buffer, no ARC history, no pending
+// write combining, zero statistics and a Random rng reseeded from
+// Config.Seed. What was installed on the cache stays: its memory sink, and
+// 3C attribution when enabled (with its shadow directory and counts
+// emptied). A cache reset this way simulates bit-identically to a new one.
+func (c *Cache) Reset() {
+	for i := range c.sets {
+		c.sets[i].reset()
+	}
+	if c.vbuf != nil {
+		c.vbuf.reset()
+	}
+	c.resident = 0
+	c.stats = Stats{}
+	c.combineUnit, c.combineLive = 0, false
+	if c.rng != nil {
+		c.rng = rand.New(rand.NewPCG(c.cfg.Seed, 0))
+	}
+	if c.causes != nil {
+		c.causes = newCauseTracker(c.cfg)
+	}
+}
 
 // Resident returns the number of valid lines currently held.
 func (c *Cache) Resident() int { return c.resident }

@@ -309,6 +309,79 @@ func TestResetStats(t *testing.T) {
 	}
 }
 
+// TestResetMatchesNew checks Reset against a freshly built cache for every
+// replacement policy and each organization that carries extra state (a
+// victim buffer, sectors, write combining, 3C attribution): after a run
+// with purges, the reset cache is StateEqual to a new one with zero
+// statistics, and the two then simulate a second stream identically —
+// Random included, because Reset reseeds the rng.
+func TestResetMatchesNew(t *testing.T) {
+	variants := []struct {
+		name   string
+		cfg    Config
+		causes bool
+	}{
+		{"4-way", Config{Size: 512, LineSize: 16, Assoc: 4}, false},
+		{"fully-associative+3C", Config{Size: 512, LineSize: 16}, true},
+		{"victim", Config{Size: 512, LineSize: 16, Assoc: 2, VictimLines: 3}, false},
+		{"sectored+prefetch", Config{Size: 512, LineSize: 32, SubBlock: 8, Assoc: 2, Fetch: PrefetchAlways}, false},
+		{"write-combining", Config{Size: 512, LineSize: 16, Assoc: 2, Write: WriteThrough, CombineWidth: 8}, false},
+	}
+	// A hot set interleaved with a scan that overflows the cache fills both
+	// ARC ghost lists and moves its target; the final store leaves the
+	// combining buffer live.
+	run := func(c *Cache, seed int64) {
+		rng := rand.New(rand.NewSource(seed))
+		for i := 0; i < 6000; i++ {
+			addr := uint64(rng.Intn(24)) * 16
+			if i%2 == 1 {
+				addr = uint64(64+i/2%40) * 16
+			}
+			c.Access(addr+uint64(rng.Intn(4))*4, rng.Intn(3) == 0, 4)
+			if i%1400 == 1399 {
+				c.Purge()
+			}
+		}
+		c.Access(0, true, 4)
+	}
+	causes := func(c *Cache) [3]uint64 {
+		a, b, d := c.MissCauses()
+		return [3]uint64{a, b, d}
+	}
+	for _, repl := range Replacements() {
+		for _, v := range variants {
+			cfg := v.cfg
+			cfg.Repl, cfg.Seed = repl, 7
+			used, fresh := mustCache(t, cfg), mustCache(t, cfg)
+			if v.causes {
+				used.EnableMissCauses()
+				fresh.EnableMissCauses()
+			}
+			run(used, 1)
+			used.Reset()
+			if !used.StateEqual(fresh) {
+				t.Errorf("%v %s: reset cache not StateEqual to a new one", repl, v.name)
+			}
+			if used.Stats() != (Stats{}) || used.Resident() != 0 || causes(used) != ([3]uint64{}) {
+				t.Errorf("%v %s: reset left stats %+v, %d resident, causes %v",
+					repl, v.name, used.Stats(), used.Resident(), causes(used))
+			}
+			run(used, 2)
+			run(fresh, 2)
+			if used.Stats() != fresh.Stats() || causes(used) != causes(fresh) {
+				t.Errorf("%v %s: second stream diverged:\nreset %+v %v\nnew   %+v %v",
+					repl, v.name, used.Stats(), causes(used), fresh.Stats(), causes(fresh))
+			}
+			if !used.StateEqual(fresh) {
+				t.Errorf("%v %s: second stream left different state", repl, v.name)
+			}
+			if err := used.checkInvariants(); err != nil {
+				t.Errorf("%v %s: %v", repl, v.name, err)
+			}
+		}
+	}
+}
+
 func TestStatsAdd(t *testing.T) {
 	a := Stats{Accesses: 1, Misses: 2, WriteAccesses: 3, WriteMisses: 4,
 		DemandFetches: 5, PrefetchFetches: 6, PrefetchUsed: 7, Pushes: 8,

@@ -117,16 +117,38 @@ func NewHierarchy(hc HierarchyConfig) (*Hierarchy, error) {
 	if err := hc.Validate(); err != nil {
 		return nil, err
 	}
+	l2, err := New(hc.L2)
+	if err != nil {
+		return nil, err
+	}
+	return newHierarchy(hc, l2)
+}
+
+// NewHierarchyOver builds a hierarchy in front of an existing L2 cache,
+// which must have been built from hc.L2. The L2 is Reset first, so the
+// hierarchy simulates bit-identically to NewHierarchy(hc); a sweep over
+// many L1 sizes uses this to allocate its L2 once per pass instead of once
+// per size. Any hierarchy previously built over l2 must no longer be used.
+func NewHierarchyOver(hc HierarchyConfig, l2 *Cache) (*Hierarchy, error) {
+	if err := hc.Validate(); err != nil {
+		return nil, err
+	}
+	if l2.Config() != hc.L2 {
+		return nil, fmt.Errorf("cache: L2 built for %v, hierarchy needs %v", l2.Config(), hc.L2)
+	}
+	l2.Reset()
+	return newHierarchy(hc, l2)
+}
+
+// newHierarchy builds the L1 of a validated configuration and installs l2
+// as its memory sink.
+func newHierarchy(hc HierarchyConfig, l2 *Cache) (*Hierarchy, error) {
 	l1cfg := hc.L1
 	// The hierarchy drives purge scheduling itself so a task switch
 	// flushes both levels in order; the inner System must not
 	// self-schedule.
 	l1cfg.PurgeInterval = 0
 	l1, err := NewSystem(l1cfg)
-	if err != nil {
-		return nil, err
-	}
-	l2, err := New(hc.L2)
 	if err != nil {
 		return nil, err
 	}
@@ -231,6 +253,14 @@ func (h *Hierarchy) RefBytes() uint64 { return h.l1.RefBytes() }
 
 // Stats returns the aggregate L1 line-level statistics.
 func (h *Hierarchy) Stats() Stats { return h.l1.Stats() }
+
+// SizeResult reports the hierarchy's statistics as the result of one sweep
+// size: the L1's, plus the L2 block.
+func (h *Hierarchy) SizeResult(size int) SizeResult {
+	r := h.l1.SizeResult(size)
+	r.H = HierResult{Ev: h.ev, U: h.l2.Stats()}
+	return r
+}
 
 // L2Stats returns the L2 cache's line-level statistics.
 func (h *Hierarchy) L2Stats() Stats { return h.l2.Stats() }

@@ -274,6 +274,18 @@ func (s *System) Purges() uint64 { return s.purges }
 // RefStats returns reference-level statistics.
 func (s *System) RefStats() RefStats { return s.refs }
 
+// SizeResult reports the system's statistics as the result of one sweep
+// size.
+func (s *System) SizeResult(size int) SizeResult {
+	r := SizeResult{Size: size, Ref: s.refs}
+	if s.cfg.Split {
+		r.I, r.D = s.icache.Stats(), s.dcache.Stats()
+	} else {
+		r.U = s.unified.Stats()
+	}
+	return r
+}
+
 // Stats returns the aggregate line-level statistics over all caches.
 func (s *System) Stats() Stats {
 	var total Stats

@@ -218,17 +218,9 @@ var parallelEngine = SweepEngine{
 
 func init() {
 	parallelEngine.Run = func(ctx context.Context, s SweepSpec, rd trace.Reader, probe obs.Probe, stage string, total int64) (SweepOut, error) {
-		var refs []trace.Ref
-		ok := false
-		if sl, can := rd.(trace.Slicer); can {
-			refs, ok = sl.RestSlice()
-		}
-		if !ok {
-			var err error
-			refs, err = trace.Collect(rd, 0, int(total))
-			if err != nil {
-				return SweepOut{}, err
-			}
+		refs, err := trace.Borrow(rd, int(total))
+		if err != nil {
+			return SweepOut{}, err
 		}
 		po := *s.Parallel
 		delegate := func(reason string) (SweepOut, error) {

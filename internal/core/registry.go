@@ -16,6 +16,9 @@ package core
 // history — that differs between cache sizes). A configuration outside
 // {demand fetch, LRU} therefore must run one cache per size; the registry
 // makes that decision explicit, testable, and impossible to bypass.
+// One per-size engine serves them all, two-level hierarchies included; it
+// borrows a materialized stream instead of copying it and builds an L2 once
+// per pass.
 
 import (
 	"context"
@@ -57,7 +60,7 @@ type SweepSpec struct {
 	// front of this second-level cache. The L2 sees only the L1's memory
 	// traffic, which changes with L1 size, so no multi-size engine is
 	// sound for hierarchies; the registry routes them to the per-size
-	// hierarchy engine.
+	// engine.
 	L2 *L2Spec
 }
 
@@ -206,81 +209,63 @@ var fanoutEngine = SweepEngine{
 	},
 }
 
-// perSizeEngine: the universal fallback — materialize the stream once,
-// then run an independent cache.System per size. Sound for every
+// perSizeEngine: the universal fallback — borrow the stream once, then run
+// an independent simulation per size (see sizeSimulator). Sound for every
 // configuration by construction; slowest.
 var perSizeEngine = SweepEngine{
 	Name:     "persize",
 	Supports: func(SweepSpec) bool { return true },
 	Run: func(ctx context.Context, s SweepSpec, rd trace.Reader, probe obs.Probe, stage string, total int64) (SweepOut, error) {
-		refs, err := trace.Collect(rd, 0, 0)
+		refs, err := trace.Borrow(rd, int(total))
+		if err != nil {
+			return SweepOut{}, err
+		}
+		newSim, err := s.sizeSimulator()
 		if err != nil {
 			return SweepOut{}, err
 		}
 		out := make([]cache.SizeResult, len(s.Sizes))
 		var purges uint64
 		for i, size := range s.Sizes {
-			sys, err := cache.NewSystem(s.systemConfig(size))
+			sim, err := newSim(size)
 			if err != nil {
 				return SweepOut{}, err
 			}
 			if probe != nil {
-				sys.SetProbe(probe, stage+":"+strconv.Itoa(size), int64(len(refs)))
+				sim.SetProbe(probe, stage+":"+strconv.Itoa(size), int64(len(refs)))
 			}
-			if _, err := sys.Run(trace.NewContextReader(ctx, trace.NewSliceReader(refs)), 0); err != nil {
+			if _, err := sim.Run(trace.NewContextReader(ctx, trace.NewSliceReader(refs)), 0); err != nil {
 				return SweepOut{}, err
 			}
-			r := cache.SizeResult{Size: size, Ref: sys.RefStats()}
-			if s.Split {
-				r.I, r.D = sys.ICache().Stats(), sys.DCache().Stats()
-			} else {
-				r.U = sys.Unified().Stats()
-			}
-			out[i] = r
-			purges = sys.Purges()
+			out[i] = sim.SizeResult(size)
+			purges = sim.Purges()
 		}
 		return SweepOut{Results: out, Purges: purges}, nil
 	},
 }
 
-// hierarchyEngine: two-level simulation, one cache.Hierarchy per L1 size.
-// Every hierarchy spec routes here — the L2's input stream is the L1's
-// memory traffic, which changes with L1 size, so no one-pass engine is
-// sound — and only hierarchy specs route here, keeping the single-level
-// engines' selection table untouched.
-var hierarchyEngine = SweepEngine{
-	Name:     "hierarchy",
-	Supports: func(s SweepSpec) bool { return s.L2 != nil },
-	Run: func(ctx context.Context, s SweepSpec, rd trace.Reader, probe obs.Probe, stage string, total int64) (SweepOut, error) {
-		refs, err := trace.Collect(rd, 0, 0)
-		if err != nil {
-			return SweepOut{}, err
-		}
-		out := make([]cache.SizeResult, len(s.Sizes))
-		var purges uint64
-		for i, size := range s.Sizes {
-			h, err := cache.NewHierarchy(s.hierarchyConfig(size))
-			if err != nil {
-				return SweepOut{}, err
-			}
-			if probe != nil {
-				h.SetProbe(probe, stage+":"+strconv.Itoa(size), int64(len(refs)))
-			}
-			if _, err := h.Run(trace.NewContextReader(ctx, trace.NewSliceReader(refs)), 0); err != nil {
-				return SweepOut{}, err
-			}
-			r := cache.SizeResult{Size: size, Ref: h.RefStats(),
-				H: cache.HierResult{Ev: h.HierStats(), U: h.L2Stats()}}
-			if s.Split {
-				r.I, r.D = h.L1().ICache().Stats(), h.L1().DCache().Stats()
-			} else {
-				r.U = h.L1().Unified().Stats()
-			}
-			out[i] = r
-			purges = h.Purges()
-		}
-		return SweepOut{Results: out, Purges: purges}, nil
-	},
+// sizeSim is one size's simulation in the per-size engine: a cache.System
+// or a cache.Hierarchy.
+type sizeSim interface {
+	SetProbe(p obs.Probe, stage string, totalRefs int64)
+	Run(rd trace.Reader, max int) (int, error)
+	Purges() uint64
+	SizeResult(size int) cache.SizeResult
+}
+
+// sizeSimulator returns the per-size engine's constructor for the spec: a
+// cache.System per size, or, when the spec has an L2, a cache.Hierarchy per
+// size in front of one L2 built here and reset between sizes, so a pass
+// allocates the L2's arrays once rather than once per size.
+func (s SweepSpec) sizeSimulator() (func(size int) (sizeSim, error), error) {
+	if s.L2 == nil {
+		return func(size int) (sizeSim, error) { return cache.NewSystem(s.systemConfig(size)) }, nil
+	}
+	l2, err := cache.New(s.L2.config(s.LineSize))
+	if err != nil {
+		return nil, err
+	}
+	return func(size int) (sizeSim, error) { return cache.NewHierarchyOver(s.hierarchyConfig(size), l2) }, nil
 }
 
 // Engines returns the registered sweep engines in selection order: fastest
@@ -292,11 +277,10 @@ var hierarchyEngine = SweepEngine{
 // budget stripped when sampling cannot meet it. The parallel engine comes
 // next — exact results from concurrent segments when the spec grants
 // workers, with its own serial-delegation escape hatch re-entering this
-// list when no sound parallel plan exists. The hierarchy engine sits just
-// ahead of the fallback: it claims exactly the L2 specs, which the
-// single-level fallback cannot serve.
+// list when no sound parallel plan exists. Victim-buffer, L2 and non-LRU
+// specs reach only the per-size fallback.
 func Engines() []SweepEngine {
-	return []SweepEngine{sampledEngine, parallelEngine, multiEngine, fanoutEngine, hierarchyEngine, perSizeEngine}
+	return []SweepEngine{sampledEngine, parallelEngine, multiEngine, fanoutEngine, perSizeEngine}
 }
 
 // SelectEngine returns the fastest sound engine for the spec. The

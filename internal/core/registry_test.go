@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"math"
+	"runtime"
 	"testing"
 
 	"cacheeval/internal/cache"
@@ -72,16 +73,16 @@ func TestSelectEngineTable(t *testing.T) {
 			if got := SelectEngine(spec).Name; got != "persize" {
 				t.Errorf("SelectEngine(%v, %v, victim 4) = %q, want persize", fetch, repl, got)
 			}
-			// Any L2 routes to the hierarchy engine — victim or not — and
+			// Any L2 routes to the per-size engine — victim or not — and
 			// never to a stack engine: the L2's input stream changes with L1
 			// size, so stack inclusion cannot hold across levels.
 			spec.L2 = &L2Spec{Size: 1 << 20}
-			if got := SelectEngine(spec).Name; got != "hierarchy" {
-				t.Errorf("SelectEngine(%v, %v, victim+L2) = %q, want hierarchy", fetch, repl, got)
+			if got := SelectEngine(spec).Name; got != "persize" {
+				t.Errorf("SelectEngine(%v, %v, victim+L2) = %q, want persize", fetch, repl, got)
 			}
 			spec.Victim = 0
-			if got := SelectEngine(spec).Name; got != "hierarchy" {
-				t.Errorf("SelectEngine(%v, %v, L2) = %q, want hierarchy", fetch, repl, got)
+			if got := SelectEngine(spec).Name; got != "persize" {
+				t.Errorf("SelectEngine(%v, %v, L2) = %q, want persize", fetch, repl, got)
 			}
 		}
 	}
@@ -120,23 +121,20 @@ func TestInclusionBreakingNeverStackSimulated(t *testing.T) {
 			t.Errorf("engine %q claims support for an inclusion-breaking spec", e.Name)
 		}
 	}
-	// The same order invariant for the inclusion-breaking single-level
-	// extensions: a victim buffer is only ever served by the fallback, and
-	// an L2 only by the hierarchy engine.
-	victim := SweepSpec{Sizes: []int{512}, LineSize: 16, Victim: 2}
-	for _, e := range engines[:len(engines)-1] {
-		if e.Supports(victim) {
-			t.Errorf("engine %q claims support for a victim-buffer spec", e.Name)
+	// The same order invariant for the inclusion-breaking extensions: a
+	// victim buffer or an L2 is only ever served by the fallback.
+	for _, spec := range []SweepSpec{
+		{Sizes: []int{512}, LineSize: 16, Victim: 2},
+		{Sizes: []int{512}, LineSize: 16, L2: &L2Spec{Size: 4096}},
+	} {
+		for _, e := range engines[:len(engines)-1] {
+			if e.Supports(spec) {
+				t.Errorf("engine %q claims support for victim %d, L2 %v", e.Name, spec.Victim, spec.L2)
+			}
 		}
-	}
-	l2 := SweepSpec{Sizes: []int{512}, LineSize: 16, L2: &L2Spec{Size: 4096}}
-	for _, e := range engines {
-		if got := e.Supports(l2); got != (e.Name == "hierarchy" || e.Name == "persize") {
-			t.Errorf("engine %q Supports(L2 spec) = %v", e.Name, got)
+		if got := SelectEngine(spec).Name; got != "persize" {
+			t.Errorf("victim %d, L2 %v selected %q, want persize", spec.Victim, spec.L2, got)
 		}
-	}
-	if SelectEngine(l2).Name != "hierarchy" {
-		t.Errorf("L2 spec selected %q, want hierarchy", SelectEngine(l2).Name)
 	}
 }
 
@@ -244,6 +242,65 @@ func TestRunSweepHierarchy(t *testing.T) {
 	}
 	if out.Results[0].H.Ev == out.Results[1].H.Ev {
 		t.Fatal("identical L2 event counts across L1 sizes — the filtered stream did not change")
+	}
+}
+
+// TestPerSizeEngineHierarchyMatchesFresh checks the per-size engine on L2
+// specs: every size's result, the L2 block (SizeResult.H) included, equals
+// an independent cache.Hierarchy built fresh for that size, so the L2 the
+// engine builds once and resets between sizes carries nothing over.
+func TestPerSizeEngineHierarchyMatchesFresh(t *testing.T) {
+	refs, mix := sampledTestRefs(t, 12000)
+	for _, spec := range []SweepSpec{
+		{Sizes: []int{256, 1024, 4096}, LineSize: 16, Quantum: mix.Quantum, L2: &L2Spec{Size: 16384, LineSize: 32}},
+		{Sizes: []int{512, 2048}, LineSize: 16, Split: true, Quantum: mix.Quantum, Repl: cache.ARC, Victim: 2,
+			L2: &L2Spec{Size: 8192, Assoc: 4}},
+	} {
+		out, err := perSizeEngine.Run(context.Background(), spec, trace.NewSliceReader(refs), nil, "test", 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i, size := range spec.Sizes {
+			h, err := cache.NewHierarchy(spec.hierarchyConfig(size))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := h.Run(trace.NewSliceReader(refs), 0); err != nil {
+				t.Fatal(err)
+			}
+			want := h.SizeResult(size)
+			if got := out.Results[i]; got != want {
+				t.Errorf("L2 %+v size %d:\nengine %+v\nfresh  %+v", *spec.L2, size, got, want)
+			}
+			if out.Results[i].H.Ev.Fetches == 0 || out.Results[i].H.U.Accesses == 0 {
+				t.Errorf("L2 %+v size %d: empty L2 block", *spec.L2, size)
+			}
+		}
+	}
+}
+
+// TestPerSizeEngineBorrowsStream pins the per-size engine's allocation
+// budget: on a materialized stream it borrows the references instead of
+// copying them, and an L2 is built once per pass, so a whole sweep
+// allocates less than one 16-byte-per-reference copy of its input.
+func TestPerSizeEngineBorrowsStream(t *testing.T) {
+	const n = 200000
+	refs, mix := sampledTestRefs(t, n)
+	for _, spec := range []SweepSpec{
+		{Sizes: []int{256, 512, 1024, 2048}, LineSize: 16, Quantum: mix.Quantum, Repl: cache.ARC},
+		{Sizes: []int{256, 512, 1024, 2048}, LineSize: 16, Quantum: mix.Quantum, Victim: 4,
+			L2: &L2Spec{Size: 64 << 10}},
+	} {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		if _, err := RunSweep(context.Background(), spec, trace.NewSliceReader(refs), nil, "test", n); err != nil {
+			t.Fatal(err)
+		}
+		runtime.ReadMemStats(&after)
+		if got := after.TotalAlloc - before.TotalAlloc; got >= 16*n {
+			t.Errorf("repl %v, L2 %v: sweep allocated %d bytes, want < %d (one copy of the stream)",
+				spec.Repl, spec.L2, got, 16*n)
+		}
 	}
 }
 

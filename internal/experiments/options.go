@@ -64,7 +64,7 @@ type Options struct {
 	Victim int
 	// L2 opts every sweep pass into two-level simulation behind this
 	// second-level cache (see core.SweepSpec.L2); nil keeps single-level
-	// simulation. Hierarchies route to the per-size hierarchy engine.
+	// simulation. Hierarchies route to the per-size engine.
 	L2 *core.L2Spec
 	// Parallel tunes time-parallel exact simulation inside each sweep pass
 	// (see core.ParallelOptions). Nil defaults to Workers segment workers:

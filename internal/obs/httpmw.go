@@ -34,6 +34,18 @@ func (w *StatusWriter) Write(p []byte) (int, error) {
 	return n, err
 }
 
+// Flush sends any buffered response data to the client when the wrapped
+// writer supports it, so streaming handlers behind the middleware (the job
+// event stream) deliver each event as it is written.
+func (w *StatusWriter) Flush() {
+	if f, ok := w.ResponseWriter.(http.Flusher); ok {
+		f.Flush()
+	}
+}
+
+// Unwrap returns the wrapped writer, for http.ResponseController.
+func (w *StatusWriter) Unwrap() http.ResponseWriter { return w.ResponseWriter }
+
 // Status returns the response status (200 if never set explicitly).
 func (w *StatusWriter) Status() int {
 	if w.status == 0 {

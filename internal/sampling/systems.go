@@ -64,13 +64,7 @@ func (g *Systems) RefSnapshot(dst []cache.RefStats) []cache.RefStats {
 func (g *Systems) Results() []cache.SizeResult {
 	out := make([]cache.SizeResult, len(g.sys))
 	for i, s := range g.sys {
-		r := cache.SizeResult{Size: g.sizes[i], Ref: s.RefStats()}
-		if s.Config().Split {
-			r.I, r.D = s.ICache().Stats(), s.DCache().Stats()
-		} else {
-			r.U = s.Unified().Stats()
-		}
-		out[i] = r
+		out[i] = s.SizeResult(g.sizes[i])
 	}
 	return out
 }

@@ -8,6 +8,7 @@ import (
 	"fmt"
 	"net/http"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -478,6 +479,62 @@ func TestJobSSEFraming(t *testing.T) {
 		if err := json.Unmarshal([]byte(strings.TrimPrefix(line, "data: ")), &ev); err != nil {
 			t.Fatalf("bad SSE payload: %v", err)
 		}
+	}
+}
+
+// TestJobEventsFlushedThroughHandler checks that the event stream flushes
+// through the server's observability middleware: while the job is gated
+// on the worker pool and publishes nothing further, the status line and
+// the accepted event must already have reached the client.
+func TestJobEventsFlushedThroughHandler(t *testing.T) {
+	t.Parallel()
+	s, hs := newTestServer(t, Config{MaxConcurrent: 1})
+	s.workers <- struct{}{} // hold the only worker slot: the job stays queued
+	var once sync.Once
+	release := func() { once.Do(func() { <-s.workers }) }
+	t.Cleanup(release)
+	id := createJob(t, hs.URL, `{"sweep":{"mixes":["FGO1"],"sizes":[1024],"ref_limit":5000}}`)
+
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	type first struct {
+		ev  jobs.Event
+		err error
+	}
+	got := make(chan first, 1)
+	go func() {
+		req, _ := http.NewRequestWithContext(ctx, http.MethodGet, hs.URL+"/v1/jobs/"+id+"/events", nil)
+		resp, err := http.DefaultClient.Do(req)
+		if err != nil {
+			got <- first{err: err}
+			return
+		}
+		defer resp.Body.Close()
+		line, err := bufio.NewReader(resp.Body).ReadBytes('\n')
+		var ev jobs.Event
+		if err == nil {
+			err = json.Unmarshal(line, &ev)
+		}
+		got <- first{ev, err}
+	}()
+	select {
+	case f := <-got:
+		if f.err != nil {
+			t.Fatal(f.err)
+		}
+		if f.ev.Type != jobs.EventAccepted {
+			t.Fatalf("first event %q, want %q", f.ev.Type, jobs.EventAccepted)
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("no status line or accepted event while the job was gated: the stream is not flushed")
+	}
+	if st := s.jobs.Get(id).State(); st != jobs.StateQueued {
+		t.Fatalf("job state %s before the gate opened, want queued", st)
+	}
+	release()
+	evs := streamEvents(t, hs.URL, id, "")
+	if last := evs[len(evs)-1]; last.Type != jobs.EventDone {
+		t.Fatalf("last event %q, want %q", last.Type, jobs.EventDone)
 	}
 }
 

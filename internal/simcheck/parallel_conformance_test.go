@@ -15,7 +15,7 @@ import (
 // (purge-aligned and speculative), a parallel sweep must be bit-identical
 // to the serial sweep of the same spec — down to every counter of every
 // per-size result and the purge count. CI runs this un-shorted under the
-// race detector (see the parallel-conformance job).
+// race detector (the parallel entry of the conformance job).
 func TestParallelConformance(t *testing.T) {
 	seeds := []int64{31, 32, 33, 34}
 	if testing.Short() {

@@ -107,11 +107,10 @@ type Skipper interface {
 }
 
 // Slicer is implemented by readers that can hand out their remaining
-// references as a shared slice without copying. Consumers that would
-// otherwise Collect the whole stream (the sampled sweep engine rewinds the
-// trace once per adaptive round) use it to borrow the backing slice
-// instead; ok=false means the reader cannot, and the caller should fall
-// back to Collect.
+// references as a shared slice without copying. Borrow uses it so that
+// consumers needing the whole stream in memory (the per-size, sampled and
+// parallel sweep engines) share the backing slice instead of collecting a
+// copy; ok=false means the reader cannot, and Borrow falls back to Collect.
 type Slicer interface {
 	RestSlice() (refs []Ref, ok bool)
 }
@@ -202,6 +201,21 @@ func Collect(r Reader, max, capHint int) ([]Ref, error) {
 		out = append(out, ref)
 	}
 	return out, nil
+}
+
+// Borrow returns the rest of r's stream as a slice, leaving r at EOF. When
+// r is a Slicer that can share its backing slice (a SliceReader, or a
+// ContextReader over one whose context is live) the result is that slice,
+// not a copy, and the caller must not mutate it; otherwise Borrow falls back
+// to Collect pre-sized with capHint, the expected stream length (0 when
+// unknown).
+func Borrow(r Reader, capHint int) ([]Ref, error) {
+	if sl, ok := r.(Slicer); ok {
+		if refs, ok := sl.RestSlice(); ok {
+			return refs, nil
+		}
+	}
+	return Collect(r, 0, capHint)
 }
 
 // Copy streams up to max references (all of them if max <= 0) from r to w

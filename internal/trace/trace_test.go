@@ -288,3 +288,42 @@ func TestContextReaderSkipFallback(t *testing.T) {
 		t.Error("RestSlice over a non-Slicer inner reader must decline")
 	}
 }
+
+func TestBorrow(t *testing.T) {
+	refs := []Ref{{Addr: 1}, {Addr: 2}, {Addr: 3}, {Addr: 4}}
+
+	// A SliceReader read part-way lends exactly the rest, without a copy.
+	sr := NewSliceReader(refs)
+	if _, err := sr.Read(); err != nil {
+		t.Fatal(err)
+	}
+	got, err := Borrow(sr, 0)
+	if err != nil || len(got) != 3 || &got[0] != &refs[1] {
+		t.Fatalf("Borrow(part-read SliceReader) = %+v, %v, want a view of refs[1:]", got, err)
+	}
+	if _, err := sr.Read(); err != io.EOF {
+		t.Fatalf("Read after Borrow err = %v, want io.EOF", err)
+	}
+
+	// A cancelled ContextReader declines the borrow, and the fallback
+	// collect surfaces the context's error.
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	if _, err := Borrow(NewContextReader(ctx, NewSliceReader(refs)), len(refs)); !errors.Is(err, context.Canceled) {
+		t.Fatalf("Borrow(cancelled ContextReader) err = %v, want context.Canceled", err)
+	}
+
+	// A reader that is not a Slicer is collected, sized by an exact hint in
+	// one allocation.
+	inner := NewSliceReader(refs)
+	got, err = Borrow(ReaderFunc(inner.Read), len(refs))
+	if err != nil || len(got) != len(refs) || got[3].Addr != 4 {
+		t.Fatalf("Borrow(ReaderFunc) = %+v, %v", got, err)
+	}
+	if cap(got) != len(got) {
+		t.Errorf("cap = %d, want exactly %d", cap(got), len(got))
+	}
+	if &got[0] == &refs[0] {
+		t.Error("a non-Slicer reader cannot lend its backing slice")
+	}
+}
