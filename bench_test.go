@@ -25,11 +25,12 @@ import (
 // (one iteration per benchmark) finish in seconds; absolute numbers from
 // short runs are not comparable to full ones.
 //
-// Every benchmark runs with a no-op probe installed so `make benchcheck`
+// Every benchmark runs with obs.Discard installed so `make benchcheck`
 // (threshold 1.5 against the recorded baseline) guards the overhead of the
-// instrumented engine path, not just the probe-free one.
+// instrumented engine path, not just the sink-free one. Discard is not
+// Enabled for obs.KindMissCauses, so the 3C tracker stays off.
 func benchOpts() experiments.Options {
-	o := experiments.Options{RefLimit: 50000, Probe: obs.NopProbe{}}
+	o := experiments.Options{RefLimit: 50000, Sink: obs.Discard}
 	if testing.Short() {
 		o.RefLimit = 5000
 	}
@@ -181,7 +182,7 @@ func benchSampledOpts(b *testing.B) (experiments.Options, []workload.Mix) {
 	// Workers pins the grid serial so Exact/Sampled stay stable baselines on
 	// any runner; BenchmarkSweepParallel overrides it to measure the
 	// time-parallel engine against them.
-	o := experiments.Options{Probe: obs.NopProbe{}, Workers: 1}
+	o := experiments.Options{Sink: obs.Discard, Workers: 1}
 	// Two of Table 3's single-trace workload units (VCCOM, VSPICE), with
 	// their run lengths extended beyond the paper's 250,000 references
 	// (the generators are unbounded; Spec.Refs is the only cap). The
@@ -337,7 +338,7 @@ func benchCacheAccess(b *testing.B, sc cacheeval.SystemConfig) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		sys.SetProbe(obs.NopProbe{}, "bench", int64(len(refs)))
+		sys.SetSink(obs.Discard, "bench", int64(len(refs)))
 		if _, err := sys.Run(trace.NewSliceReader(refs), 0); err != nil {
 			b.Fatal(err)
 		}
@@ -374,7 +375,7 @@ func BenchmarkMultiSystem(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		ms.SetProbe(obs.NopProbe{}, "bench", int64(len(refs)))
+		ms.SetSink(obs.Discard, "bench", int64(len(refs)))
 		if _, err := ms.Run(trace.NewSliceReader(refs), 0); err != nil {
 			b.Fatal(err)
 		}
@@ -402,7 +403,7 @@ func BenchmarkFanoutSystem(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		fs.SetProbe(obs.NopProbe{}, "bench", int64(len(refs)))
+		fs.SetSink(obs.Discard, "bench", int64(len(refs)))
 		if _, err := fs.Run(trace.NewSliceReader(refs), 0); err != nil {
 			b.Fatal(err)
 		}
@@ -421,7 +422,7 @@ func BenchmarkStackSim(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		sim.SetProbe(obs.NopProbe{}, "bench", int64(len(refs)))
+		sim.SetSink(obs.Discard, "bench", int64(len(refs)))
 		if _, err := sim.Run(trace.NewSliceReader(refs), 0); err != nil {
 			b.Fatal(err)
 		}

@@ -38,9 +38,9 @@ func run(args []string, stdout, stderr io.Writer) error {
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	var probe obs.Probe
+	var sink obs.Sink
 	if *verbose {
-		probe = obs.NewProgressProbe(stderr)
+		sink = obs.NewProgressProbe(stderr)
 	}
 
 	w := tabwriter.NewWriter(stdout, 2, 4, 2, ' ', 0)
@@ -88,9 +88,7 @@ func run(args []string, stdout, stderr io.Writer) error {
 			if err != nil {
 				return err
 			}
-			if probe != nil {
-				sys.SetProbe(probe, fmt.Sprintf("calibrate:%s@%d", spec.Name, size), int64(len(refs)))
-			}
+			sys.SetSink(sink, fmt.Sprintf("calibrate:%s@%d", spec.Name, size), int64(len(refs)))
 			if _, err := sys.Run(trace.NewSliceReader(refs), 0); err != nil {
 				return err
 			}

@@ -51,7 +51,7 @@ func run(args []string, stdout, stderr io.Writer) error {
 	var tr *obs.Trace
 	if *verbose {
 		tr = obs.NewTraceRoot()
-		o.Probe = obs.NewProgressProbe(stderr)
+		o.Sink = obs.NewProgressProbe(stderr)
 	}
 	want := map[string]bool{}
 	for _, e := range strings.Split(*experiment, ",") {

@@ -3,6 +3,7 @@ package cache
 import (
 	"fmt"
 	"io"
+	"time"
 
 	"cacheeval/internal/obs"
 	"cacheeval/internal/trace"
@@ -102,7 +103,7 @@ type HierResult struct {
 // propagate L1-first so dirty L1 lines write back through the L2 before
 // the L2 itself flushes to memory. Not safe for concurrent use.
 type Hierarchy struct {
-	engineProbe
+	engineSink
 	cfg        HierarchyConfig
 	l1         *System
 	l2         *Cache
@@ -286,14 +287,19 @@ func (h *Hierarchy) GlobalMissRatio() float64 {
 	return float64(h.ev.FetchMisses) / float64(acc)
 }
 
-// report emits the batched hierarchy counters to a HierarchyProbe.
-func (h *Hierarchy) report() {
-	hp, ok := h.probe.(obs.HierarchyProbe)
-	if !ok {
+// runFinish emits the run's end event followed by the batched hierarchy
+// counters.
+func (h *Hierarchy) runFinish(n int, t0 time.Time) {
+	if h.sink == nil {
 		return
 	}
-	hp.HierarchyRun(h.stage, h.ev.Fetches, h.ev.FetchMisses, h.ev.Writes, h.ev.WriteMisses,
-		h.l1.Stats().VictimHits)
+	h.runEnd(n, t0)
+	h.sink.Observe(obs.Event{
+		Kind: obs.KindHierarchyRun, Stage: h.stage,
+		L2Fetches: h.ev.Fetches, L2FetchMisses: h.ev.FetchMisses,
+		L2Writes: h.ev.Writes, L2WriteMisses: h.ev.WriteMisses,
+		VictimHits: h.l1.Stats().VictimHits,
+	})
 }
 
 // Run drives the hierarchy from rd until io.EOF or max references (when
@@ -307,17 +313,15 @@ func (h *Hierarchy) Run(rd trace.Reader, max int) (int, error) {
 			break
 		}
 		if err != nil {
-			h.runEnd(n, t0)
-			h.report()
+			h.runFinish(n, t0)
 			return n, err
 		}
 		h.Ref(ref)
 		n++
-		if h.probe != nil && n%obs.ProgressInterval == 0 {
-			h.probe.RunProgress(h.stage, int64(n))
+		if h.sink != nil && n%obs.ProgressInterval == 0 {
+			h.progress(n)
 		}
 	}
-	h.runEnd(n, t0)
-	h.report()
+	h.runFinish(n, t0)
 	return n, nil
 }

@@ -209,8 +209,7 @@ func TestHierarchyPurgeScheduling(t *testing.T) {
 	}
 }
 
-type hierProbe struct {
-	obs.NopProbe
+type hierSink struct {
 	stage      string
 	fetches    uint64
 	writes     uint64
@@ -218,8 +217,13 @@ type hierProbe struct {
 	calls      int
 }
 
-func (p *hierProbe) HierarchyRun(stage string, f, fm, w, wm, vh uint64) {
-	p.stage, p.fetches, p.writes, p.victimHits = stage, f, w, vh
+func (p *hierSink) Enabled(obs.Kind) bool { return true }
+
+func (p *hierSink) Observe(e obs.Event) {
+	if e.Kind != obs.KindHierarchyRun {
+		return
+	}
+	p.stage, p.fetches, p.writes, p.victimHits = e.Stage, e.L2Fetches, e.L2Writes, e.VictimHits
 	p.calls++
 }
 
@@ -231,7 +235,7 @@ func TestHierarchyRunReportsProbe(t *testing.T) {
 	hc := hierHC(256, 2048)
 	hc.L1.Unified.VictimLines = 4
 	h := mustHierarchy(t, hc)
-	p := &hierProbe{}
+	p := &hierSink{}
 	// A cyclic sweep over 17 lines through the fully-associative 16-line
 	// L1 evicts, on every miss, exactly the line referenced next — so
 	// after warm-up every access is a victim-buffer hit.
@@ -239,7 +243,7 @@ func TestHierarchyRunReportsProbe(t *testing.T) {
 	for i := 0; i < 2000; i++ {
 		refs = append(refs, trace.Ref{Addr: uint64(i%17) * 16, Size: 4, Kind: trace.Read})
 	}
-	h.SetProbe(p, "hier", int64(len(refs)))
+	h.SetSink(p, "hier", int64(len(refs)))
 	if _, err := h.Run(trace.NewSliceReader(refs), 0); err != nil {
 		t.Fatal(err)
 	}
@@ -248,17 +252,17 @@ func TestHierarchyRunReportsProbe(t *testing.T) {
 		t.Fatalf("HierarchyRun calls = %d stage %q", p.calls, p.stage)
 	}
 	if p.fetches != ev.Fetches || p.writes != ev.Writes {
-		t.Errorf("probe saw %d/%d, stats say %d/%d", p.fetches, p.writes, ev.Fetches, ev.Writes)
+		t.Errorf("sink saw %d/%d, stats say %d/%d", p.fetches, p.writes, ev.Fetches, ev.Writes)
 	}
 	if p.victimHits != h.Stats().VictimHits || p.victimHits == 0 {
-		t.Errorf("probe victim hits = %d, stats %d", p.victimHits, h.Stats().VictimHits)
+		t.Errorf("sink victim hits = %d, stats %d", p.victimHits, h.Stats().VictimHits)
 	}
 
 	// A read error surfaces from Run and still emits the batched report.
 	boom := errors.New("boom")
 	h2 := mustHierarchy(t, hierHC(256, 2048))
-	p2 := &hierProbe{}
-	h2.SetProbe(p2, "hier", 0)
+	p2 := &hierSink{}
+	h2.SetSink(p2, "hier", 0)
 	if _, err := h2.Run(errReader{boom}, 0); !errors.Is(err, boom) {
 		t.Fatalf("Run error = %v, want boom", err)
 	}

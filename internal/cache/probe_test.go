@@ -1,8 +1,8 @@
 package cache_test
 
-// Probe conformance: installing an instrumentation probe — the no-op one or
-// a real recording one — must leave every engine's results bit-identical to
-// an uninstrumented run. The probe's only interaction with an engine is
+// Sink conformance: installing an event sink — obs.Discard or a real
+// recording one — must leave every engine's results bit-identical to an
+// uninstrumented run. The sink's only interaction with an engine is
 // observing its progress; any divergence means instrumentation leaked into
 // simulation state.
 
@@ -10,7 +10,6 @@ import (
 	"reflect"
 	"sync/atomic"
 	"testing"
-	"time"
 
 	"cacheeval/internal/cache"
 	"cacheeval/internal/obs"
@@ -18,25 +17,33 @@ import (
 	"cacheeval/internal/trace"
 )
 
-// countingProbe records callback counts and the final reference total.
-type countingProbe struct {
+// countingSink records run lifecycle event counts and the final reference
+// total.
+type countingSink struct {
 	starts, progresses, ends atomic.Int64
 	lastRefs                 atomic.Int64
 	total                    atomic.Int64
 }
 
-func (p *countingProbe) RunStart(stage string, total int64) {
-	p.starts.Add(1)
-	p.total.Store(total)
+func (p *countingSink) Enabled(k obs.Kind) bool {
+	return k == obs.KindRunStart || k == obs.KindProgress || k == obs.KindRunEnd
 }
-func (p *countingProbe) RunProgress(stage string, refs int64) { p.progresses.Add(1) }
-func (p *countingProbe) RunEnd(stage string, refs int64, d time.Duration) {
-	p.ends.Add(1)
-	p.lastRefs.Store(refs)
+
+func (p *countingSink) Observe(e obs.Event) {
+	switch e.Kind {
+	case obs.KindRunStart:
+		p.starts.Add(1)
+		p.total.Store(e.Total)
+	case obs.KindProgress:
+		p.progresses.Add(1)
+	case obs.KindRunEnd:
+		p.ends.Add(1)
+		p.lastRefs.Store(e.Refs)
+	}
 }
 
 // probeStream is long enough to cross obs.ProgressInterval so the progress
-// callback path is exercised, not just start/end.
+// event path is exercised, not just start/end.
 func probeStream(t *testing.T) []trace.Ref {
 	t.Helper()
 	n := obs.ProgressInterval + 5000
@@ -48,7 +55,7 @@ func probeStream(t *testing.T) []trace.Ref {
 
 func TestProbeLeavesSystemBitIdentical(t *testing.T) {
 	refs := probeStream(t)
-	run := func(p obs.Probe) (cache.RefStats, cache.Stats, uint64) {
+	run := func(p obs.Sink) (cache.RefStats, cache.Stats, uint64) {
 		sys, err := cache.NewSystem(cache.SystemConfig{
 			Unified:       cache.Config{Size: 4096, LineSize: 16, Fetch: cache.PrefetchAlways},
 			PurgeInterval: 20000,
@@ -57,7 +64,7 @@ func TestProbeLeavesSystemBitIdentical(t *testing.T) {
 			t.Fatal(err)
 		}
 		if p != nil {
-			sys.SetProbe(p, "test", int64(len(refs)))
+			sys.SetSink(p, "test", int64(len(refs)))
 		}
 		if _, err := sys.Run(trace.NewSliceReader(refs), 0); err != nil {
 			t.Fatal(err)
@@ -65,10 +72,10 @@ func TestProbeLeavesSystemBitIdentical(t *testing.T) {
 		return sys.RefStats(), sys.Stats(), sys.RefBytes()
 	}
 	bareRef, bareStats, bareBytes := run(nil)
-	for name, p := range map[string]obs.Probe{"nop": obs.NopProbe{}, "counting": &countingProbe{}} {
+	for name, p := range map[string]obs.Sink{"nop": obs.Discard, "counting": &countingSink{}} {
 		gotRef, gotStats, gotBytes := run(p)
 		if gotRef != bareRef || gotStats != bareStats || gotBytes != bareBytes {
-			t.Errorf("%s probe changed System results:\n got %+v %+v %d\nwant %+v %+v %d",
+			t.Errorf("%s sink changed System results:\n got %+v %+v %d\nwant %+v %+v %d",
 				name, gotRef, gotStats, gotBytes, bareRef, bareStats, bareBytes)
 		}
 	}
@@ -78,7 +85,7 @@ func TestProbeLeavesSweepEnginesBitIdentical(t *testing.T) {
 	refs := probeStream(t)
 	sizes := []int{256, 1024, 8192}
 
-	runMulti := func(p obs.Probe) []cache.SizeResult {
+	runMulti := func(p obs.Sink) []cache.SizeResult {
 		ms, err := cache.NewMultiSystem(cache.MultiConfig{
 			Sizes: sizes, LineSize: 16, Split: true, PurgeInterval: 20000,
 		})
@@ -86,14 +93,14 @@ func TestProbeLeavesSweepEnginesBitIdentical(t *testing.T) {
 			t.Fatal(err)
 		}
 		if p != nil {
-			ms.SetProbe(p, "multi", int64(len(refs)))
+			ms.SetSink(p, "multi", int64(len(refs)))
 		}
 		if _, err := ms.Run(trace.NewSliceReader(refs), 0); err != nil {
 			t.Fatal(err)
 		}
 		return ms.Results()
 	}
-	runFanout := func(p obs.Probe) []cache.SizeResult {
+	runFanout := func(p obs.Sink) []cache.SizeResult {
 		fs, err := cache.NewFanoutSystem(cache.FanoutConfig{
 			Sizes: sizes, LineSize: 16, PurgeInterval: 15000,
 		})
@@ -101,20 +108,20 @@ func TestProbeLeavesSweepEnginesBitIdentical(t *testing.T) {
 			t.Fatal(err)
 		}
 		if p != nil {
-			fs.SetProbe(p, "fanout", int64(len(refs)))
+			fs.SetSink(p, "fanout", int64(len(refs)))
 		}
 		if _, err := fs.Run(trace.NewSliceReader(refs), 0); err != nil {
 			t.Fatal(err)
 		}
 		return fs.Results()
 	}
-	runStack := func(p obs.Probe) []float64 {
+	runStack := func(p obs.Sink) []float64 {
 		sim, err := cache.NewStackSim(16)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if p != nil {
-			sim.SetProbe(p, "stack", int64(len(refs)))
+			sim.SetSink(p, "stack", int64(len(refs)))
 		}
 		if _, err := sim.Run(trace.NewSliceReader(refs), 0); err != nil {
 			t.Fatal(err)
@@ -122,29 +129,29 @@ func TestProbeLeavesSweepEnginesBitIdentical(t *testing.T) {
 		return sim.MissRatios(sizes)
 	}
 
-	for name, run := range map[string]func(obs.Probe) any{
-		"MultiSystem":  func(p obs.Probe) any { return runMulti(p) },
-		"FanoutSystem": func(p obs.Probe) any { return runFanout(p) },
-		"StackSim":     func(p obs.Probe) any { return runStack(p) },
+	for name, run := range map[string]func(obs.Sink) any{
+		"MultiSystem":  func(p obs.Sink) any { return runMulti(p) },
+		"FanoutSystem": func(p obs.Sink) any { return runFanout(p) },
+		"StackSim":     func(p obs.Sink) any { return runStack(p) },
 	} {
 		bare := run(nil)
-		if got := run(obs.NopProbe{}); !reflect.DeepEqual(got, bare) {
-			t.Errorf("%s: NopProbe changed results", name)
+		if got := run(obs.Discard); !reflect.DeepEqual(got, bare) {
+			t.Errorf("%s: Discard changed results", name)
 		}
-		if got := run(&countingProbe{}); !reflect.DeepEqual(got, bare) {
-			t.Errorf("%s: counting probe changed results", name)
+		if got := run(&countingSink{}); !reflect.DeepEqual(got, bare) {
+			t.Errorf("%s: counting sink changed results", name)
 		}
 	}
 }
 
 func TestProbeCallbacks(t *testing.T) {
 	refs := probeStream(t)
-	p := &countingProbe{}
+	p := &countingSink{}
 	ms, err := cache.NewMultiSystem(cache.MultiConfig{Sizes: []int{1024}, LineSize: 16})
 	if err != nil {
 		t.Fatal(err)
 	}
-	ms.SetProbe(p, "multi", int64(len(refs)))
+	ms.SetSink(p, "multi", int64(len(refs)))
 	n, err := ms.Run(trace.NewSliceReader(refs), 0)
 	if err != nil {
 		t.Fatal(err)
@@ -159,6 +166,82 @@ func TestProbeCallbacks(t *testing.T) {
 		t.Errorf("RunEnd refs=%d, want %d", p.lastRefs.Load(), n)
 	}
 	if want := int64(len(refs) / obs.ProgressInterval); p.progresses.Load() != want {
-		t.Errorf("progress callbacks=%d, want %d", p.progresses.Load(), want)
+		t.Errorf("progress events=%d, want %d", p.progresses.Load(), want)
+	}
+}
+
+// engine is the surface every simulation engine shares.
+type engine interface {
+	SetSink(s obs.Sink, stage string, totalRefs int64)
+	Run(rd trace.Reader, max int) (int, error)
+}
+
+// runAllocs reports the allocations of one Run over refs on an engine
+// already warmed by an identical run, with sink installed.
+func runAllocs(t *testing.T, build func() (engine, error), sink obs.Sink, refs []trace.Ref) float64 {
+	t.Helper()
+	e, err := build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	e.SetSink(sink, "allocs", int64(len(refs)))
+	return testing.AllocsPerRun(1, func() {
+		if _, err := e.Run(trace.NewSliceReader(refs), 0); err != nil {
+			t.Fatal(err)
+		}
+	})
+}
+
+// causeSink is Enabled for every kind, so installing it switches on 3C
+// attribution.
+type causeSink struct{}
+
+func (causeSink) Observe(obs.Event)     {}
+func (causeSink) Enabled(obs.Kind) bool { return true }
+
+// TestSinkAllocsPerRun pins the engines' allocation profile: a warmed Run
+// allocates the same at N and 4N references — nothing grows per reference
+// — whether no sink or obs.Discard is installed, and Discard allocates
+// exactly as much as no sink, so it leaves the 3C tracker off. A sink
+// Enabled for obs.KindMissCauses does switch the tracker on, and its
+// per-reference allocations show at 4N, which keeps the pin honest.
+func TestSinkAllocsPerRun(t *testing.T) {
+	n := obs.ProgressInterval + 5000
+	short, long := simcheck.Stream(7, n), simcheck.Stream(7, 4*n)
+	const purge = 20000
+	l1 := cache.SystemConfig{Unified: cache.Config{Size: 4096, LineSize: 16}, PurgeInterval: purge}
+	sizes := []int{1024, 4096}
+	engines := []struct {
+		name  string
+		build func() (engine, error)
+	}{
+		{"System", func() (engine, error) { return cache.NewSystem(l1) }},
+		{"MultiSystem", func() (engine, error) {
+			return cache.NewMultiSystem(cache.MultiConfig{Sizes: sizes, LineSize: 16, Split: true, PurgeInterval: purge})
+		}},
+		{"FanoutSystem", func() (engine, error) {
+			return cache.NewFanoutSystem(cache.FanoutConfig{Sizes: sizes, LineSize: 16, PurgeInterval: purge})
+		}},
+		{"StackSim", func() (engine, error) { return cache.NewStackSim(16) }},
+		{"Hierarchy", func() (engine, error) {
+			return cache.NewHierarchy(cache.HierarchyConfig{L1: l1, L2: cache.Config{Size: 16384, LineSize: 16}})
+		}},
+	}
+	for _, eng := range engines {
+		t.Run(eng.name, func(t *testing.T) {
+			bareN, bare4N := runAllocs(t, eng.build, nil, short), runAllocs(t, eng.build, nil, long)
+			discN, disc4N := runAllocs(t, eng.build, obs.Discard, short), runAllocs(t, eng.build, obs.Discard, long)
+			t.Logf("allocs per Run: nil %v/%v, Discard %v/%v (N/4N)", bareN, bare4N, discN, disc4N)
+			if bareN != bare4N || discN != disc4N {
+				t.Errorf("allocations grow with the stream: nil %v→%v, Discard %v→%v", bareN, bare4N, discN, disc4N)
+			}
+			if discN != bareN {
+				t.Errorf("Discard allocates %v per Run, no sink %v", discN, bareN)
+			}
+		})
+	}
+	build := func() (engine, error) { return cache.NewSystem(l1) }
+	if a, b := runAllocs(t, build, causeSink{}, short), runAllocs(t, build, causeSink{}, long); b <= a {
+		t.Errorf("3C tracker: %v allocs per Run at %d refs, %v at %d; the pin cannot see it", a, n, b, 4*n)
 	}
 }

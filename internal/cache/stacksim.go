@@ -18,7 +18,7 @@ import (
 // the L most recently used lines, so a reference at stack distance d hits
 // in every cache with at least d+1 lines and misses in all smaller ones.
 type StackSim struct {
-	engineProbe
+	engineSink
 	lineShift uint
 	stack     []uint64 // line addresses, most recent first
 	dist      []uint64 // dist[d] = references that hit at stack distance d
@@ -73,8 +73,8 @@ func (s *StackSim) Run(rd trace.Reader, max int) (int, error) {
 		}
 		s.Ref(ref.Addr)
 		n++
-		if s.probe != nil && n%obs.ProgressInterval == 0 {
-			s.probe.RunProgress(s.stage, int64(n))
+		if s.sink != nil && n%obs.ProgressInterval == 0 {
+			s.progress(n)
 		}
 	}
 	s.runEnd(n, t0)

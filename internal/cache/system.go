@@ -3,6 +3,7 @@ package cache
 import (
 	"fmt"
 	"io"
+	"time"
 
 	"cacheeval/internal/obs"
 	"cacheeval/internal/trace"
@@ -84,7 +85,7 @@ func (r RefStats) DataMissRatio() float64 {
 // split/unified routing, straddling references, purge scheduling and
 // reference-level accounting.
 type System struct {
-	engineProbe
+	engineSink
 	cfg        SystemConfig
 	unified    *Cache
 	icache     *Cache
@@ -120,13 +121,13 @@ func NewSystem(sc SystemConfig) (*System, error) {
 // Config returns the system configuration.
 func (s *System) Config() SystemConfig { return s.cfg }
 
-// SetProbe installs an instrumentation probe for subsequent Run calls. If
-// the probe also implements obs.CauseProbe, 3C miss attribution is enabled
-// on the system's caches and reported in one batch when Run finishes; a
-// plain Probe leaves the attribution machinery off entirely.
-func (s *System) SetProbe(p obs.Probe, stage string, totalRefs int64) {
-	s.engineProbe.SetProbe(p, stage, totalRefs)
-	if _, ok := p.(obs.CauseProbe); ok {
+// SetSink installs an event sink for subsequent Run calls. When the sink
+// is Enabled for obs.KindMissCauses, 3C miss attribution is switched on
+// for the system's caches and reported in one event when Run finishes;
+// otherwise the attribution machinery stays off entirely.
+func (s *System) SetSink(sink obs.Sink, stage string, totalRefs int64) {
+	s.engineSink.SetSink(sink, stage, totalRefs)
+	if sink != nil && sink.Enabled(obs.KindMissCauses) {
 		for _, c := range []*Cache{s.unified, s.icache, s.dcache} {
 			if c != nil {
 				c.EnableMissCauses()
@@ -135,44 +136,36 @@ func (s *System) SetProbe(p obs.Probe, stage string, totalRefs int64) {
 	}
 }
 
-// reportCauses emits the batched 3C attribution to a CauseProbe, summed
-// over the system's caches.
-func (s *System) reportCauses() {
-	cp, ok := s.probe.(obs.CauseProbe)
-	if !ok {
+// runFinish emits the run's end event followed by the batched reports: the
+// 3C attribution summed over the system's caches when it is on, and the
+// victim-buffer hits when the configuration has a victim buffer (zero L2
+// events: this system is single-level; Hierarchy reports its own batch).
+func (s *System) runFinish(n int, t0 time.Time) {
+	if s.sink == nil {
 		return
 	}
-	var compulsory, capacity, conflict uint64
+	s.runEnd(n, t0)
+	causes := obs.Event{Kind: obs.KindMissCauses, Stage: s.stage}
+	attributed, victim := false, false
 	for _, c := range []*Cache{s.unified, s.icache, s.dcache} {
 		if c == nil {
 			continue
 		}
-		a, b, d := c.MissCauses()
-		compulsory += a
-		capacity += b
-		conflict += d
-	}
-	cp.MissCauses(s.stage, compulsory, capacity, conflict)
-}
-
-// reportVictim emits victim-buffer hits to a HierarchyProbe when the run's
-// configuration includes a victim buffer (zero L2 events: this system is
-// single-level; the Hierarchy type reports its own batch).
-func (s *System) reportVictim() {
-	hp, ok := s.probe.(obs.HierarchyProbe)
-	if !ok {
-		return
-	}
-	victim := false
-	for _, c := range []*Cache{s.unified, s.icache, s.dcache} {
-		if c != nil && c.cfg.VictimLines > 0 {
-			victim = true
+		if c.causes != nil {
+			attributed = true
+			a, b, d := c.MissCauses()
+			causes.Compulsory += a
+			causes.Capacity += b
+			causes.Conflict += d
 		}
+		victim = victim || c.cfg.VictimLines > 0
 	}
-	if !victim {
-		return
+	if attributed {
+		s.sink.Observe(causes)
 	}
-	hp.HierarchyRun(s.stage, 0, 0, 0, 0, s.Stats().VictimHits)
+	if victim {
+		s.sink.Observe(obs.Event{Kind: obs.KindHierarchyRun, Stage: s.stage, VictimHits: s.Stats().VictimHits})
+	}
 }
 
 // cacheFor returns the cache that serves references of kind k.
@@ -308,19 +301,15 @@ func (s *System) Run(rd trace.Reader, max int) (int, error) {
 			break
 		}
 		if err != nil {
-			s.runEnd(n, t0)
-			s.reportCauses()
-			s.reportVictim()
+			s.runFinish(n, t0)
 			return n, err
 		}
 		s.Ref(ref)
 		n++
-		if s.probe != nil && n%obs.ProgressInterval == 0 {
-			s.probe.RunProgress(s.stage, int64(n))
+		if s.sink != nil && n%obs.ProgressInterval == 0 {
+			s.progress(n)
 		}
 	}
-	s.runEnd(n, t0)
-	s.reportCauses()
-	s.reportVictim()
+	s.runFinish(n, t0)
 	return n, nil
 }

@@ -111,9 +111,7 @@ func evaluateReader(ctx context.Context, design cache.SystemConfig, name string,
 	if err != nil {
 		return Report{}, err
 	}
-	if p := obs.ProbeFrom(ctx); p != nil {
-		sys.SetProbe(p, "simulate:"+name, 0)
-	}
+	sys.SetSink(obs.SinkFrom(ctx), "simulate:"+name, 0)
 	sp := obs.StartSpan(ctx, "simulate:"+name)
 	n, err := sys.Run(rd, 0)
 	sp.AddRefs(int64(n))
@@ -156,9 +154,7 @@ func EvaluateHierarchyRefsContext(ctx context.Context, hc cache.HierarchyConfig,
 	if err != nil {
 		return Report{}, err
 	}
-	if p := obs.ProbeFrom(ctx); p != nil {
-		h.SetProbe(p, "simulate:"+name, 0)
-	}
+	h.SetSink(obs.SinkFrom(ctx), "simulate:"+name, 0)
 	sp := obs.StartSpan(ctx, "simulate:"+name)
 	n, err := h.Run(rd, 0)
 	sp.AddRefs(int64(n))

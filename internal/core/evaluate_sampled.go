@@ -3,7 +3,6 @@ package core
 import (
 	"context"
 	"fmt"
-	"time"
 
 	"cacheeval/internal/cache"
 	"cacheeval/internal/obs"
@@ -34,7 +33,7 @@ func EvaluateSampledRefsContext(ctx context.Context, design cache.SystemConfig, 
 		size = design.I.Size + design.D.Size
 	}
 	stage := "simulate:" + name
-	probe := obs.ProbeFrom(ctx)
+	sink := obs.SinkFrom(ctx)
 	lineSize := design.Unified.LineSize
 	if design.Split {
 		lineSize = design.I.LineSize
@@ -62,16 +61,10 @@ func EvaluateSampledRefsContext(ctx context.Context, design cache.SystemConfig, 
 			sp := obs.StartSpan(ctx, fmt.Sprintf("%s:sampled:round%d", stage, round))
 			return sp.End
 		},
+		OnRoundDone: roundReporter(sink, stage, od.ErrorBudget),
 	}
-	if rp, ok := probe.(obs.SampleRoundProbe); ok {
-		ctrl.OnRoundDone = func(round int, a sampling.Attempt) {
-			rp.SampledRound(stage, round, a.Achieved, od.ErrorBudget, a.Fraction)
-		}
-	}
-	t0 := time.Now()
-	if probe != nil {
-		probe.RunStart(stage+":sampled", int64(len(refs)))
-	}
+	run := startStage(sink, stage+":sampled", len(refs))
+	defer run.end(0) // an error return still closes the stage
 	var g *sampling.Systems
 	outc, err := ctrl.Run(len(refs), 1,
 		func() trace.Reader { return trace.NewContextReader(ctx, trace.NewSliceReader(refs)) },
@@ -90,16 +83,6 @@ func EvaluateSampledRefsContext(ctx context.Context, design cache.SystemConfig, 
 		Rounds:      len(outc.Attempts),
 		TotalRefs:   uint64(len(refs)),
 	}
-	emit := func() {
-		if probe == nil {
-			return
-		}
-		probe.RunEnd(stage+":sampled", int64(info.SimulatedRefs), time.Since(t0))
-		if sp, ok := probe.(obs.SampleProbe); ok {
-			sp.SampledRun(stage, info.ErrorBudget, info.AchievedRelError,
-				info.SampledFraction, info.Rounds, info.FellBack)
-		}
-	}
 	if outc.FellBack {
 		info.FellBack = true
 		info.FallbackReason = outc.Reason
@@ -109,7 +92,7 @@ func EvaluateSampledRefsContext(ctx context.Context, design cache.SystemConfig, 
 		if err != nil {
 			return Report{}, nil, nil, err
 		}
-		emit()
+		endSampled(run, stage, info)
 		return rep, nil, info, nil
 	}
 	est := outc.Est.PerSize[0]
@@ -146,6 +129,6 @@ func EvaluateSampledRefsContext(ctx context.Context, design cache.SystemConfig, 
 	info.SimulatedRefs = outc.SimulatedRefs()
 	info.CountedRefs = outc.Est.CountedRefs
 	info.SampledFraction = fracOf(info.SimulatedRefs, info.TotalRefs)
-	emit()
+	endSampled(run, stage, info)
 	return rep, ci, info, nil
 }

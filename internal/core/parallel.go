@@ -13,8 +13,6 @@ package core
 import (
 	"context"
 	"fmt"
-	"sync/atomic"
-	"time"
 
 	"cacheeval/internal/cache"
 	"cacheeval/internal/obs"
@@ -110,16 +108,22 @@ func parallelInfo(engine string, res parallel.Result) *ParallelInfo {
 	return info
 }
 
-// reportParallel emits the optional ParallelProbe callbacks for a run.
-func reportParallel(probe obs.Probe, stage string, info *ParallelInfo, res *parallel.Result) {
-	pp, ok := probe.(obs.ParallelProbe)
-	if !ok {
+// reportParallel emits a run's plan and, when it segmented, one event per
+// reconciled boundary.
+func reportParallel(sink obs.Sink, stage string, info *ParallelInfo, res *parallel.Result) {
+	if sink == nil {
 		return
 	}
-	pp.ParallelRun(stage, info.Segments, info.Aligned, info.FellBack, info.FallbackReason)
+	sink.Observe(obs.Event{
+		Kind: obs.KindParallelRun, Stage: stage, Segments: info.Segments,
+		Aligned: info.Aligned, FellBack: info.FellBack, Reason: info.FallbackReason,
+	})
 	if res != nil {
 		for _, b := range res.Boundaries {
-			pp.ParallelBoundary(stage, int64(b.Distance), b.Converged)
+			sink.Observe(obs.Event{
+				Kind: obs.KindParallelBoundary, Stage: stage,
+				Distance: int64(b.Distance), Converged: b.Converged,
+			})
 		}
 	}
 }
@@ -217,7 +221,7 @@ var parallelEngine = SweepEngine{
 }
 
 func init() {
-	parallelEngine.Run = func(ctx context.Context, s SweepSpec, rd trace.Reader, probe obs.Probe, stage string, total int64) (SweepOut, error) {
+	parallelEngine.Run = func(ctx context.Context, s SweepSpec, rd trace.Reader, sink obs.Sink, stage string, total int64) (SweepOut, error) {
 		refs, err := trace.Borrow(rd, int(total))
 		if err != nil {
 			return SweepOut{}, err
@@ -227,14 +231,12 @@ func init() {
 			serial := s
 			serial.Parallel = nil
 			e := SelectEngine(serial)
-			out, err := e.Run(ctx, serial, trace.NewContextReader(ctx, trace.NewSliceReader(refs)), probe, stage, int64(len(refs)))
+			out, err := e.Run(ctx, serial, trace.NewContextReader(ctx, trace.NewSliceReader(refs)), sink, stage, int64(len(refs)))
 			if err != nil {
 				return SweepOut{}, err
 			}
 			out.Parallel = &ParallelInfo{Engine: e.Name, FellBack: true, FallbackReason: reason}
-			if probe != nil {
-				reportParallel(probe, stage, out.Parallel, nil)
-			}
+			reportParallel(sink, stage, out.Parallel, nil)
 			return out, nil
 		}
 		if s.Repl == cache.Random {
@@ -253,30 +255,17 @@ func init() {
 			StackState:     stackState,
 			Stage:          stage,
 		}
-		pstage := stage + ":parallel"
-		t0 := time.Now()
-		if probe != nil {
-			probe.RunStart(pstage, int64(len(refs)))
-		}
-		var cum atomic.Int64
-		var progress func(int64)
-		if probe != nil {
-			progress = func(d int64) { probe.RunProgress(pstage, cum.Add(d)) }
-		}
-		res, err := parallel.Run(ctx, refs, factory, opts, progress)
+		run := startStage(sink, stage+":parallel", len(refs))
+		res, err := parallel.Run(ctx, refs, factory, opts, run.progress())
+		run.end(run.refs.Load())
 		if err != nil {
 			return SweepOut{}, err
-		}
-		if probe != nil {
-			probe.RunEnd(pstage, cum.Load(), time.Since(t0))
 		}
 		if res.SerialReason != "" {
 			return delegate(res.SerialReason)
 		}
 		info := parallelInfo(engine, res)
-		if probe != nil {
-			reportParallel(probe, stage, info, &res)
-		}
+		reportParallel(sink, stage, info, &res)
 		return SweepOut{Results: res.Results, Purges: res.Purges, Parallel: info}, nil
 	}
 }
@@ -285,15 +274,15 @@ func init() {
 // simulation: the single-design analogue of the sweep engine, for callers
 // holding a materialized stream (the evaluation service, cachesim
 // -parallel). Results are bit-identical to the serial path; the returned
-// ParallelInfo reports the plan, or why the run stayed serial. The 3C miss
-// attribution side channel (obs.CauseProbe) is not available on the
-// parallel path: segment replicas would misattribute each other's
-// compulsory misses, so replicas carry no probe.
+// ParallelInfo reports the plan, or why the run stayed serial. 3C miss
+// attribution (obs.KindMissCauses) is not available on the parallel path:
+// segment replicas would misattribute each other's compulsory misses, so
+// replicas carry no sink.
 func EvaluateParallelRefsContext(ctx context.Context, design cache.SystemConfig, name string, refs []trace.Ref, po *ParallelOptions) (Report, *ParallelInfo, error) {
 	if err := po.Validate(); err != nil {
 		return Report{}, nil, err
 	}
-	probe := obs.ProbeFrom(ctx)
+	sink := obs.SinkFrom(ctx)
 	stage := "simulate:" + name
 	serial := func(reason string) (Report, *ParallelInfo, error) {
 		rep, err := EvaluateRefsContext(ctx, design, name, refs)
@@ -301,9 +290,7 @@ func EvaluateParallelRefsContext(ctx context.Context, design cache.SystemConfig,
 			return Report{}, nil, err
 		}
 		info := &ParallelInfo{Engine: "system", FellBack: true, FallbackReason: reason}
-		if probe != nil {
-			reportParallel(probe, stage, info, nil)
-		}
+		reportParallel(sink, stage, info, nil)
 		return rep, info, nil
 	}
 	if po == nil || po.Workers < 2 {
@@ -333,33 +320,20 @@ func EvaluateParallelRefsContext(ctx context.Context, design cache.SystemConfig,
 		CheckEvery:     po.CheckEvery,
 		Stage:          stage,
 	}
-	pstage := stage + ":parallel"
-	t0 := time.Now()
-	if probe != nil {
-		probe.RunStart(pstage, int64(len(refs)))
-	}
-	var cum atomic.Int64
-	var progress func(int64)
-	if probe != nil {
-		progress = func(d int64) { probe.RunProgress(pstage, cum.Add(d)) }
-	}
+	run := startStage(sink, stage+":parallel", len(refs))
 	sp := obs.StartSpan(ctx, stage)
-	res, err := parallel.Run(ctx, refs, factory, opts, progress)
+	res, err := parallel.Run(ctx, refs, factory, opts, run.progress())
 	sp.AddRefs(int64(len(refs)))
 	sp.End()
+	run.end(run.refs.Load())
 	if err != nil {
 		return Report{}, nil, fmt.Errorf("core: evaluating %s: %w", name, err)
-	}
-	if probe != nil {
-		probe.RunEnd(pstage, cum.Load(), time.Since(t0))
 	}
 	if res.SerialReason != "" {
 		return serial(res.SerialReason)
 	}
 	info := parallelInfo("persize", res)
-	if probe != nil {
-		reportParallel(probe, stage, info, &res)
-	}
+	reportParallel(sink, stage, info, &res)
 	return assembleReport(design, name, refs, res.Results[0]), info, nil
 }
 

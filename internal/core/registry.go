@@ -155,28 +155,26 @@ type SweepOut struct {
 // SweepEngine is one registered way to execute a sweep. Supports declares
 // the capability (when the engine's results are bit-identical to per-size
 // simulation; the sampled engine instead guarantees budgeted estimates or
-// exact fallback); Run executes it. rd is already context-guarded; probe
+// exact fallback); Run executes it. rd is already context-guarded; sink
 // may be nil; total is the expected stream length when known.
 type SweepEngine struct {
 	Name     string
 	Supports func(s SweepSpec) bool
-	Run      func(ctx context.Context, s SweepSpec, rd trace.Reader, probe obs.Probe, stage string, total int64) (SweepOut, error)
+	Run      func(ctx context.Context, s SweepSpec, rd trace.Reader, sink obs.Sink, stage string, total int64) (SweepOut, error)
 }
 
 // multiEngine: generalized stack simulation, one pass for all sizes.
 var multiEngine = SweepEngine{
 	Name:     "multisystem",
 	Supports: func(s SweepSpec) bool { return s.StackInclusion() },
-	Run: func(ctx context.Context, s SweepSpec, rd trace.Reader, probe obs.Probe, stage string, total int64) (SweepOut, error) {
+	Run: func(ctx context.Context, s SweepSpec, rd trace.Reader, sink obs.Sink, stage string, total int64) (SweepOut, error) {
 		ms, err := cache.NewMultiSystem(cache.MultiConfig{
 			Sizes: s.Sizes, LineSize: s.LineSize, Split: s.Split, PurgeInterval: s.Quantum,
 		})
 		if err != nil {
 			return SweepOut{}, err
 		}
-		if probe != nil {
-			ms.SetProbe(probe, stage, total)
-		}
+		ms.SetSink(sink, stage, total)
 		if _, err := ms.Run(rd, 0); err != nil {
 			return SweepOut{}, err
 		}
@@ -192,16 +190,14 @@ var fanoutEngine = SweepEngine{
 	Supports: func(s SweepSpec) bool {
 		return s.Fetch == cache.PrefetchAlways && s.Repl == cache.LRU && s.Victim == 0 && s.L2 == nil
 	},
-	Run: func(ctx context.Context, s SweepSpec, rd trace.Reader, probe obs.Probe, stage string, total int64) (SweepOut, error) {
+	Run: func(ctx context.Context, s SweepSpec, rd trace.Reader, sink obs.Sink, stage string, total int64) (SweepOut, error) {
 		fs, err := cache.NewFanoutSystem(cache.FanoutConfig{
 			Sizes: s.Sizes, LineSize: s.LineSize, Split: s.Split, PurgeInterval: s.Quantum,
 		})
 		if err != nil {
 			return SweepOut{}, err
 		}
-		if probe != nil {
-			fs.SetProbe(probe, stage, total)
-		}
+		fs.SetSink(sink, stage, total)
 		if _, err := fs.Run(rd, 0); err != nil {
 			return SweepOut{}, err
 		}
@@ -215,7 +211,7 @@ var fanoutEngine = SweepEngine{
 var perSizeEngine = SweepEngine{
 	Name:     "persize",
 	Supports: func(SweepSpec) bool { return true },
-	Run: func(ctx context.Context, s SweepSpec, rd trace.Reader, probe obs.Probe, stage string, total int64) (SweepOut, error) {
+	Run: func(ctx context.Context, s SweepSpec, rd trace.Reader, sink obs.Sink, stage string, total int64) (SweepOut, error) {
 		refs, err := trace.Borrow(rd, int(total))
 		if err != nil {
 			return SweepOut{}, err
@@ -231,9 +227,7 @@ var perSizeEngine = SweepEngine{
 			if err != nil {
 				return SweepOut{}, err
 			}
-			if probe != nil {
-				sim.SetProbe(probe, stage+":"+strconv.Itoa(size), int64(len(refs)))
-			}
+			sim.SetSink(sink, stage+":"+strconv.Itoa(size), int64(len(refs)))
 			if _, err := sim.Run(trace.NewContextReader(ctx, trace.NewSliceReader(refs)), 0); err != nil {
 				return SweepOut{}, err
 			}
@@ -247,7 +241,7 @@ var perSizeEngine = SweepEngine{
 // sizeSim is one size's simulation in the per-size engine: a cache.System
 // or a cache.Hierarchy.
 type sizeSim interface {
-	SetProbe(p obs.Probe, stage string, totalRefs int64)
+	SetSink(s obs.Sink, stage string, totalRefs int64)
 	Run(rd trace.Reader, max int) (int, error)
 	Purges() uint64
 	SizeResult(size int) cache.SizeResult
@@ -295,15 +289,15 @@ func SelectEngine(s SweepSpec) SweepEngine {
 }
 
 // RunSweep validates the spec, selects the fastest sound engine and
-// executes the sweep over rd. probe may be nil; stage labels the run in
-// probe callbacks (the per-size fallback appends ":<size>"); total is the
+// executes the sweep over rd. sink may be nil; stage labels the run in
+// its events (the per-size fallback appends ":<size>"); total is the
 // expected stream length when known, 0 otherwise. It returns the per-size
 // results (in Sizes order), the purge count, and sampling metadata when
 // the sampled engine ran.
-func RunSweep(ctx context.Context, s SweepSpec, rd trace.Reader, probe obs.Probe, stage string, total int64) (SweepOut, error) {
+func RunSweep(ctx context.Context, s SweepSpec, rd trace.Reader, sink obs.Sink, stage string, total int64) (SweepOut, error) {
 	if err := s.Validate(); err != nil {
 		return SweepOut{}, err
 	}
 	e := SelectEngine(s)
-	return e.Run(ctx, s, trace.NewContextReader(ctx, rd), probe, stage, total)
+	return e.Run(ctx, s, trace.NewContextReader(ctx, rd), sink, stage, total)
 }

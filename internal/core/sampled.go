@@ -13,7 +13,6 @@ import (
 	"context"
 	"fmt"
 	"math"
-	"time"
 
 	"cacheeval/internal/cache"
 	"cacheeval/internal/obs"
@@ -227,7 +226,7 @@ var sampledEngine = SweepEngine{
 }
 
 func init() {
-	sampledEngine.Run = func(ctx context.Context, s SweepSpec, rd trace.Reader, probe obs.Probe, stage string, total int64) (SweepOut, error) {
+	sampledEngine.Run = func(ctx context.Context, s SweepSpec, rd trace.Reader, sink obs.Sink, stage string, total int64) (SweepOut, error) {
 		// The engine rewinds the trace once per adaptive round, so it needs
 		// the stream in memory; borrow the backing slice when the reader can
 		// share it (the sweep layer always materializes first), collect
@@ -256,16 +255,10 @@ func init() {
 				sp := obs.StartSpan(ctx, fmt.Sprintf("%s:sampled:round%d", stage, round))
 				return func() { sp.AddRefs(int64(p.Window) * int64(p.Windows(len(refs)))); sp.End() }
 			},
+			OnRoundDone: roundReporter(sink, stage, o.ErrorBudget),
 		}
-		if rp, ok := probe.(obs.SampleRoundProbe); ok {
-			ctrl.OnRoundDone = func(round int, a sampling.Attempt) {
-				rp.SampledRound(stage, round, a.Achieved, o.ErrorBudget, a.Fraction)
-			}
-		}
-		t0 := time.Now()
-		if probe != nil {
-			probe.RunStart(stage+":sampled", int64(len(refs)))
-		}
+		run := startStage(sink, stage+":sampled", len(refs))
+		defer run.end(0) // an error return still closes the stage
 		outc, err := ctrl.Run(len(refs), len(s.Sizes),
 			func() trace.Reader { return trace.NewContextReader(ctx, trace.NewSliceReader(refs)) },
 			func() (sampling.Target, error) { return sampledTarget(s) },
@@ -287,7 +280,7 @@ func init() {
 			exact.Sampled = nil
 			e := SelectEngine(exact)
 			sp := obs.StartSpan(ctx, stage+":sampled:fallback:"+e.Name)
-			out, err = e.Run(ctx, exact, trace.NewContextReader(ctx, trace.NewSliceReader(refs)), probe, stage, int64(len(refs)))
+			out, err = e.Run(ctx, exact, trace.NewContextReader(ctx, trace.NewSliceReader(refs)), sink, stage, int64(len(refs)))
 			sp.AddRefs(int64(len(refs)))
 			sp.End()
 			if err != nil {
@@ -332,14 +325,34 @@ func init() {
 			info.SampledFraction = fracOf(info.SimulatedRefs, info.TotalRefs)
 		}
 		out.Sampled = info
-		if probe != nil {
-			probe.RunEnd(stage+":sampled", int64(info.SimulatedRefs), time.Since(t0))
-			if sp, ok := probe.(obs.SampleProbe); ok {
-				sp.SampledRun(stage, info.ErrorBudget, info.AchievedRelError,
-					info.SampledFraction, info.Rounds, info.FellBack)
-			}
-		}
+		endSampled(run, stage, info)
 		return out, nil
+	}
+}
+
+// roundReporter returns the controller's OnRoundDone hook, which emits each
+// adaptive round as a KindSampledRound event, or nil without a sink.
+func roundReporter(sink obs.Sink, stage string, budget float64) func(int, sampling.Attempt) {
+	if sink == nil {
+		return nil
+	}
+	return func(round int, a sampling.Attempt) {
+		sink.Observe(obs.Event{
+			Kind: obs.KindSampledRound, Stage: stage, Round: round,
+			Achieved: a.Achieved, Budget: budget, Fraction: a.Fraction,
+		})
+	}
+}
+
+// endSampled closes a sampled pass: its run's end event, then its verdict.
+func endSampled(run *stageRun, stage string, info *SampledInfo) {
+	run.end(int64(info.SimulatedRefs))
+	if run.sink != nil {
+		run.sink.Observe(obs.Event{
+			Kind: obs.KindSampledRun, Stage: stage, Budget: info.ErrorBudget,
+			Achieved: info.AchievedRelError, Fraction: info.SampledFraction,
+			Rounds: info.Rounds, FellBack: info.FellBack,
+		})
 	}
 }
 

@@ -76,13 +76,13 @@ type Options struct {
 	// serial engines. A caller-supplied Budget is honoured; otherwise the
 	// experiment's shared pool is injected.
 	Parallel *core.ParallelOptions
-	// Probe, when non-nil, receives engine progress callbacks
-	// (obs.Probe.RunStart/RunProgress/RunEnd) from every simulation an
-	// experiment runs. The probe must be safe for concurrent use — with
-	// Workers > 1 several engine passes report to it at once, each under
-	// its own stage name. Nil keeps the engines' hot paths on the
-	// uninstrumented fast path (see DESIGN.md §8).
-	Probe obs.Probe
+	// Sink, when non-nil, receives the engine events (obs.Event: run
+	// start/progress/end plus the engines' batched reports) of every
+	// simulation an experiment runs. The sink must be safe for concurrent
+	// use — with Workers > 1 several engine passes report to it at once,
+	// each under its own stage name. Nil keeps the engines' hot paths on
+	// the uninstrumented fast path (see DESIGN.md §8).
+	Sink obs.Sink
 	// OnPass, when non-nil, receives each completed sweep grid pass — the
 	// (mix, organization, fetch policy) identity plus its per-size
 	// results — as soon as the pass finishes, before the sweep as a whole

@@ -236,7 +236,7 @@ func runPass(ctx context.Context, o Options, mix workload.Mix, refs []trace.Ref,
 		Victim: o.Victim, L2: o.L2,
 		Sampled: sampled, Parallel: o.parallelSpec(),
 	}
-	out, err := core.RunSweep(ctx, spec, trace.NewSliceReader(refs), o.Probe, stage, int64(len(refs)))
+	out, err := core.RunSweep(ctx, spec, trace.NewSliceReader(refs), o.Sink, stage, int64(len(refs)))
 	if err != nil {
 		return core.SweepOut{}, err
 	}

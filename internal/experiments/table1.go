@@ -50,9 +50,7 @@ func Table1(o Options) (*Table1Result, error) {
 		if err != nil {
 			return err
 		}
-		if o.Probe != nil {
-			sim.SetProbe(o.Probe, "table1:"+spec.Name, int64(o.limit(spec.Refs)))
-		}
+		sim.SetSink(o.Sink, "table1:"+spec.Name, int64(o.limit(spec.Refs)))
 		n, err := sim.Run(rd, 0)
 		if err != nil {
 			return fmt.Errorf("table1 %s: %w", spec.Name, err)

@@ -3,13 +3,13 @@ package obs
 import (
 	"log/slog"
 	"math"
-	"sync"
 	"time"
 )
 
-// Event type names emitted by EventProbe. The jobs layer forwards them
-// verbatim as the "type" field of its NDJSON stream, so they are part of
-// the public API surface (documented in README "Jobs and live progress").
+// Event type names emitted by EventProbe, one per Kind. The jobs layer
+// forwards them verbatim as the "type" field of its NDJSON stream, so they
+// are part of the public API surface (documented in README "Jobs and live
+// progress").
 const (
 	EventRunStart         = "run_start"
 	EventProgress         = "progress"
@@ -58,7 +58,7 @@ type SampledRoundEvent struct {
 }
 
 // SampledRunEvent is the payload of an EventSampledRun event: a sampled
-// pass's final verdict (see SampleProbe).
+// pass's final verdict (see KindSampledRun).
 type SampledRunEvent struct {
 	Stage       string  `json:"stage"`
 	ErrorBudget float64 `json:"error_budget"`
@@ -69,7 +69,7 @@ type SampledRunEvent struct {
 }
 
 // ParallelRunEvent is the payload of an EventParallelRun event: a
-// time-parallel pass's plan (see ParallelProbe).
+// time-parallel pass's plan (see KindParallelRun).
 type ParallelRunEvent struct {
 	Stage    string `json:"stage"`
 	Segments int    `json:"segments"`
@@ -87,7 +87,7 @@ type ParallelBoundaryEvent struct {
 }
 
 // HierarchyRunEvent is the payload of an EventHierarchyRun event (see
-// HierarchyProbe).
+// KindHierarchyRun).
 type HierarchyRunEvent struct {
 	Stage         string `json:"stage"`
 	L2Fetches     uint64 `json:"l2_fetches"`
@@ -98,7 +98,7 @@ type HierarchyRunEvent struct {
 }
 
 // MissCausesEvent is the payload of an EventMissCauses event (see
-// CauseProbe).
+// KindMissCauses).
 type MissCausesEvent struct {
 	Stage      string `json:"stage"`
 	Compulsory uint64 `json:"compulsory"`
@@ -106,190 +106,119 @@ type MissCausesEvent struct {
 	Conflict   uint64 `json:"conflict"`
 }
 
-// EventProbe adapts the engine probe callbacks into typed events for an
-// event bus: every callback (including the optional Cause/Sample/
-// SampleRound/Parallel/Hierarchy extensions) becomes one OnEvent call with
-// one of the payload structs above. Progress ticks are throttled per stage
-// by MinProgressInterval; everything else passes through unthrottled.
+// payload renders an event as its job-stream type name and JSON payload.
+// A progress event's Total and Elapsed are the stage's, filled in by
+// EventProbe from its RunStart.
+func payload(e Event) (string, any) {
+	switch e.Kind {
+	case KindRunStart:
+		return EventRunStart, RunStartEvent{Stage: e.Stage, TotalRefs: e.Total}
+	case KindProgress:
+		return EventProgress, ProgressEvent{
+			Stage: e.Stage, Refs: e.Refs, TotalRefs: e.Total,
+			RefsPerSec: refsPerSec(e.Refs, e.Elapsed),
+		}
+	case KindRunEnd:
+		return EventRunEnd, RunEndEvent{
+			Stage: e.Stage, Refs: e.Refs,
+			ElapsedMS:  float64(e.Elapsed) / float64(time.Millisecond),
+			RefsPerSec: refsPerSec(e.Refs, e.Elapsed),
+		}
+	case KindMissCauses:
+		return EventMissCauses, MissCausesEvent{
+			Stage: e.Stage, Compulsory: e.Compulsory, Capacity: e.Capacity, Conflict: e.Conflict,
+		}
+	case KindSampledRound:
+		ev := SampledRoundEvent{
+			Stage: e.Stage, Round: e.Round, Achieved: e.Achieved,
+			Budget: e.Budget, Fraction: e.Fraction,
+		}
+		if math.IsInf(ev.Achieved, 1) { // unusable round: JSON has no Inf
+			ev.Achieved = -1
+		}
+		return EventSampledRound, ev
+	case KindSampledRun:
+		return EventSampledRun, SampledRunEvent{
+			Stage: e.Stage, ErrorBudget: e.Budget, Achieved: e.Achieved,
+			Fraction: e.Fraction, Rounds: e.Rounds, FellBack: e.FellBack,
+		}
+	case KindParallelRun:
+		return EventParallelRun, ParallelRunEvent{
+			Stage: e.Stage, Segments: e.Segments, Aligned: e.Aligned,
+			FellBack: e.FellBack, Reason: e.Reason,
+		}
+	case KindParallelBoundary:
+		return EventParallelBoundary, ParallelBoundaryEvent{
+			Stage: e.Stage, DistanceRefs: e.Distance, Converged: e.Converged,
+		}
+	case KindHierarchyRun:
+		return EventHierarchyRun, HierarchyRunEvent{
+			Stage: e.Stage, L2Fetches: e.L2Fetches, L2FetchMisses: e.L2FetchMisses,
+			L2Writes: e.L2Writes, L2WriteMisses: e.L2WriteMisses, VictimHits: e.VictimHits,
+		}
+	}
+	return "", nil
+}
+
+// EventProbe is a Sink that turns engine events into typed payloads for an
+// event bus: every event becomes one OnEvent call with its type name and
+// one of the payload structs above. Progress events are throttled per
+// stage by MinProgressInterval; everything else passes through
+// unthrottled. It is Enabled for every kind, 3C attribution included.
 //
 // EventProbe exists for instrumented runs only — the uninstrumented hot
-// path carries a nil probe and never sees it — so it may allocate freely.
-// Callbacks arrive from whatever goroutines run the engines; OnEvent must
-// be safe for concurrent use (the jobs layer's publish is).
-//
-// Next chains a second probe (the server installs its Prometheus simProbe
-// there), so turning a run into an event stream never costs its metrics.
-// Extension callbacks forward to Next only when Next implements that
-// extension. RequestID and Logger carry the originating request's identity
-// into probe-originated log lines: engine callbacks have no context, so
-// without them every line logged from inside an engine goroutine would
-// lose the X-Request-ID the access log is keyed by.
+// path carries a nil sink and never sees it — so it may allocate freely.
+// Events arrive from whatever goroutines run the engines; OnEvent must be
+// safe for concurrent use (the jobs layer's publish is). To feed a second
+// consumer too, install Tee(eventProbe, other). RequestID and Logger carry
+// the originating request's identity into engine log lines: events carry
+// no context, so without them every line logged from inside an engine
+// goroutine would lose the X-Request-ID the access log is keyed by.
 type EventProbe struct {
-	// OnEvent receives every adapted event; nil drops them (Next still
-	// sees the raw callbacks).
+	// OnEvent receives every adapted event; nil drops them.
 	OnEvent func(typ string, data any)
-	// Next is an optional downstream probe receiving the raw callbacks.
-	Next Probe
 	// RequestID is the originating request's ID, stamped onto log lines.
 	RequestID string
 	// Logger, when non-nil, receives engine run start/end lines. Pass the
 	// request-scoped logger so the lines correlate with the access log.
 	Logger *slog.Logger
 	// MinProgressInterval throttles ProgressEvent emission per stage; the
-	// zero value emits every engine callback (every ProgressInterval refs).
+	// zero value emits every engine progress event (every
+	// ProgressInterval refs).
 	MinProgressInterval time.Duration
 
-	mu     sync.Mutex
-	stages map[string]*eventStage
+	clocks stageClocks
 }
 
-type eventStage struct {
-	start    time.Time
-	total    int64
-	lastEmit time.Time
-}
+// Enabled reports true for every kind.
+func (p *EventProbe) Enabled(Kind) bool { return true }
 
-func (p *EventProbe) emit(typ string, data any) {
-	if p.OnEvent != nil {
-		p.OnEvent(typ, data)
-	}
-}
-
-// RunStart opens the stage's rate clock and emits a RunStartEvent.
-func (p *EventProbe) RunStart(stage string, totalRefs int64) {
-	now := time.Now()
-	p.mu.Lock()
-	if p.stages == nil {
-		p.stages = make(map[string]*eventStage)
-	}
-	p.stages[stage] = &eventStage{start: now, total: totalRefs, lastEmit: now}
-	p.mu.Unlock()
-	p.emit(EventRunStart, RunStartEvent{Stage: stage, TotalRefs: totalRefs})
-	if p.Logger != nil {
-		p.Logger.Info("engine: run start",
-			"stage", stage, "total_refs", totalRefs, "request_id", p.RequestID)
-	}
-	if p.Next != nil {
-		p.Next.RunStart(stage, totalRefs)
-	}
-}
-
-// RunProgress emits a throttled ProgressEvent with the stage's running rate.
-func (p *EventProbe) RunProgress(stage string, refs int64) {
-	now := time.Now()
-	p.mu.Lock()
-	st := p.stages[stage]
-	emit := st != nil && now.Sub(st.lastEmit) >= p.MinProgressInterval
-	var ev ProgressEvent
-	if emit {
-		st.lastEmit = now
-		ev = ProgressEvent{
-			Stage: stage, Refs: refs, TotalRefs: st.total,
-			RefsPerSec: refsPerSec(refs, now.Sub(st.start)),
+// Observe tracks each stage's rate clock between its start and end, drops
+// throttled progress events, logs run starts and ends, and hands the rest
+// to OnEvent.
+func (p *EventProbe) Observe(e Event) {
+	switch e.Kind {
+	case KindRunStart:
+		p.clocks.open(e.Stage, e.Total)
+		if p.Logger != nil {
+			p.Logger.Info("engine: run start",
+				"stage", e.Stage, "total_refs", e.Total, "request_id", p.RequestID)
+		}
+	case KindProgress:
+		var ok bool
+		if e.Elapsed, e.Total, ok = p.clocks.tick(e.Stage, p.MinProgressInterval); !ok {
+			return
+		}
+	case KindRunEnd:
+		p.clocks.close(e.Stage)
+		if p.Logger != nil {
+			p.Logger.Info("engine: run end",
+				"stage", e.Stage, "refs", e.Refs,
+				"elapsed_ms", float64(e.Elapsed)/float64(time.Millisecond),
+				"request_id", p.RequestID)
 		}
 	}
-	p.mu.Unlock()
-	if emit {
-		p.emit(EventProgress, ev)
-	}
-	if p.Next != nil {
-		p.Next.RunProgress(stage, refs)
+	if p.OnEvent != nil {
+		p.OnEvent(payload(e))
 	}
 }
-
-// RunEnd closes the stage and emits a RunEndEvent.
-func (p *EventProbe) RunEnd(stage string, refs int64, elapsed time.Duration) {
-	p.mu.Lock()
-	delete(p.stages, stage)
-	p.mu.Unlock()
-	p.emit(EventRunEnd, RunEndEvent{
-		Stage: stage, Refs: refs,
-		ElapsedMS:  float64(elapsed) / float64(time.Millisecond),
-		RefsPerSec: refsPerSec(refs, elapsed),
-	})
-	if p.Logger != nil {
-		p.Logger.Info("engine: run end",
-			"stage", stage, "refs", refs,
-			"elapsed_ms", float64(elapsed)/float64(time.Millisecond),
-			"request_id", p.RequestID)
-	}
-	if p.Next != nil {
-		p.Next.RunEnd(stage, refs, elapsed)
-	}
-}
-
-// MissCauses implements CauseProbe. Note that installing an EventProbe
-// switches the per-size engine onto its 3C attribution path regardless of
-// whether Next cares — the probe's presence is the opt-in, as ever.
-func (p *EventProbe) MissCauses(stage string, compulsory, capacity, conflict uint64) {
-	p.emit(EventMissCauses, MissCausesEvent{
-		Stage: stage, Compulsory: compulsory, Capacity: capacity, Conflict: conflict,
-	})
-	if next, ok := p.Next.(CauseProbe); ok {
-		next.MissCauses(stage, compulsory, capacity, conflict)
-	}
-}
-
-// SampledRound implements SampleRoundProbe.
-func (p *EventProbe) SampledRound(stage string, round int, achieved, budget, fraction float64) {
-	ev := SampledRoundEvent{
-		Stage: stage, Round: round, Achieved: achieved,
-		Budget: budget, Fraction: fraction,
-	}
-	if math.IsInf(ev.Achieved, 1) { // unusable round: JSON has no Inf
-		ev.Achieved = -1
-	}
-	p.emit(EventSampledRound, ev)
-	if next, ok := p.Next.(SampleRoundProbe); ok {
-		next.SampledRound(stage, round, achieved, budget, fraction)
-	}
-}
-
-// SampledRun implements SampleProbe.
-func (p *EventProbe) SampledRun(stage string, errorBudget, achieved, fraction float64, rounds int, fellBack bool) {
-	p.emit(EventSampledRun, SampledRunEvent{
-		Stage: stage, ErrorBudget: errorBudget, Achieved: achieved,
-		Fraction: fraction, Rounds: rounds, FellBack: fellBack,
-	})
-	if next, ok := p.Next.(SampleProbe); ok {
-		next.SampledRun(stage, errorBudget, achieved, fraction, rounds, fellBack)
-	}
-}
-
-// ParallelRun implements ParallelProbe.
-func (p *EventProbe) ParallelRun(stage string, segments int, aligned, fellBack bool, reason string) {
-	p.emit(EventParallelRun, ParallelRunEvent{
-		Stage: stage, Segments: segments, Aligned: aligned,
-		FellBack: fellBack, Reason: reason,
-	})
-	if next, ok := p.Next.(ParallelProbe); ok {
-		next.ParallelRun(stage, segments, aligned, fellBack, reason)
-	}
-}
-
-// ParallelBoundary implements ParallelProbe.
-func (p *EventProbe) ParallelBoundary(stage string, distanceRefs int64, converged bool) {
-	p.emit(EventParallelBoundary, ParallelBoundaryEvent{
-		Stage: stage, DistanceRefs: distanceRefs, Converged: converged,
-	})
-	if next, ok := p.Next.(ParallelProbe); ok {
-		next.ParallelBoundary(stage, distanceRefs, converged)
-	}
-}
-
-// HierarchyRun implements HierarchyProbe.
-func (p *EventProbe) HierarchyRun(stage string, l2Fetches, l2FetchMisses, l2Writes, l2WriteMisses, victimHits uint64) {
-	p.emit(EventHierarchyRun, HierarchyRunEvent{
-		Stage: stage, L2Fetches: l2Fetches, L2FetchMisses: l2FetchMisses,
-		L2Writes: l2Writes, L2WriteMisses: l2WriteMisses, VictimHits: victimHits,
-	})
-	if next, ok := p.Next.(HierarchyProbe); ok {
-		next.HierarchyRun(stage, l2Fetches, l2FetchMisses, l2Writes, l2WriteMisses, victimHits)
-	}
-}
-
-var _ CauseProbe = (*EventProbe)(nil)
-var _ SampleProbe = (*EventProbe)(nil)
-var _ SampleRoundProbe = (*EventProbe)(nil)
-var _ ParallelProbe = (*EventProbe)(nil)
-var _ HierarchyProbe = (*EventProbe)(nil)

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"log/slog"
 	"math"
+	"reflect"
 	"strings"
 	"sync"
 	"testing"
@@ -28,29 +29,34 @@ func (r *recorder) on(typ string, data any) {
 	r.byType[typ] = append(r.byType[typ], data)
 }
 
-// countingProbe records raw callbacks forwarded via Next.
-type countingProbe struct {
-	starts, progresses, ends, causes, rounds int
+// countingSink counts the events it observes by kind. A nil want makes it
+// Enabled for every kind; otherwise only for the kinds listed.
+type countingSink struct {
+	want map[Kind]bool
+	mu   sync.Mutex
+	seen map[Kind]int
 }
 
-func (c *countingProbe) RunStart(string, int64)              { c.starts++ }
-func (c *countingProbe) RunProgress(string, int64)           { c.progresses++ }
-func (c *countingProbe) RunEnd(string, int64, time.Duration) { c.ends++ }
-func (c *countingProbe) MissCauses(string, uint64, uint64, uint64) {
-	c.causes++
-}
-func (c *countingProbe) SampledRound(string, int, float64, float64, float64) {
-	c.rounds++
+func (c *countingSink) Enabled(k Kind) bool { return c.want == nil || c.want[k] }
+
+func (c *countingSink) Observe(e Event) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if c.seen == nil {
+		c.seen = make(map[Kind]int)
+	}
+	c.seen[e.Kind]++
 }
 
 func TestEventProbeLifecycle(t *testing.T) {
 	rec := newRecorder()
-	next := &countingProbe{}
-	p := &EventProbe{OnEvent: rec.on, Next: next}
+	next := &countingSink{}
+	p := &EventProbe{OnEvent: rec.on}
+	s := Tee(p, next)
 
-	p.RunStart("simulate:x", 1000)
-	p.RunProgress("simulate:x", 500)
-	p.RunEnd("simulate:x", 1000, 2*time.Second)
+	s.Observe(Event{Kind: KindRunStart, Stage: "simulate:x", Total: 1000})
+	s.Observe(Event{Kind: KindProgress, Stage: "simulate:x", Refs: 500})
+	s.Observe(Event{Kind: KindRunEnd, Stage: "simulate:x", Refs: 1000, Elapsed: 2 * time.Second})
 
 	if got := rec.types; len(got) != 3 ||
 		got[0] != EventRunStart || got[1] != EventProgress || got[2] != EventRunEnd {
@@ -68,50 +74,52 @@ func TestEventProbeLifecycle(t *testing.T) {
 	if end.Refs != 1000 || end.ElapsedMS != 2000 || end.RefsPerSec != 500 {
 		t.Fatalf("run_end payload = %+v", end)
 	}
-	if next.starts != 1 || next.progresses != 1 || next.ends != 1 {
-		t.Fatalf("next probe saw %d/%d/%d callbacks, want 1/1/1",
-			next.starts, next.progresses, next.ends)
+	if next.seen[KindRunStart] != 1 || next.seen[KindProgress] != 1 || next.seen[KindRunEnd] != 1 {
+		t.Fatalf("teed sink saw %v, want one of each lifecycle kind", next.seen)
 	}
 }
 
 func TestEventProbeProgressThrottle(t *testing.T) {
 	rec := newRecorder()
 	p := &EventProbe{OnEvent: rec.on, MinProgressInterval: time.Hour}
-	p.RunStart("s", 0)
+	p.Observe(Event{Kind: KindRunStart, Stage: "s"})
 	for i := 0; i < 100; i++ {
-		p.RunProgress("s", int64(i))
+		p.Observe(Event{Kind: KindProgress, Stage: "s", Refs: int64(i)})
 	}
-	// lastEmit is primed at RunStart, so an hour-long throttle emits nothing.
+	// lastEmit is primed at the start, so an hour-long throttle emits nothing.
 	if n := len(rec.byType[EventProgress]); n != 0 {
 		t.Fatalf("throttled probe emitted %d progress events, want 0", n)
 	}
-	// Zero interval emits every callback.
+	// Zero interval emits every event.
 	rec2 := newRecorder()
 	p2 := &EventProbe{OnEvent: rec2.on}
-	p2.RunStart("s", 0)
+	p2.Observe(Event{Kind: KindRunStart, Stage: "s"})
 	for i := 0; i < 5; i++ {
-		p2.RunProgress("s", int64(i))
+		p2.Observe(Event{Kind: KindProgress, Stage: "s", Refs: int64(i)})
 	}
 	if n := len(rec2.byType[EventProgress]); n != 5 {
 		t.Fatalf("unthrottled probe emitted %d progress events, want 5", n)
 	}
-	// An unknown stage (RunProgress without RunStart) emits nothing rather
+	// An unknown stage (progress without a start) emits nothing rather
 	// than panicking.
-	p2.RunProgress("never-started", 1)
+	p2.Observe(Event{Kind: KindProgress, Stage: "never-started", Refs: 1})
+	if n := len(rec2.byType[EventProgress]); n != 5 {
+		t.Fatalf("progress for an unstarted stage was emitted")
+	}
 }
 
 func TestEventProbeExtensions(t *testing.T) {
 	rec := newRecorder()
-	next := &countingProbe{}
-	p := &EventProbe{OnEvent: rec.on, Next: next}
+	next := &countingSink{want: map[Kind]bool{KindMissCauses: true, KindSampledRound: true}}
+	s := Tee(&EventProbe{OnEvent: rec.on}, next)
 
-	p.MissCauses("s", 1, 2, 3)
-	p.SampledRound("s", 2, 0.04, 0.05, 0.3)
-	p.SampledRound("s", 0, math.Inf(1), 0.05, 0.1)
-	p.SampledRun("s", 0.05, 0.04, 0.3, 3, false)
-	p.ParallelRun("s", 4, true, false, "")
-	p.ParallelBoundary("s", 128, true)
-	p.HierarchyRun("s", 10, 2, 5, 1, 7)
+	s.Observe(Event{Kind: KindMissCauses, Stage: "s", Compulsory: 1, Capacity: 2, Conflict: 3})
+	s.Observe(Event{Kind: KindSampledRound, Stage: "s", Round: 2, Achieved: 0.04, Budget: 0.05, Fraction: 0.3})
+	s.Observe(Event{Kind: KindSampledRound, Stage: "s", Achieved: math.Inf(1), Budget: 0.05, Fraction: 0.1})
+	s.Observe(Event{Kind: KindSampledRun, Stage: "s", Budget: 0.05, Achieved: 0.04, Fraction: 0.3, Rounds: 3})
+	s.Observe(Event{Kind: KindParallelRun, Stage: "s", Segments: 4, Aligned: true})
+	s.Observe(Event{Kind: KindParallelBoundary, Stage: "s", Distance: 128, Converged: true})
+	s.Observe(Event{Kind: KindHierarchyRun, Stage: "s", L2Fetches: 10, L2FetchMisses: 2, L2Writes: 5, L2WriteMisses: 1, VictimHits: 7})
 
 	mc := rec.byType[EventMissCauses][0].(MissCausesEvent)
 	if mc.Compulsory != 1 || mc.Capacity != 2 || mc.Conflict != 3 {
@@ -126,14 +134,17 @@ func TestEventProbeExtensions(t *testing.T) {
 	if r1.Achieved != -1 {
 		t.Fatalf("infinite achieved rendered as %v, want -1", r1.Achieved)
 	}
-	if len(rec.byType[EventSampledRun]) != 1 || len(rec.byType[EventParallelRun]) != 1 ||
-		len(rec.byType[EventParallelBoundary]) != 1 || len(rec.byType[EventHierarchyRun]) != 1 {
+	if sr := rec.byType[EventSampledRun][0].(SampledRunEvent); sr.Rounds != 3 || sr.ErrorBudget != 0.05 {
+		t.Fatalf("sampled payload = %+v", sr)
+	}
+	if len(rec.byType[EventParallelRun]) != 1 || len(rec.byType[EventParallelBoundary]) != 1 ||
+		len(rec.byType[EventHierarchyRun]) != 1 {
 		t.Fatalf("extension events missing: %v", rec.types)
 	}
-	// Next implements CauseProbe and SampleRoundProbe but not the others;
-	// only the matching callbacks forward.
-	if next.causes != 1 || next.rounds != 2 {
-		t.Fatalf("next saw %d causes and %d rounds, want 1 and 2", next.causes, next.rounds)
+	// The teed sink is Enabled for miss causes and sampled rounds only;
+	// only those kinds reach it.
+	if len(next.seen) != 2 || next.seen[KindMissCauses] != 1 || next.seen[KindSampledRound] != 2 {
+		t.Fatalf("teed sink saw %v, want 1 miss_causes and 2 sampled_round", next.seen)
 	}
 }
 
@@ -141,8 +152,8 @@ func TestEventProbeLogsCarryRequestID(t *testing.T) {
 	var buf bytes.Buffer
 	logger := slog.New(slog.NewJSONHandler(&buf, nil))
 	p := &EventProbe{RequestID: "req-abc123", Logger: logger}
-	p.RunStart("simulate:y", 10)
-	p.RunEnd("simulate:y", 10, time.Millisecond)
+	p.Observe(Event{Kind: KindRunStart, Stage: "simulate:y", Total: 10})
+	p.Observe(Event{Kind: KindRunEnd, Stage: "simulate:y", Refs: 10, Elapsed: time.Millisecond})
 	out := buf.String()
 	if strings.Count(out, `"request_id":"req-abc123"`) != 2 {
 		t.Fatalf("log lines missing request_id:\n%s", out)
@@ -153,13 +164,13 @@ func TestEventProbeLogsCarryRequestID(t *testing.T) {
 }
 
 func TestEventProbeNilOnEvent(t *testing.T) {
-	next := &countingProbe{}
-	p := &EventProbe{Next: next} // no OnEvent: raw callbacks still forward
-	p.RunStart("s", 1)
-	p.RunProgress("s", 1)
-	p.RunEnd("s", 1, time.Millisecond)
-	if next.starts != 1 || next.progresses != 1 || next.ends != 1 {
-		t.Fatalf("nil OnEvent dropped Next callbacks: %+v", next)
+	next := &countingSink{}
+	s := Tee(&EventProbe{}, next) // no OnEvent: teed sinks still see everything
+	s.Observe(Event{Kind: KindRunStart, Stage: "s", Total: 1})
+	s.Observe(Event{Kind: KindProgress, Stage: "s", Refs: 1})
+	s.Observe(Event{Kind: KindRunEnd, Stage: "s", Refs: 1, Elapsed: time.Millisecond})
+	if next.seen[KindRunStart] != 1 || next.seen[KindProgress] != 1 || next.seen[KindRunEnd] != 1 {
+		t.Fatalf("nil OnEvent dropped teed events: %v", next.seen)
 	}
 }
 
@@ -172,11 +183,11 @@ func TestEventProbeConcurrentStages(t *testing.T) {
 		go func(g int) {
 			defer wg.Done()
 			stage := "simulate:" + string(rune('a'+g))
-			p.RunStart(stage, 100)
+			p.Observe(Event{Kind: KindRunStart, Stage: stage, Total: 100})
 			for i := 0; i < 50; i++ {
-				p.RunProgress(stage, int64(i))
+				p.Observe(Event{Kind: KindProgress, Stage: stage, Refs: int64(i)})
 			}
-			p.RunEnd(stage, 100, time.Millisecond)
+			p.Observe(Event{Kind: KindRunEnd, Stage: stage, Refs: 100, Elapsed: time.Millisecond})
 		}(g)
 	}
 	wg.Wait()
@@ -185,5 +196,61 @@ func TestEventProbeConcurrentStages(t *testing.T) {
 	}
 	if n := len(rec.byType[EventRunEnd]); n != 8 {
 		t.Fatalf("got %d run_end events, want 8", n)
+	}
+}
+
+func TestSinkTee(t *testing.T) {
+	lifecycle := &countingSink{want: map[Kind]bool{KindRunStart: true, KindRunEnd: true}}
+	causes := &countingSink{want: map[Kind]bool{KindMissCauses: true}}
+	s := Tee(lifecycle, causes)
+	for _, k := range []Kind{KindRunStart, KindRunEnd, KindMissCauses} {
+		if !s.Enabled(k) {
+			t.Errorf("Tee not Enabled for kind %d one of its sinks wants", k)
+		}
+	}
+	if s.Enabled(KindProgress) {
+		t.Error("Tee Enabled for a kind none of its sinks wants")
+	}
+	for k := KindRunStart; k <= KindHierarchyRun; k++ {
+		s.Observe(Event{Kind: k, Stage: "s"})
+	}
+	if len(lifecycle.seen) != 2 || lifecycle.seen[KindRunStart] != 1 || lifecycle.seen[KindRunEnd] != 1 {
+		t.Errorf("lifecycle sink saw %v", lifecycle.seen)
+	}
+	if len(causes.seen) != 1 || causes.seen[KindMissCauses] != 1 {
+		t.Errorf("causes sink saw %v", causes.seen)
+	}
+}
+
+func TestSinkEnabledOptIn(t *testing.T) {
+	// Only the sinks that consume 3C totals may switch the tracker on.
+	for name, c := range map[string]struct {
+		sink Sink
+		want bool
+	}{
+		"Discard":       {Discard, false},
+		"ProgressProbe": {NewProgressProbe(&bytes.Buffer{}), false},
+		"EventProbe":    {&EventProbe{}, true},
+	} {
+		if got := c.sink.Enabled(KindMissCauses); got != c.want {
+			t.Errorf("%s.Enabled(KindMissCauses) = %v, want %v", name, got, c.want)
+		}
+	}
+	for k := KindRunStart; k <= KindHierarchyRun; k++ {
+		if Discard.Enabled(k) {
+			t.Errorf("Discard Enabled for kind %d", k)
+		}
+	}
+}
+
+func TestSinkEventIsPlainValue(t *testing.T) {
+	// Emitting an Event must never allocate: no field may hold a pointer,
+	// interface, slice, map, func or channel.
+	typ := reflect.TypeOf(Event{})
+	for i := 0; i < typ.NumField(); i++ {
+		switch f := typ.Field(i); f.Type.Kind() {
+		case reflect.Ptr, reflect.Interface, reflect.Slice, reflect.Map, reflect.Func, reflect.Chan, reflect.UnsafePointer:
+			t.Errorf("Event.%s is a %s", f.Name, f.Type.Kind())
+		}
 	}
 }

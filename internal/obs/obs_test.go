@@ -114,9 +114,9 @@ func TestProgressProbe(t *testing.T) {
 	var buf bytes.Buffer
 	p := NewProgressProbe(&buf)
 	p.MinInterval = 0 // print every callback
-	p.RunStart("stage", 200000)
-	p.RunProgress("stage", 100000)
-	p.RunEnd("stage", 200000, 50*time.Millisecond)
+	p.Observe(Event{Kind: KindRunStart, Stage: "stage", Total: 200000})
+	p.Observe(Event{Kind: KindProgress, Stage: "stage", Refs: 100000})
+	p.Observe(Event{Kind: KindRunEnd, Stage: "stage", Refs: 200000, Elapsed: 50 * time.Millisecond})
 	out := buf.String()
 	if !strings.Contains(out, "ETA") {
 		t.Errorf("progress line missing ETA: %q", out)
@@ -125,20 +125,18 @@ func TestProgressProbe(t *testing.T) {
 		t.Errorf("completion line malformed: %q", out)
 	}
 	// Unknown stage progress and zero-duration end must not panic.
-	p.RunProgress("never-started", 1)
-	p.RunEnd("never-started", 1, 0)
+	p.Observe(Event{Kind: KindProgress, Stage: "never-started", Refs: 1})
+	p.Observe(Event{Kind: KindRunEnd, Stage: "never-started", Refs: 1})
 }
 
 func TestProbeContext(t *testing.T) {
-	if ProbeFrom(context.Background()) != nil {
-		t.Fatal("probe on bare context")
+	if SinkFrom(context.Background()) != nil {
+		t.Fatal("sink on bare context")
 	}
-	ctx := WithProbe(context.Background(), NopProbe{})
-	p := ProbeFrom(ctx)
-	if p == nil {
-		t.Fatal("probe lost")
+	ctx := WithSink(context.Background(), Discard)
+	s := SinkFrom(ctx)
+	if s != Discard {
+		t.Fatal("sink lost")
 	}
-	p.RunStart("s", 0)
-	p.RunProgress("s", 1)
-	p.RunEnd("s", 1, time.Second)
+	s.Observe(Event{Kind: KindRunEnd, Stage: "s", Refs: 1, Elapsed: time.Second})
 }

@@ -26,7 +26,7 @@ import (
 // just accepted/started/summary events.
 
 // jobProgressInterval throttles per-stage engine progress events. Engines
-// call RunProgress every 65k references, which on a fast simulation is
+// emit a progress event every 65k references, which on a fast simulation is
 // thousands of times a second; streaming clients need a few per second.
 const jobProgressInterval = 250 * time.Millisecond
 
@@ -130,11 +130,11 @@ func (s *Server) handleJobCreate(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 		run = func(jctx context.Context, job *jobs.Job) {
-			s.runJob(jctx, job, key, func(probe obs.Probe) func(context.Context) (any, error) {
+			s.runJob(jctx, job, key, func(sink obs.Sink) func(context.Context) (any, error) {
 				body := s.evalFlight(req.Evaluate, design, mix, l2cfg)
 				return func(fctx context.Context) (any, error) {
 					job.Start(jobStartedData{})
-					return body(s.jobFlightCtx(fctx, jctx, probe))
+					return body(s.jobFlightCtx(fctx, jctx, sink))
 				}
 			}, func(val any) any {
 				memo := val.(evalMemo)
@@ -156,9 +156,9 @@ func (s *Server) handleJobCreate(w http.ResponseWriter, r *http.Request) {
 		}
 		opts := s.sweepOptions(req.Sweep, repl)
 		run = func(jctx context.Context, job *jobs.Job) {
-			s.runJob(jctx, job, key, func(probe obs.Probe) func(context.Context) (any, error) {
+			s.runJob(jctx, job, key, func(sink obs.Sink) func(context.Context) (any, error) {
 				o := opts
-				o.Probe = probe
+				o.Sink = sink
 				o.OnPass = func(p experiments.PassResult) {
 					for si, out := range p.Results {
 						job.Publish("cell", JobCellOut{
@@ -170,7 +170,7 @@ func (s *Server) handleJobCreate(w http.ResponseWriter, r *http.Request) {
 				body := s.sweepFlight(req.Sweep, mixes, o)
 				return func(fctx context.Context) (any, error) {
 					job.Start(jobStartedData{})
-					return body(s.jobFlightCtx(fctx, jctx, probe))
+					return body(s.jobFlightCtx(fctx, jctx, sink))
 				}
 			}, func(val any) any {
 				return val.(sweepMemo).Payload
@@ -225,31 +225,37 @@ func (s *Server) jobCtx(timeoutMS int) (context.Context, context.CancelFunc) {
 }
 
 // jobFlightCtx is flightCtx for async jobs: the flight inherits the job's
-// observability identity and the job's event-publishing probe instead of
-// the server's bare metrics probe.
-func (s *Server) jobFlightCtx(fctx, jctx context.Context, probe obs.Probe) context.Context {
+// observability identity and the job's sink (event publishing teed with
+// the metrics) instead of the server's bare metrics sink.
+func (s *Server) jobFlightCtx(fctx, jctx context.Context, sink obs.Sink) context.Context {
 	fctx = obs.WithRequestID(fctx, obs.RequestID(jctx))
 	fctx = obs.WithLogger(fctx, obs.Logger(jctx))
-	return obs.WithProbe(fctx, probe)
+	return obs.WithSink(fctx, sink)
 }
 
-// runJob executes one job to its terminal state: it builds the
-// event-publishing probe, runs the flight through the same singleflight/
-// memo machinery as the synchronous handlers, and publishes the terminal
-// summary (the memoized payload a synchronous call would return) before
-// marking the job done. buildFn receives the probe and returns the flight
-// function; summarize converts the memoized value to the summary payload.
-func (s *Server) runJob(jctx context.Context, job *jobs.Job, key string,
-	buildFn func(probe obs.Probe) func(context.Context) (any, error),
-	summarize func(val any) any) {
-	probe := &obs.EventProbe{
+// jobSink returns the sink that publishes a job's engine events to its
+// stream, throttling progress and logging run starts and ends with the
+// job's request identity.
+func jobSink(jctx context.Context, job *jobs.Job) *obs.EventProbe {
+	return &obs.EventProbe{
 		OnEvent:             func(typ string, data any) { job.Publish(typ, data) },
-		Next:                simProbe{s},
 		RequestID:           job.RequestID,
 		Logger:              obs.Logger(jctx),
 		MinProgressInterval: jobProgressInterval,
 	}
-	fn := buildFn(probe)
+}
+
+// runJob executes one job to its terminal state: it tees the job's
+// event-publishing sink with the metrics sink, runs the flight through the
+// same singleflight/memo machinery as the synchronous handlers, and
+// publishes the terminal summary (the memoized payload a synchronous call
+// would return) before marking the job done. buildFn receives the sink and
+// returns the flight function; summarize converts the memoized value to
+// the summary payload.
+func (s *Server) runJob(jctx context.Context, job *jobs.Job, key string,
+	buildFn func(sink obs.Sink) func(context.Context) (any, error),
+	summarize func(val any) any) {
+	fn := buildFn(obs.Tee(jobSink(jctx, job), simSink{s}))
 	val, hit, shared, err := s.do(jctx, key, fn)
 	if err != nil {
 		job.Finish(err)

@@ -92,7 +92,7 @@ func TestJobSweepMatchesSync(t *testing.T) {
 	if types["cell"] != 16 {
 		t.Fatalf("got %d cell events, want 16 (types %v)", types["cell"], types)
 	}
-	// Engine events flow through the job probe: one run_start/run_end pair
+	// Engine events flow through the job sink: one run_start/run_end pair
 	// per grid pass (8) plus the sampled/parallel stages' absence here.
 	if types["run_start"] == 0 || types["run_end"] == 0 {
 		t.Fatalf("no engine lifecycle events in stream: %v", types)

@@ -92,7 +92,7 @@ func TestMetricsPrometheus(t *testing.T) {
 		}
 	}
 	// The simulation above must have landed in the engine metrics via the
-	// server's probe and in the request latency histogram.
+	// server's sink and in the request latency histogram.
 	for _, line := range []string{
 		"cacheeval_sim_runs_total 1",
 		"cacheeval_memo_hits_total 1",

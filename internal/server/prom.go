@@ -1,8 +1,6 @@
 package server
 
 import (
-	"time"
-
 	"cacheeval/internal/obs"
 )
 
@@ -173,84 +171,73 @@ func (s *Server) buildProm() {
 	obs.RegisterGoRuntime(reg, "cacheeval")
 }
 
-// simProbe adapts engine run completions into the engine throughput metrics.
-// One instance serves every concurrent simulation; stage identity travels in
-// the callback arguments, so no per-run state is needed.
-type simProbe struct{ s *Server }
+// simSink feeds the engine metric families from engine events. One
+// instance serves every concurrent simulation; stage identity travels in
+// the events, so no per-run state is needed. Its Enabled covers
+// obs.KindMissCauses, which switches the per-size engine onto the 3C
+// attribution path whose totals land here at the end of each run.
+type simSink struct{ s *Server }
 
-func (p simProbe) RunStart(string, int64)    {}
-func (p simProbe) RunProgress(string, int64) {}
-
-func (p simProbe) RunEnd(stage string, refs int64, elapsed time.Duration) {
-	p.s.engineRefs.Add(refs)
-	if refs > 0 && elapsed > 0 {
-		p.s.refsRateHist.Observe(float64(refs) / elapsed.Seconds())
+// Enabled reports the kinds Observe counts.
+func (p simSink) Enabled(k obs.Kind) bool {
+	switch k {
+	case obs.KindRunEnd, obs.KindMissCauses, obs.KindSampledRun,
+		obs.KindParallelRun, obs.KindParallelBoundary, obs.KindHierarchyRun:
+		return true
 	}
+	return false
 }
 
-// MissCauses makes simProbe an obs.CauseProbe: its presence switches the
-// per-size engine onto the 3C attribution path, whose totals land here at
-// the end of each run.
-func (p simProbe) MissCauses(stage string, compulsory, capacity, conflict uint64) {
-	p.s.causeCompulsory.Add(int64(compulsory))
-	p.s.causeCapacity.Add(int64(capacity))
-	p.s.causeConflict.Add(int64(conflict))
-}
-
-// SampledRun makes simProbe an obs.SampleProbe: the sampled engine reports
-// every completed run here, feeding the cacheeval_sampled_* families —
-// most importantly achieved-versus-requested error, the metric that says
-// whether the error-budget knob is honest in production.
-func (p simProbe) SampledRun(stage string, errorBudget, achieved, fraction float64, rounds int, fellBack bool) {
-	p.s.sampledRuns.Add(1)
-	p.s.sampledRounds.Add(int64(rounds))
-	p.s.sampledFraction.Observe(fraction)
-	if fellBack {
-		p.s.sampledFallback.Add(1)
-		return
+// Observe updates the families an event feeds. The sampled verdict's
+// achieved-versus-requested error says whether the error-budget knob is
+// honest in production; the parallel convergence distance says how much
+// re-simulation the speculative segmentation really costs; victim-only
+// hierarchy runs report zero L2 events.
+func (p simSink) Observe(e obs.Event) {
+	s := p.s
+	switch e.Kind {
+	case obs.KindRunEnd:
+		s.engineRefs.Add(e.Refs)
+		if e.Refs > 0 && e.Elapsed > 0 {
+			s.refsRateHist.Observe(float64(e.Refs) / e.Elapsed.Seconds())
+		}
+	case obs.KindMissCauses:
+		s.causeCompulsory.Add(int64(e.Compulsory))
+		s.causeCapacity.Add(int64(e.Capacity))
+		s.causeConflict.Add(int64(e.Conflict))
+	case obs.KindSampledRun:
+		s.sampledRuns.Add(1)
+		s.sampledRounds.Add(int64(e.Rounds))
+		s.sampledFraction.Observe(e.Fraction)
+		if e.FellBack {
+			s.sampledFallback.Add(1)
+			return
+		}
+		s.sampledRelErr.Observe(e.Achieved)
+		if e.Budget > 0 {
+			s.sampledVsBudget.Observe(e.Achieved / e.Budget)
+		}
+	case obs.KindParallelRun:
+		s.parallelRuns.Add(1)
+		if e.FellBack {
+			s.parallelFallback.Add(1)
+			return
+		}
+		s.parallelSegments.Add(int64(e.Segments))
+		if e.Aligned {
+			s.parallelAligned.Add(1)
+		}
+	case obs.KindParallelBoundary:
+		s.parallelBoundaries.Add(1)
+		if e.Converged {
+			s.parallelConverged.Add(1)
+		}
+		s.parallelDistance.Observe(float64(e.Distance))
+	case obs.KindHierarchyRun:
+		s.hierL2Fetches.Add(int64(e.L2Fetches))
+		s.hierL2FetchMisses.Add(int64(e.L2FetchMisses))
+		s.hierL2Writes.Add(int64(e.L2Writes))
+		s.hierL2WriteMisses.Add(int64(e.L2WriteMisses))
+		s.hierVictimHits.Add(int64(e.VictimHits))
 	}
-	p.s.sampledRelErr.Observe(achieved)
-	if errorBudget > 0 {
-		p.s.sampledVsBudget.Observe(achieved / errorBudget)
-	}
 }
-
-// ParallelRun and ParallelBoundary make simProbe an obs.ParallelProbe: the
-// time-parallel engine reports each run's plan and each boundary's
-// reconciliation cost here, feeding the cacheeval_parallel_* families —
-// most importantly the convergence-distance histogram, the metric that says
-// how much re-simulation the speculative segmentation is really costing.
-func (p simProbe) ParallelRun(stage string, segments int, aligned, fellBack bool, reason string) {
-	p.s.parallelRuns.Add(1)
-	if fellBack {
-		p.s.parallelFallback.Add(1)
-		return
-	}
-	p.s.parallelSegments.Add(int64(segments))
-	if aligned {
-		p.s.parallelAligned.Add(1)
-	}
-}
-
-func (p simProbe) ParallelBoundary(stage string, distanceRefs int64, converged bool) {
-	p.s.parallelBoundaries.Add(1)
-	if converged {
-		p.s.parallelConverged.Add(1)
-	}
-	p.s.parallelDistance.Observe(float64(distanceRefs))
-}
-
-// HierarchyRun makes simProbe an obs.HierarchyProbe: two-level and victim
-// runs report their completion totals here, feeding the
-// cacheeval_hierarchy_* families. Victim-only runs report zero L2 events.
-func (p simProbe) HierarchyRun(stage string, l2Fetches, l2FetchMisses, l2Writes, l2WriteMisses, victimHits uint64) {
-	p.s.hierL2Fetches.Add(int64(l2Fetches))
-	p.s.hierL2FetchMisses.Add(int64(l2FetchMisses))
-	p.s.hierL2Writes.Add(int64(l2Writes))
-	p.s.hierL2WriteMisses.Add(int64(l2WriteMisses))
-	p.s.hierVictimHits.Add(int64(victimHits))
-}
-
-var _ obs.SampleProbe = simProbe{}
-var _ obs.ParallelProbe = simProbe{}
-var _ obs.HierarchyProbe = simProbe{}

@@ -712,7 +712,7 @@ func evalRequestKey(req *EvaluateRequest, design cache.SystemConfig, mixName str
 // evalFlight returns the flight body shared by the synchronous handler and
 // the async job runner: everything from trace setup to the mode dispatch.
 // The caller decorates the flight context first (request identity and
-// probe — flightCtx for synchronous requests, jobFlightCtx for jobs).
+// sink — flightCtx for synchronous requests, jobFlightCtx for jobs).
 func (s *Server) evalFlight(req *EvaluateRequest, design cache.SystemConfig, mix workload.Mix, l2cfg *cache.Config) func(context.Context) (any, error) {
 	return func(fctx context.Context) (any, error) {
 		fctx, tr := obs.NewTrace(fctx)
@@ -761,7 +761,7 @@ func (s *Server) evalFlight(req *EvaluateRequest, design cache.SystemConfig, mix
 }
 
 // flightCtx grafts the requesting caller's observability identity — request
-// ID, request-scoped logger — plus the server's engine probe onto a flight's
+// ID, request-scoped logger — plus the server's engine sink onto a flight's
 // context. Flights descend from the server's base context (they must outlive
 // any one waiter), so the request-derived values do not come along for free;
 // when several requests share one flight the spawning caller's identity
@@ -769,7 +769,7 @@ func (s *Server) evalFlight(req *EvaluateRequest, design cache.SystemConfig, mix
 func (s *Server) flightCtx(fctx, rctx context.Context) context.Context {
 	fctx = obs.WithRequestID(fctx, obs.RequestID(rctx))
 	fctx = obs.WithLogger(fctx, obs.Logger(rctx))
-	return obs.WithProbe(fctx, simProbe{s})
+	return obs.WithSink(fctx, simSink{s})
 }
 
 // SweepRequest is the POST /v1/sweep body. Empty mixes selects the paper's
@@ -1007,7 +1007,7 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	opts := s.sweepOptions(&req, repl)
-	opts.Probe = simProbe{s}
+	opts.Sink = simSink{s}
 	key, err := sweepRequestKey(&req, repl)
 	if err != nil {
 		s.error(w, http.StatusInternalServerError, err.Error())
@@ -1036,7 +1036,7 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 }
 
 // sweepOptions builds the experiment options a validated sweep request
-// implies, minus the observers (Probe, OnPass) which differ between the
+// implies, minus the observers (Sink, OnPass) which differ between the
 // synchronous handler and the async job runner.
 func (s *Server) sweepOptions(req *SweepRequest, repl cache.Replacement) experiments.Options {
 	opts := experiments.Options{
