@@ -26,6 +26,8 @@ type Cache struct {
 	subMask   uint64 // sub-block index mask (subs per line - 1)
 	setMask   uint64
 	sets      []set
+	frames    []node    // one backing array for every set's frames
+	slots     []tagSlot // one backing array for every set's tag table; nil when scanned
 	stats     Stats
 	rng       *rand.Rand // only for Random replacement
 	resident  int        // total valid main-array lines, for invariant checks
@@ -111,15 +113,22 @@ type tagSlot struct {
 // fibMult is 2^64 / golden ratio, the Fibonacci-hashing multiplier.
 const fibMult = 0x9E3779B97F4A7C15
 
-func newSet(assoc int) set {
-	s := set{nodes: make([]node, assoc)}
-	if assoc > linearScanAssoc {
-		m := 1
-		for m < 2*assoc {
-			m <<= 1
-		}
-		s.table = make([]tagSlot, m)
-		s.shift = 64 - uint(bits.TrailingZeros(uint(m)))
+// tableLen returns the tag-table length a set of assoc frames indexes with:
+// zero for scanned sets, else the power of two at least 2*assoc (load
+// factor <= 1/2).
+func tableLen(assoc int) int {
+	if assoc <= linearScanAssoc {
+		return 0
+	}
+	return 1 << bits.Len(uint(2*assoc-1))
+}
+
+// newSet returns an empty set over the given frame array and tag table
+// (nil for a scanned set), resetting both.
+func newSet(nodes []node, table []tagSlot) set {
+	s := set{nodes: nodes, table: table}
+	if table != nil {
+		s.shift = 64 - uint(bits.TrailingZeros(uint(len(table))))
 	}
 	s.reset()
 	return s
@@ -229,9 +238,13 @@ func New(cfg Config) (*Cache, error) {
 		setMask:   uint64(cfg.Sets() - 1),
 	}
 	assoc := cfg.EffectiveAssoc()
+	tlen := tableLen(assoc)
 	c.sets = make([]set, cfg.Sets())
+	c.frames = framePool.get(len(c.sets) * assoc)
+	c.slots = slotPool.get(len(c.sets) * tlen)
 	for i := range c.sets {
-		c.sets[i] = newSet(assoc)
+		f, t := i*assoc, i*tlen // a scanned cache's nil slots slice to a nil table
+		c.sets[i] = newSet(c.frames[f:f+assoc:f+assoc], c.slots[t:t+tlen:t+tlen])
 	}
 	if cfg.Repl == Random {
 		c.rng = rand.New(rand.NewPCG(cfg.Seed, 0))
@@ -242,11 +255,25 @@ func New(cfg Config) (*Cache, error) {
 			c.protCap = 1
 		}
 	}
-	if cfg.VictimLines > 0 {
-		vb := newSet(cfg.VictimLines)
+	if n := cfg.VictimLines; n > 0 {
+		vb := newSet(framePool.get(n), slotPool.get(tableLen(n)))
 		c.vbuf = &vb
 	}
 	return c, nil
+}
+
+// Release hands the cache's frame and tag arrays back for reuse by later
+// constructors and leaves the cache unusable: a later access panics
+// instead of touching arrays another cache may own. Call it only when
+// nothing else holds the cache; releasing twice is a no-op.
+func (c *Cache) Release() {
+	framePool.put(c.frames)
+	slotPool.put(c.slots)
+	if c.vbuf != nil {
+		framePool.put(c.vbuf.nodes)
+		slotPool.put(c.vbuf.table)
+	}
+	c.sets, c.frames, c.slots, c.vbuf = nil, nil, nil, nil
 }
 
 // MemSink observes a cache's memory-side traffic: every line (sub-block)
@@ -275,30 +302,6 @@ func (c *Cache) Stats() Stats { return c.stats }
 // ResetStats zeroes the statistics without disturbing cache contents, e.g.
 // to exclude a warm-up period.
 func (c *Cache) ResetStats() { c.stats = Stats{} }
-
-// Reset returns the cache to the state New left it in, reusing its arrays:
-// no resident lines, an empty victim buffer, no ARC history, no pending
-// write combining, zero statistics and a Random rng reseeded from
-// Config.Seed. What was installed on the cache stays: its memory sink, and
-// 3C attribution when enabled (with its shadow directory and counts
-// emptied). A cache reset this way simulates bit-identically to a new one.
-func (c *Cache) Reset() {
-	for i := range c.sets {
-		c.sets[i].reset()
-	}
-	if c.vbuf != nil {
-		c.vbuf.reset()
-	}
-	c.resident = 0
-	c.stats = Stats{}
-	c.combineUnit, c.combineLive = 0, false
-	if c.rng != nil {
-		c.rng = rand.New(rand.NewPCG(c.cfg.Seed, 0))
-	}
-	if c.causes != nil {
-		c.causes = newCauseTracker(c.cfg)
-	}
-}
 
 // Resident returns the number of valid lines currently held.
 func (c *Cache) Resident() int { return c.resident }

@@ -242,6 +242,17 @@ func (f *FanoutSystem) Purge() {
 	purgeFanoutCaches(f.unified)
 }
 
+// Release hands every size's frame and tag arrays back for reuse by later
+// constructors and leaves the engine unusable: a later reference panics
+// instead of touching arrays another simulator may own. Call it only when
+// nothing else holds the engine, after its Results; releasing twice is a
+// no-op.
+func (f *FanoutSystem) Release() {
+	releaseFanoutCaches(f.unified)
+	releaseFanoutCaches(f.icache)
+	releaseFanoutCaches(f.dcache)
+}
+
 // Purges returns how many task-switch purges have occurred.
 func (f *FanoutSystem) Purges() uint64 { return f.purges }
 
@@ -363,24 +374,22 @@ const (
 	fanPrefetched
 )
 
-// newFanoutCaches builds one cache per distinct line count.
+// newFanoutCaches builds one cache per distinct line count, drawing its
+// arrays from the recycler and resetting them as make would leave them.
 func newFanoutCaches(lines []int, lineBytes uint64) []fanoutCache {
 	out := make([]fanoutCache, len(lines))
 	for i, l := range lines {
 		c := fanoutCache{
-			nodes: make([]fanNode, l), head: -1, tail: -1,
+			nodes: fanFramePool.get(l), head: -1, tail: -1,
 			lineBytes: lineBytes,
 			lastNode:  [3]int32{-1, -1, -1},
 			probeNode: [3]int32{-1, -1, -1},
 		}
-		// Same index strategy as newSet: scan small arenas directly, index
+		clear(c.nodes)
+		// Same index strategy as set: scan small arenas directly, index
 		// larger ones with an open-addressed table at ≤50% load.
-		if l > linearScanAssoc {
-			m := 1
-			for m < 2*l {
-				m <<= 1
-			}
-			c.table = make([]tagSlot, m)
+		if m := tableLen(l); m > 0 {
+			c.table = slotPool.get(m)
 			for j := range c.table {
 				c.table[j].ni = -1
 			}
@@ -389,6 +398,16 @@ func newFanoutCaches(lines []int, lineBytes uint64) []fanoutCache {
 		out[i] = c
 	}
 	return out
+}
+
+// releaseFanoutCaches hands each cache's arrays back to the recycler and
+// drops the cache's references to them.
+func releaseFanoutCaches(cs []fanoutCache) {
+	for i := range cs {
+		fanFramePool.put(cs[i].nodes)
+		slotPool.put(cs[i].table)
+		cs[i].nodes, cs[i].table = nil, nil
+	}
 }
 
 // lookup finds the frame holding tag, if resident.

@@ -122,28 +122,6 @@ func NewHierarchy(hc HierarchyConfig) (*Hierarchy, error) {
 	if err != nil {
 		return nil, err
 	}
-	return newHierarchy(hc, l2)
-}
-
-// NewHierarchyOver builds a hierarchy in front of an existing L2 cache,
-// which must have been built from hc.L2. The L2 is Reset first, so the
-// hierarchy simulates bit-identically to NewHierarchy(hc); a sweep over
-// many L1 sizes uses this to allocate its L2 once per pass instead of once
-// per size. Any hierarchy previously built over l2 must no longer be used.
-func NewHierarchyOver(hc HierarchyConfig, l2 *Cache) (*Hierarchy, error) {
-	if err := hc.Validate(); err != nil {
-		return nil, err
-	}
-	if l2.Config() != hc.L2 {
-		return nil, fmt.Errorf("cache: L2 built for %v, hierarchy needs %v", l2.Config(), hc.L2)
-	}
-	l2.Reset()
-	return newHierarchy(hc, l2)
-}
-
-// newHierarchy builds the L1 of a validated configuration and installs l2
-// as its memory sink.
-func newHierarchy(hc HierarchyConfig, l2 *Cache) (*Hierarchy, error) {
 	l1cfg := hc.L1
 	// The hierarchy drives purge scheduling itself so a task switch
 	// flushes both levels in order; the inner System must not
@@ -240,6 +218,14 @@ func (h *Hierarchy) Purge() {
 	h.purges++
 	h.l1.Purge()
 	h.l2.Purge()
+}
+
+// Release hands both levels' cache arrays back for reuse (see
+// Cache.Release); the hierarchy is unusable afterwards, though its
+// statistics stay readable.
+func (h *Hierarchy) Release() {
+	h.l1.Release()
+	h.l2.Release()
 }
 
 // Purges returns how many task-switch purges have occurred.

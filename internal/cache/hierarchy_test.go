@@ -91,13 +91,6 @@ func TestNewHierarchyRejectsInvalid(t *testing.T) {
 	if _, err := NewHierarchy(hierHC(2048, 256)); err == nil {
 		t.Fatal("NewHierarchy must reject an inverted hierarchy")
 	}
-	l2 := mustCache(t, hierHC(256, 2048).L2)
-	if _, err := NewHierarchyOver(hierHC(2048, 256), l2); err == nil {
-		t.Fatal("NewHierarchyOver must reject an inverted hierarchy")
-	}
-	if _, err := NewHierarchyOver(hierHC(256, 4096), l2); err == nil {
-		t.Fatal("NewHierarchyOver must reject an L2 built for another configuration")
-	}
 }
 
 func TestHierarchyAccessorsZero(t *testing.T) {

@@ -261,6 +261,17 @@ func (s *System) Purge() {
 	s.unified.Purge()
 }
 
+// Release hands the system's cache arrays back for reuse (see
+// Cache.Release); the system is unusable afterwards, though its statistics
+// stay readable.
+func (s *System) Release() {
+	for _, c := range []*Cache{s.unified, s.icache, s.dcache} {
+		if c != nil {
+			c.Release()
+		}
+	}
+}
+
 // Purges returns how many task-switch purges have occurred.
 func (s *System) Purges() uint64 { return s.purges }
 

@@ -17,8 +17,13 @@ package core
 // {demand fetch, LRU} therefore must run one cache per size; the registry
 // makes that decision explicit, testable, and impossible to bypass.
 // One per-size engine serves them all, two-level hierarchies included; it
-// borrows a materialized stream instead of copying it and builds an L2 once
-// per pass.
+// borrows a materialized stream instead of copying it.
+//
+// Array ownership: an engine that builds a simulator and drops it when the
+// sweep ends — the per-size and fan-out engines — Releases it, so the next
+// size or pass draws its frame and tag arrays from the cache package's
+// recycler instead of the heap. Code that is handed a simulator never
+// releases it.
 
 import (
 	"context"
@@ -197,6 +202,7 @@ var fanoutEngine = SweepEngine{
 		if err != nil {
 			return SweepOut{}, err
 		}
+		defer fs.Release()
 		fs.SetSink(sink, stage, total)
 		if _, err := fs.Run(rd, 0); err != nil {
 			return SweepOut{}, err
@@ -206,7 +212,7 @@ var fanoutEngine = SweepEngine{
 }
 
 // perSizeEngine: the universal fallback — borrow the stream once, then run
-// an independent simulation per size (see sizeSimulator). Sound for every
+// an independent simulation per size (see newSizeSim). Sound for every
 // configuration by construction; slowest.
 var perSizeEngine = SweepEngine{
 	Name:     "persize",
@@ -216,23 +222,20 @@ var perSizeEngine = SweepEngine{
 		if err != nil {
 			return SweepOut{}, err
 		}
-		newSim, err := s.sizeSimulator()
-		if err != nil {
-			return SweepOut{}, err
-		}
 		out := make([]cache.SizeResult, len(s.Sizes))
 		var purges uint64
 		for i, size := range s.Sizes {
-			sim, err := newSim(size)
+			sim, err := s.newSizeSim(size)
 			if err != nil {
 				return SweepOut{}, err
 			}
 			sim.SetSink(sink, stage+":"+strconv.Itoa(size), int64(len(refs)))
-			if _, err := sim.Run(trace.NewContextReader(ctx, trace.NewSliceReader(refs)), 0); err != nil {
+			_, err = sim.Run(trace.NewContextReader(ctx, trace.NewSliceReader(refs)), 0)
+			out[i], purges = sim.SizeResult(size), sim.Purges()
+			sim.Release()
+			if err != nil {
 				return SweepOut{}, err
 			}
-			out[i] = sim.SizeResult(size)
-			purges = sim.Purges()
 		}
 		return SweepOut{Results: out, Purges: purges}, nil
 	},
@@ -245,21 +248,16 @@ type sizeSim interface {
 	Run(rd trace.Reader, max int) (int, error)
 	Purges() uint64
 	SizeResult(size int) cache.SizeResult
+	Release()
 }
 
-// sizeSimulator returns the per-size engine's constructor for the spec: a
-// cache.System per size, or, when the spec has an L2, a cache.Hierarchy per
-// size in front of one L2 built here and reset between sizes, so a pass
-// allocates the L2's arrays once rather than once per size.
-func (s SweepSpec) sizeSimulator() (func(size int) (sizeSim, error), error) {
+// newSizeSim builds the per-size engine's simulator for one size: a
+// cache.System, or a cache.Hierarchy when the spec has an L2.
+func (s SweepSpec) newSizeSim(size int) (sizeSim, error) {
 	if s.L2 == nil {
-		return func(size int) (sizeSim, error) { return cache.NewSystem(s.systemConfig(size)) }, nil
+		return cache.NewSystem(s.systemConfig(size))
 	}
-	l2, err := cache.New(s.L2.config(s.LineSize))
-	if err != nil {
-		return nil, err
-	}
-	return func(size int) (sizeSim, error) { return cache.NewHierarchyOver(s.hierarchyConfig(size), l2) }, nil
+	return cache.NewHierarchy(s.hierarchyConfig(size))
 }
 
 // Engines returns the registered sweep engines in selection order: fastest

@@ -281,8 +281,9 @@ func TestPerSizeEngineHierarchyMatchesFresh(t *testing.T) {
 
 // TestPerSizeEngineBorrowsStream pins the per-size engine's allocation
 // budget: on a materialized stream it borrows the references instead of
-// copying them, and an L2 is built once per pass, so a whole sweep
-// allocates less than one 16-byte-per-reference copy of its input.
+// copying them, and each size's simulator draws the arrays the previous
+// size released, so a whole sweep allocates less than one
+// 16-byte-per-reference copy of its input.
 func TestPerSizeEngineBorrowsStream(t *testing.T) {
 	const n = 200000
 	refs, mix := sampledTestRefs(t, n)
