@@ -94,7 +94,7 @@ func EvaluateContext(ctx context.Context, design cache.SystemConfig, mix workloa
 	if refLimit > 0 {
 		rd = trace.NewLimitReader(rd, refLimit)
 	}
-	return evaluateReader(ctx, design, mix.Name, rd)
+	return evaluate(ctx, design, nil, mix.Name, rd)
 }
 
 // EvaluateRefsContext evaluates a design against an already-materialized
@@ -102,45 +102,7 @@ func EvaluateContext(ctx context.Context, design cache.SystemConfig, mix workloa
 // evaluate many designs over the same stream (the evaluation service's
 // stream cache) use it to pay for materialization once.
 func EvaluateRefsContext(ctx context.Context, design cache.SystemConfig, name string, refs []trace.Ref) (Report, error) {
-	return evaluateReader(ctx, design, name, trace.NewSliceReader(refs))
-}
-
-func evaluateReader(ctx context.Context, design cache.SystemConfig, name string, rd trace.Reader) (Report, error) {
-	rd = trace.NewContextReader(ctx, rd)
-	sys, err := cache.NewSystem(design)
-	if err != nil {
-		return Report{}, err
-	}
-	sys.SetSink(obs.SinkFrom(ctx), "simulate:"+name, 0)
-	sp := obs.StartSpan(ctx, "simulate:"+name)
-	n, err := sys.Run(rd, 0)
-	sp.AddRefs(int64(n))
-	sp.End()
-	if err != nil {
-		return Report{}, fmt.Errorf("core: evaluating %s: %w", name, err)
-	}
-	rs := sys.RefStats()
-	dataCache := sys.Unified()
-	if design.Split {
-		dataCache = sys.DCache()
-	}
-	all := sys.Stats()
-	return Report{
-		Design:            design,
-		Workload:          name,
-		Refs:              rs.TotalRefs(),
-		MissRatio:         rs.MissRatio(),
-		InstrMiss:         rs.KindMissRatio(trace.IFetch),
-		DataMiss:          rs.DataMissRatio(),
-		ReadMiss:          rs.KindMissRatio(trace.Read),
-		WriteMiss:         rs.KindMissRatio(trace.Write),
-		BytesFromMemory:   all.BytesFromMemory,
-		BytesToMemory:     all.BytesToMemory,
-		TrafficRatio:      sys.TrafficRatio(),
-		DirtyPushFraction: dataCache.Stats().FracPushesDirty(),
-		PrefetchAccuracy:  all.PrefetchAccuracy(),
-		VictimHits:        all.VictimHits,
-	}, nil
+	return evaluate(ctx, design, nil, name, trace.NewSliceReader(refs))
 }
 
 // EvaluateHierarchyRefsContext evaluates a two-level design against an
@@ -149,57 +111,117 @@ func evaluateReader(ctx context.Context, design cache.SystemConfig, name string,
 // describe the true memory interface (the L2's outer side); the Hierarchy
 // block carries the L2 event counts and miss ratios.
 func EvaluateHierarchyRefsContext(ctx context.Context, hc cache.HierarchyConfig, name string, refs []trace.Ref) (Report, error) {
-	rd := trace.NewContextReader(ctx, trace.NewSliceReader(refs))
-	h, err := cache.NewHierarchy(hc)
+	return evaluate(ctx, hc.L1, &hc.L2, name, trace.NewSliceReader(refs))
+}
+
+// evaluate is the exact single-design evaluation: it runs design — in
+// front of l2 when l2 is non-nil — over rd and reports the result.
+func evaluate(ctx context.Context, design cache.SystemConfig, l2 *cache.Config, name string, rd trace.Reader) (Report, error) {
+	sim, err := newSizeSim(design, l2)
 	if err != nil {
 		return Report{}, err
 	}
-	h.SetSink(obs.SinkFrom(ctx), "simulate:"+name, 0)
-	sp := obs.StartSpan(ctx, "simulate:"+name)
-	n, err := h.Run(rd, 0)
+	stage := "simulate:" + name
+	sim.SetSink(obs.SinkFrom(ctx), stage, 0)
+	sp := obs.StartSpan(ctx, stage)
+	n, err := sim.Run(trace.NewContextReader(ctx, rd), 0)
 	sp.AddRefs(int64(n))
 	sp.End()
 	if err != nil {
 		return Report{}, fmt.Errorf("core: evaluating %s: %w", name, err)
 	}
-	rs := h.RefStats()
-	dataCache := h.L1().Unified()
-	if hc.L1.Split {
-		dataCache = h.L1().DCache()
+	r := sim.SizeResult(sizeOf(design))
+	return newReport(design, l2, name, r, tally{
+		refs: r.Ref.TotalRefs(), refBytes: sim.RefBytes(), scale: 1, victimHits: true,
+	}), nil
+}
+
+// tally is what a Report is measured against beyond one design's result:
+// where the paths that build Reports differ, they differ here.
+type tally struct {
+	// refs is the trace length the report states.
+	refs uint64
+	// refBytes is the processor-request bytes a cacheless system would
+	// move over the simulated references: the traffic ratio's denominator.
+	refBytes uint64
+	// scale extrapolates the memory byte counts to trace scale: trace
+	// references per simulated one, 1 for a run over the whole trace.
+	scale float64
+	// victimHits reports the victim-buffer hits; the sampled and
+	// time-parallel paths leave them out.
+	victimHits bool
+}
+
+// newReport derives the figures of merit of design — in front of l2 when
+// l2 is non-nil — from its result r: the reference-level figures from r's
+// processor view, the traffic figures from the memory interface (the L2's
+// outer side in a hierarchy).
+func newReport(design cache.SystemConfig, l2 *cache.Config, name string, r cache.SizeResult, t tally) Report {
+	all, data := r.U, r.U
+	if design.Split {
+		all = cache.Stats{}
+		all.Add(r.I)
+		all.Add(r.D)
+		data = r.D
 	}
-	l1 := h.Stats()
-	l2 := h.L2Stats()
-	ev := h.HierStats()
-	var traffic float64
-	if rb := h.RefBytes(); rb > 0 {
-		traffic = float64(l2.MemoryTraffic()) / float64(rb)
+	mem := all
+	if l2 != nil {
+		mem = r.H.U
 	}
-	return Report{
-		Design:            hc.L1,
+	traffic := 0.0
+	if t.refBytes > 0 {
+		traffic = float64(mem.MemoryTraffic()) / float64(t.refBytes)
+	}
+	bytes := mem
+	if t.scale != 1 {
+		bytes = mem.Scaled(t.scale)
+	}
+	rs := r.Ref
+	rep := Report{
+		Design:            design,
 		Workload:          name,
-		Refs:              rs.TotalRefs(),
+		Refs:              t.refs,
 		MissRatio:         rs.MissRatio(),
 		InstrMiss:         rs.KindMissRatio(trace.IFetch),
 		DataMiss:          rs.DataMissRatio(),
 		ReadMiss:          rs.KindMissRatio(trace.Read),
 		WriteMiss:         rs.KindMissRatio(trace.Write),
-		BytesFromMemory:   l2.BytesFromMemory,
-		BytesToMemory:     l2.BytesToMemory,
+		BytesFromMemory:   bytes.BytesFromMemory,
+		BytesToMemory:     bytes.BytesToMemory,
 		TrafficRatio:      traffic,
-		DirtyPushFraction: dataCache.Stats().FracPushesDirty(),
-		PrefetchAccuracy:  l1.PrefetchAccuracy(),
-		VictimHits:        l1.VictimHits,
-		Hierarchy: &HierarchyReport{
-			L2Design:         hc.L2,
+		DirtyPushFraction: data.FracPushesDirty(),
+		PrefetchAccuracy:  all.PrefetchAccuracy(),
+	}
+	if t.victimHits {
+		rep.VictimHits = all.VictimHits
+	}
+	if l2 != nil {
+		ev := r.H.Ev
+		global := 0.0
+		if all.Accesses > 0 {
+			global = float64(ev.FetchMisses) / float64(all.Accesses)
+		}
+		rep.Hierarchy = &HierarchyReport{
+			L2Design:         *l2,
 			L2Fetches:        ev.Fetches,
 			L2FetchMisses:    ev.FetchMisses,
 			L2Writes:         ev.Writes,
 			L2WriteMisses:    ev.WriteMisses,
 			L2LocalMissRatio: ev.LocalMissRatio(),
 			L2FetchMissRatio: ev.FetchMissRatio(),
-			GlobalMissRatio:  h.GlobalMissRatio(),
-		},
-	}, nil
+			GlobalMissRatio:  global,
+		}
+	}
+	return rep
+}
+
+// sizeOf returns the size label of the design's single result: the total
+// of both caches when split.
+func sizeOf(design cache.SystemConfig) int {
+	if design.Split {
+		return design.I.Size + design.D.Size
+	}
+	return design.Unified.Size
 }
 
 // EvaluateSpec evaluates a single corpus trace (wrapping it as a

@@ -17,7 +17,6 @@ import (
 	"cacheeval/internal/cache"
 	"cacheeval/internal/obs"
 	"cacheeval/internal/parallel"
-	"cacheeval/internal/sampling"
 	"cacheeval/internal/trace"
 )
 
@@ -128,84 +127,6 @@ func reportParallel(sink obs.Sink, stage string, info *ParallelInfo, res *parall
 	}
 }
 
-// parallelTarget builds the replica factory for the fastest sound segment
-// engine: the same selection ladder as the serial registry, minus the
-// purge schedule (the parallel driver replays purges on the trace clock).
-// stackState marks the Mattson engine, whose speculative state cannot
-// converge without purge boundaries.
-func parallelTarget(s SweepSpec) (factory func() (parallel.Replica, error), engine string, stackState bool) {
-	switch {
-	case s.StackInclusion():
-		return func() (parallel.Replica, error) {
-			ms, err := cache.NewMultiSystem(cache.MultiConfig{
-				Sizes: s.Sizes, LineSize: s.LineSize, Split: s.Split,
-			})
-			if err != nil {
-				return nil, err
-			}
-			return multiReplica{ms}, nil
-		}, multiEngine.Name, true
-	case s.Fetch == cache.PrefetchAlways && s.Repl == cache.LRU:
-		return func() (parallel.Replica, error) {
-			fs, err := cache.NewFanoutSystem(cache.FanoutConfig{
-				Sizes: s.Sizes, LineSize: s.LineSize, Split: s.Split,
-			})
-			if err != nil {
-				return nil, err
-			}
-			return fanReplica{fs}, nil
-		}, fanoutEngine.Name, false
-	default:
-		noPurge := s
-		noPurge.Quantum = 0
-		cfgs := make([]cache.SystemConfig, len(s.Sizes))
-		for i, size := range s.Sizes {
-			cfgs[i] = noPurge.systemConfig(size)
-		}
-		return func() (parallel.Replica, error) {
-			g, err := sampling.NewSystems(s.Sizes, cfgs)
-			if err != nil {
-				return nil, err
-			}
-			return sysReplica{g, len(cfgs)}, nil
-		}, perSizeEngine.Name, false
-	}
-}
-
-// multiReplica adapts the one-pass stack engine. Results must not consume
-// the engine (the reconciliation chain snapshots mid-stream), so it maps
-// to ResultsSnapshot rather than the finishing Results.
-type multiReplica struct{ *cache.MultiSystem }
-
-func (r multiReplica) Results() []cache.SizeResult { return r.ResultsSnapshot() }
-func (r multiReplica) StateEqual(o parallel.Replica) bool {
-	return r.MultiSystem.StateEqual(o.(multiReplica).MultiSystem)
-}
-
-// fanReplica adapts the prefetch fanout engine, whose Results is already a
-// pure snapshot.
-type fanReplica struct{ *cache.FanoutSystem }
-
-func (r fanReplica) StateEqual(o parallel.Replica) bool {
-	return r.FanoutSystem.StateEqual(o.(fanReplica).FanoutSystem)
-}
-
-// sysReplica adapts the universal per-size group.
-type sysReplica struct {
-	*sampling.Systems
-	n int
-}
-
-func (r sysReplica) StateEqual(o parallel.Replica) bool {
-	b := o.(sysReplica)
-	for i := 0; i < r.n; i++ {
-		if !r.System(i).StateEqual(b.System(i)) {
-			return false
-		}
-	}
-	return true
-}
-
 // parallelEngine segments the stream across workers and reconciles to
 // bit-identical totals. Its Run is attached in init() for the same reason
 // as the sampled engine's: the serial-delegation path calls SelectEngine,
@@ -226,178 +147,88 @@ func init() {
 		if err != nil {
 			return SweepOut{}, err
 		}
-		po := *s.Parallel
-		delegate := func(reason string) (SweepOut, error) {
-			serial := s
-			serial.Parallel = nil
-			e := SelectEngine(serial)
-			out, err := e.Run(ctx, serial, trace.NewContextReader(ctx, trace.NewSliceReader(refs)), sink, stage, int64(len(refs)))
-			if err != nil {
-				return SweepOut{}, err
-			}
-			out.Parallel = &ParallelInfo{Engine: e.Name, FellBack: true, FallbackReason: reason}
-			reportParallel(sink, stage, out.Parallel, nil)
-			return out, nil
-		}
-		if s.Repl == cache.Random {
-			// A segment replica cannot reproduce the serial rng sequence from
-			// an arbitrary stream position, so the victim choices — and with
-			// them the results — would diverge.
-			return delegate("random replacement victims are not reconstructible at segment boundaries")
-		}
-		factory, engine, stackState := parallelTarget(s)
-		opts := parallel.Options{
-			Workers:        po.Workers,
-			Budget:         po.Budget,
-			Quantum:        s.Quantum,
-			MinSegmentRefs: po.MinSegmentRefs,
-			CheckEvery:     po.CheckEvery,
-			StackState:     stackState,
-			Stage:          stage,
-		}
-		run := startStage(sink, stage+":parallel", len(refs))
-		res, err := parallel.Run(ctx, refs, factory, opts, run.progress())
-		run.end(run.refs.Load())
+		serial := s
+		serial.Parallel = nil
+		e := SelectEngine(serial)
+		var out SweepOut
+		res, info, err := runParallel(ctx, sink, stage, refs, parallelPass{
+			opts:    *s.Parallel,
+			quantum: s.Quantum,
+			random:  s.Repl == cache.Random,
+			engine:  s.segmentEngine(),
+			exact: exactRun{e.Name, func() (err error) {
+				out, err = e.Run(ctx, serial, trace.NewContextReader(ctx, trace.NewSliceReader(refs)), sink, stage, int64(len(refs)))
+				return err
+			}},
+		})
 		if err != nil {
 			return SweepOut{}, err
 		}
-		if res.SerialReason != "" {
-			return delegate(res.SerialReason)
+		if res != nil {
+			out = SweepOut{Results: res.Results, Purges: res.Purges}
 		}
-		info := parallelInfo(engine, res)
-		reportParallel(sink, stage, info, &res)
-		return SweepOut{Results: res.Results, Purges: res.Purges, Parallel: info}, nil
+		out.Parallel = info
+		return out, nil
 	}
 }
 
-// EvaluateParallelRefsContext is EvaluateRefsContext with time-parallel
-// simulation: the single-design analogue of the sweep engine, for callers
-// holding a materialized stream (the evaluation service, cachesim
-// -parallel). Results are bit-identical to the serial path; the returned
-// ParallelInfo reports the plan, or why the run stayed serial. 3C miss
-// attribution (obs.KindMissCauses) is not available on the parallel path:
-// segment replicas would misattribute each other's compulsory misses, so
-// replicas carry no sink.
-func EvaluateParallelRefsContext(ctx context.Context, design cache.SystemConfig, name string, refs []trace.Ref, po *ParallelOptions) (Report, *ParallelInfo, error) {
-	if err := po.Validate(); err != nil {
-		return Report{}, nil, err
-	}
-	sink := obs.SinkFrom(ctx)
-	stage := "simulate:" + name
-	serial := func(reason string) (Report, *ParallelInfo, error) {
-		rep, err := EvaluateRefsContext(ctx, design, name, refs)
-		if err != nil {
-			return Report{}, nil, err
+// parallelPass is what the parallel driver needs to know about one run
+// beyond its stream.
+type parallelPass struct {
+	opts    ParallelOptions
+	quantum int  // trace-clock purge interval
+	random  bool // Random replacement: segment replicas cannot replay the serial rng
+	engine  segmentEngine
+	exact   exactRun // the serial run the driver delegates to
+}
+
+// runParallel is the time-parallel driver behind the parallel sweep engine
+// and EvaluateParallelRefsContext. It segments refs across workers over
+// replicas of p.engine and returns the spliced result with its plan; when
+// no sound or worthwhile parallel plan exists it runs p.exact instead and
+// returns a nil result with the reason. Either way the plan is reported to
+// the sink.
+func runParallel(ctx context.Context, sink obs.Sink, stage string, refs []trace.Ref, p parallelPass) (*parallel.Result, *ParallelInfo, error) {
+	delegate := func(reason string) (*parallel.Result, *ParallelInfo, error) {
+		if err := p.exact.run(); err != nil {
+			return nil, nil, err
 		}
-		info := &ParallelInfo{Engine: "system", FellBack: true, FallbackReason: reason}
+		info := &ParallelInfo{Engine: p.exact.engine, FellBack: true, FallbackReason: reason}
 		reportParallel(sink, stage, info, nil)
-		return rep, info, nil
+		return nil, info, nil
 	}
-	if po == nil || po.Workers < 2 {
-		return serial("fewer than two workers")
+	if p.opts.Workers < 2 {
+		return delegate("fewer than two workers")
 	}
-	if err := design.Validate(); err != nil {
-		return Report{}, nil, err
-	}
-	if replOf(design) == cache.Random {
-		return serial("random replacement victims are not reconstructible at segment boundaries")
-	}
-	noPurge := design
-	noPurge.PurgeInterval = 0
-	size := sizeOf(design)
-	factory := func() (parallel.Replica, error) {
-		g, err := sampling.NewSystems([]int{size}, []cache.SystemConfig{noPurge})
-		if err != nil {
-			return nil, err
-		}
-		return sysReplica{g, 1}, nil
+	if p.random {
+		// A segment replica cannot reproduce the serial rng sequence from
+		// an arbitrary stream position, so the victim choices — and with
+		// them the results — would diverge.
+		return delegate("random replacement victims are not reconstructible at segment boundaries")
 	}
 	opts := parallel.Options{
-		Workers:        po.Workers,
-		Budget:         po.Budget,
-		Quantum:        design.PurgeInterval,
-		MinSegmentRefs: po.MinSegmentRefs,
-		CheckEvery:     po.CheckEvery,
+		Workers:        p.opts.Workers,
+		Budget:         p.opts.Budget,
+		Quantum:        p.quantum,
+		MinSegmentRefs: p.opts.MinSegmentRefs,
+		CheckEvery:     p.opts.CheckEvery,
+		StackState:     p.engine.stackState,
 		Stage:          stage,
 	}
+	factory := func() (parallel.Replica, error) { return p.engine.build() }
 	run := startStage(sink, stage+":parallel", len(refs))
-	sp := obs.StartSpan(ctx, stage)
+	sp := obs.StartSpan(ctx, stage+":parallel")
 	res, err := parallel.Run(ctx, refs, factory, opts, run.progress())
 	sp.AddRefs(int64(len(refs)))
 	sp.End()
 	run.end(run.refs.Load())
 	if err != nil {
-		return Report{}, nil, fmt.Errorf("core: evaluating %s: %w", name, err)
+		return nil, nil, err
 	}
 	if res.SerialReason != "" {
-		return serial(res.SerialReason)
+		return delegate(res.SerialReason)
 	}
-	info := parallelInfo("persize", res)
+	info := parallelInfo(p.engine.name, res)
 	reportParallel(sink, stage, info, &res)
-	return assembleReport(design, name, refs, res.Results[0]), info, nil
-}
-
-// assembleReport derives the evaluation figures of merit from one spliced
-// SizeResult, mirroring evaluateReader's arithmetic over a live System.
-func assembleReport(design cache.SystemConfig, name string, refs []trace.Ref, r cache.SizeResult) Report {
-	var all, dataStats cache.Stats
-	if design.Split {
-		all.Add(r.I)
-		all.Add(r.D)
-		dataStats = r.D
-	} else {
-		all = r.U
-		dataStats = r.U
-	}
-	// The processor-request byte count a cacheless system would transfer,
-	// accumulated exactly as System.Ref does.
-	var refBytes uint64
-	for _, ref := range refs {
-		size := uint64(ref.Size)
-		if size < 1 {
-			size = 1
-		}
-		refBytes += size
-	}
-	traffic := 0.0
-	if refBytes > 0 {
-		traffic = float64(all.MemoryTraffic()) / float64(refBytes)
-	}
-	rs := r.Ref
-	return Report{
-		Design:            design,
-		Workload:          name,
-		Refs:              rs.TotalRefs(),
-		MissRatio:         rs.MissRatio(),
-		InstrMiss:         rs.KindMissRatio(trace.IFetch),
-		DataMiss:          rs.DataMissRatio(),
-		ReadMiss:          rs.KindMissRatio(trace.Read),
-		WriteMiss:         rs.KindMissRatio(trace.Write),
-		BytesFromMemory:   all.BytesFromMemory,
-		BytesToMemory:     all.BytesToMemory,
-		TrafficRatio:      traffic,
-		DirtyPushFraction: dataStats.FracPushesDirty(),
-		PrefetchAccuracy:  all.PrefetchAccuracy(),
-	}
-}
-
-// replOf returns the replacement policy of the design's active cache(s);
-// split designs use the same policy on both sides in this repository, but
-// Random on either side disqualifies the parallel path.
-func replOf(design cache.SystemConfig) cache.Replacement {
-	if design.Split {
-		if design.I.Repl == cache.Random || design.D.Repl == cache.Random {
-			return cache.Random
-		}
-		return design.I.Repl
-	}
-	return design.Unified.Repl
-}
-
-// sizeOf returns the size label for the design's single-entry result.
-func sizeOf(design cache.SystemConfig) int {
-	if design.Split {
-		return design.I.Size + design.D.Size
-	}
-	return design.Unified.Size
+	return &res, info, nil
 }

@@ -96,6 +96,13 @@ func (s SweepSpec) StackInclusion() bool {
 	return s.Fetch == cache.DemandFetch && s.Repl == cache.LRU && s.Victim == 0 && s.L2 == nil
 }
 
+// fanoutSound reports whether the prefetch fan-out engine is sound for
+// this configuration: prefetch-always under LRU, with no victim buffer and
+// no second level.
+func (s SweepSpec) fanoutSound() bool {
+	return s.Fetch == cache.PrefetchAlways && s.Repl == cache.LRU && s.Victim == 0 && s.L2 == nil
+}
+
 // Validate checks the spec by validating the per-size cache (or
 // hierarchy) configs it implies and the sampling/parallel options, when
 // present. Sampling and time-parallel simulation do not compose with
@@ -171,7 +178,7 @@ type SweepEngine struct {
 // multiEngine: generalized stack simulation, one pass for all sizes.
 var multiEngine = SweepEngine{
 	Name:     "multisystem",
-	Supports: func(s SweepSpec) bool { return s.StackInclusion() },
+	Supports: SweepSpec.StackInclusion,
 	Run: func(ctx context.Context, s SweepSpec, rd trace.Reader, sink obs.Sink, stage string, total int64) (SweepOut, error) {
 		ms, err := cache.NewMultiSystem(cache.MultiConfig{
 			Sizes: s.Sizes, LineSize: s.LineSize, Split: s.Split, PurgeInterval: s.Quantum,
@@ -191,10 +198,8 @@ var multiEngine = SweepEngine{
 // caches; sound for prefetch-always under LRU (inclusion does not hold,
 // but the shared per-reference work is size-independent).
 var fanoutEngine = SweepEngine{
-	Name: "fanout",
-	Supports: func(s SweepSpec) bool {
-		return s.Fetch == cache.PrefetchAlways && s.Repl == cache.LRU && s.Victim == 0 && s.L2 == nil
-	},
+	Name:     "fanout",
+	Supports: SweepSpec.fanoutSound,
 	Run: func(ctx context.Context, s SweepSpec, rd trace.Reader, sink obs.Sink, stage string, total int64) (SweepOut, error) {
 		fs, err := cache.NewFanoutSystem(cache.FanoutConfig{
 			Sizes: s.Sizes, LineSize: s.LineSize, Split: s.Split, PurgeInterval: s.Quantum,
@@ -222,10 +227,15 @@ var perSizeEngine = SweepEngine{
 		if err != nil {
 			return SweepOut{}, err
 		}
+		var l2 *cache.Config
+		if s.L2 != nil {
+			c := s.L2.config(s.LineSize)
+			l2 = &c
+		}
 		out := make([]cache.SizeResult, len(s.Sizes))
 		var purges uint64
 		for i, size := range s.Sizes {
-			sim, err := s.newSizeSim(size)
+			sim, err := newSizeSim(s.systemConfig(size), l2)
 			if err != nil {
 				return SweepOut{}, err
 			}
@@ -241,23 +251,24 @@ var perSizeEngine = SweepEngine{
 	},
 }
 
-// sizeSim is one size's simulation in the per-size engine: a cache.System
-// or a cache.Hierarchy.
+// sizeSim is one design's simulation, in the per-size engine and the
+// exact single-design evaluation: a cache.System or a cache.Hierarchy.
 type sizeSim interface {
 	SetSink(s obs.Sink, stage string, totalRefs int64)
 	Run(rd trace.Reader, max int) (int, error)
 	Purges() uint64
+	RefBytes() uint64
 	SizeResult(size int) cache.SizeResult
 	Release()
 }
 
-// newSizeSim builds the per-size engine's simulator for one size: a
-// cache.System, or a cache.Hierarchy when the spec has an L2.
-func (s SweepSpec) newSizeSim(size int) (sizeSim, error) {
-	if s.L2 == nil {
-		return cache.NewSystem(s.systemConfig(size))
+// newSizeSim builds the simulator of one design: a cache.System, or a
+// cache.Hierarchy in front of l2 when l2 is non-nil.
+func newSizeSim(sc cache.SystemConfig, l2 *cache.Config) (sizeSim, error) {
+	if l2 == nil {
+		return cache.NewSystem(sc)
 	}
-	return cache.NewHierarchy(s.hierarchyConfig(size))
+	return cache.NewHierarchy(cache.HierarchyConfig{L1: sc, L2: *l2})
 }
 
 // Engines returns the registered sweep engines in selection order: fastest

@@ -184,34 +184,10 @@ func (s SweepSpec) maxLines() int {
 	return max / s.LineSize
 }
 
-// sampledTarget builds the fastest sound windowed target for the spec:
-// the one-pass engines when their soundness argument holds, independent
-// per-size systems otherwise. Purging is disabled on the target — the
-// sampled driver schedules purges on the trace clock.
-func sampledTarget(s SweepSpec) (sampling.Target, error) {
-	switch {
-	case s.StackInclusion():
-		return cache.NewMultiSystem(cache.MultiConfig{
-			Sizes: s.Sizes, LineSize: s.LineSize, Split: s.Split,
-		})
-	case s.Fetch == cache.PrefetchAlways && s.Repl == cache.LRU:
-		return cache.NewFanoutSystem(cache.FanoutConfig{
-			Sizes: s.Sizes, LineSize: s.LineSize, Split: s.Split,
-		})
-	default:
-		noPurge := s
-		noPurge.Quantum = 0
-		cfgs := make([]cache.SystemConfig, len(s.Sizes))
-		for i, size := range s.Sizes {
-			cfgs[i] = noPurge.systemConfig(size)
-		}
-		return sampling.NewSystems(s.Sizes, cfgs)
-	}
-}
-
-// sampledEngine runs the controller and assembles SizeResults with
-// confidence intervals; on fallback it delegates to the exact engine the
-// registry would have picked without sampling. Its Run is attached in
+// sampledEngine runs the sampled driver over the spec's segment engine and
+// scales the estimate's line-level statistics to trace scale; on fallback
+// it delegates to the exact engine the registry would have picked without
+// sampling. Its Run is attached in
 // init(): the fallback path calls SelectEngine, whose engine list includes
 // this very engine, and a package-level composite literal referencing
 // SelectEngine would be an initialization cycle.
@@ -240,94 +216,131 @@ func init() {
 		if cycle == 0 {
 			cycle = s.Quantum
 		}
-		window, align, warmFrac, initFrac := planShape(o, len(refs), s.maxLines(), cycle)
-		ctrl := sampling.Controller{
-			RelErrBudget:    o.ErrorBudget,
-			Confidence:      o.Confidence,
-			InitialFraction: initFrac,
-			MaxFraction:     o.MaxFraction,
-			WindowRefs:      window,
-			WarmupFrac:      warmFrac,
-			AlignRefs:       align,
-			MaxRounds:       o.MaxRounds,
-			Quantum:         s.Quantum,
-			OnRound: func(round int, p sampling.Plan) func() {
-				sp := obs.StartSpan(ctx, fmt.Sprintf("%s:sampled:round%d", stage, round))
-				return func() { sp.AddRefs(int64(p.Window) * int64(p.Windows(len(refs)))); sp.End() }
-			},
-			OnRoundDone: roundReporter(sink, stage, o.ErrorBudget),
-		}
-		run := startStage(sink, stage+":sampled", len(refs))
-		defer run.end(0) // an error return still closes the stage
-		outc, err := ctrl.Run(len(refs), len(s.Sizes),
-			func() trace.Reader { return trace.NewContextReader(ctx, trace.NewSliceReader(refs)) },
-			func() (sampling.Target, error) { return sampledTarget(s) },
-		)
+		// Exact fallback: strip the sampling request and run whatever
+		// engine the registry picks for the rest of the spec.
+		exact := s
+		exact.Sampled = nil
+		e := SelectEngine(exact)
+		var out SweepOut
+		res, info, err := runSampled(ctx, sink, stage, refs, sampledPass{
+			opts:    o,
+			lines:   s.maxLines(),
+			cycle:   cycle,
+			quantum: s.Quantum,
+			configs: len(s.Sizes),
+			engine:  s.segmentEngine(),
+			exact: exactRun{e.Name, func() (err error) {
+				out, err = e.Run(ctx, exact, trace.NewContextReader(ctx, trace.NewSliceReader(refs)), sink, stage, int64(len(refs)))
+				return err
+			}},
+		})
 		if err != nil {
 			return SweepOut{}, err
 		}
-		info := &SampledInfo{
-			ErrorBudget: o.ErrorBudget,
-			Confidence:  o.Confidence,
-			Rounds:      len(outc.Attempts),
-			TotalRefs:   uint64(len(refs)),
-		}
-		var out SweepOut
-		if outc.FellBack {
-			// Exact fallback: strip the sampling request and run whatever
-			// engine the registry picks for the rest of the spec.
-			exact := s
-			exact.Sampled = nil
-			e := SelectEngine(exact)
-			sp := obs.StartSpan(ctx, stage+":sampled:fallback:"+e.Name)
-			out, err = e.Run(ctx, exact, trace.NewContextReader(ctx, trace.NewSliceReader(refs)), sink, stage, int64(len(refs)))
-			sp.AddRefs(int64(len(refs)))
-			sp.End()
-			if err != nil {
-				return SweepOut{}, err
+		if res != nil {
+			for i := range res.results {
+				r := &res.results[i]
+				r.I, r.D, r.U = r.I.Scaled(res.scale), r.D.Scaled(res.scale), r.U.Scaled(res.scale)
 			}
-			info.FellBack = true
-			info.FallbackReason = outc.Reason
-			info.SimulatedRefs = outc.SimulatedRefs() + uint64(len(refs))
-			info.SampledFraction = fracOf(info.SimulatedRefs, info.TotalRefs)
-		} else {
-			est := outc.Est
-			// Line-level statistics cover only the simulated references;
-			// extrapolate them to trace scale. The miss-ratio CI bounds the
-			// reference-level estimates, not these.
-			scale := 1.0
-			if est.SimulatedRefs > 0 {
-				scale = float64(est.TotalRefs) / float64(est.SimulatedRefs)
-			}
-			full := outc.Target.Results()
-			results := make([]cache.SizeResult, len(s.Sizes))
-			for i := range s.Sizes {
-				e := est.PerSize[i]
-				r := cache.SizeResult{
-					Size: s.Sizes[i],
-					Ref:  e.Ref,
-					CI: &cache.MissCI{
-						Level: e.CI.Level, Lo: e.CI.Lo, Hi: e.CI.Hi, Windows: est.Windows,
-					},
-				}
-				if s.Split {
-					r.I, r.D = full[i].I.Scaled(scale), full[i].D.Scaled(scale)
-				} else {
-					r.U = full[i].U.Scaled(scale)
-				}
-				results[i] = r
-			}
-			out = SweepOut{Results: results, Purges: outc.Target.Purges()}
-			info.AchievedRelError = outc.Achieved
-			info.Windows = est.Windows
-			info.SimulatedRefs = outc.SimulatedRefs()
-			info.CountedRefs = est.CountedRefs
-			info.SampledFraction = fracOf(info.SimulatedRefs, info.TotalRefs)
+			out = SweepOut{Results: res.results, Purges: res.target.Purges()}
 		}
 		out.Sampled = info
-		endSampled(run, stage, info)
 		return out, nil
 	}
+}
+
+// sampledPass is what the sampled driver needs to know about one run
+// beyond its stream.
+type sampledPass struct {
+	opts    SampledOptions // defaulted (withDefaults)
+	lines   int            // line count of the largest simulated cache (see planShape)
+	cycle   int            // the workload's cycle in references; 0 when it has none
+	quantum int            // trace-clock purge interval
+	configs int            // results per target
+	engine  segmentEngine
+	exact   exactRun // the exact run the driver falls back to
+}
+
+// sampledResult is a sampled run that met its budget. Each result's
+// reference-level counters cover the counted windows and carry the
+// miss-ratio CI; its line-level statistics cover the simulated references
+// only, and scale (trace references per simulated one) extrapolates them.
+type sampledResult struct {
+	results []cache.SizeResult
+	scale   float64
+	target  sampling.Target // the final round's engine
+}
+
+// runSampled is the interval-sampling driver behind the sampled sweep
+// engine and EvaluateSampledRefsContext: it shapes the plan, runs
+// sampling.Controller's adaptive rounds over p.engine, and returns the
+// estimate. When sampling cannot meet the budget it runs p.exact instead
+// and returns a nil result; the SampledInfo says which happened.
+func runSampled(ctx context.Context, sink obs.Sink, stage string, refs []trace.Ref, p sampledPass) (*sampledResult, *SampledInfo, error) {
+	o := p.opts
+	window, align, warmFrac, initFrac := planShape(o, len(refs), p.lines, p.cycle)
+	ctrl := sampling.Controller{
+		RelErrBudget:    o.ErrorBudget,
+		Confidence:      o.Confidence,
+		InitialFraction: initFrac,
+		MaxFraction:     o.MaxFraction,
+		WindowRefs:      window,
+		WarmupFrac:      warmFrac,
+		AlignRefs:       align,
+		MaxRounds:       o.MaxRounds,
+		Quantum:         p.quantum,
+		OnRound: func(round int, pl sampling.Plan) func() {
+			sp := obs.StartSpan(ctx, fmt.Sprintf("%s:sampled:round%d", stage, round))
+			return func() { sp.AddRefs(int64(pl.Window) * int64(pl.Windows(len(refs)))); sp.End() }
+		},
+		OnRoundDone: roundReporter(sink, stage, o.ErrorBudget),
+	}
+	run := startStage(sink, stage+":sampled", len(refs))
+	defer run.end(0) // an error return still closes the stage
+	outc, err := ctrl.Run(len(refs), p.configs,
+		func() trace.Reader { return trace.NewContextReader(ctx, trace.NewSliceReader(refs)) },
+		func() (sampling.Target, error) { return p.engine.build() },
+	)
+	if err != nil {
+		return nil, nil, err
+	}
+	info := &SampledInfo{
+		ErrorBudget: o.ErrorBudget,
+		Confidence:  o.Confidence,
+		Rounds:      len(outc.Attempts),
+		TotalRefs:   uint64(len(refs)),
+	}
+	var res *sampledResult
+	if outc.FellBack {
+		sp := obs.StartSpan(ctx, stage+":sampled:fallback:"+p.exact.engine)
+		err := p.exact.run()
+		sp.AddRefs(int64(len(refs)))
+		sp.End()
+		if err != nil {
+			return nil, nil, err
+		}
+		info.FellBack = true
+		info.FallbackReason = outc.Reason
+		info.SimulatedRefs = outc.SimulatedRefs() + uint64(len(refs))
+	} else {
+		est := outc.Est
+		res = &sampledResult{results: outc.Target.Results(), scale: 1, target: outc.Target}
+		if est.SimulatedRefs > 0 {
+			res.scale = float64(est.TotalRefs) / float64(est.SimulatedRefs)
+		}
+		for i := range res.results {
+			e := est.PerSize[i]
+			res.results[i].Ref = e.Ref
+			res.results[i].CI = &cache.MissCI{Level: e.CI.Level, Lo: e.CI.Lo, Hi: e.CI.Hi, Windows: est.Windows}
+		}
+		info.AchievedRelError = outc.Achieved
+		info.Windows = est.Windows
+		info.SimulatedRefs = outc.SimulatedRefs()
+		info.CountedRefs = est.CountedRefs
+	}
+	info.SampledFraction = fracOf(info.SimulatedRefs, info.TotalRefs)
+	endSampled(run, stage, info)
+	return res, info, nil
 }
 
 // roundReporter returns the controller's OnRoundDone hook, which emits each

@@ -4,12 +4,14 @@ import (
 	"fmt"
 
 	"cacheeval/internal/cache"
+	"cacheeval/internal/parallel"
 	"cacheeval/internal/trace"
 )
 
 // Systems adapts independent per-size cache.Systems to a single sweep
-// Target — the sampled analogue of the registry's per-size fallback
-// engine, sound for every fetch and replacement policy. A single-config
+// Target and a time-parallel segment replica (parallel.Replica) — the
+// windowed and segmented form of the registry's per-size fallback engine,
+// sound for every fetch and replacement policy. A single-config
 // evaluation is the one-element case.
 type Systems struct {
 	sizes []int
@@ -78,6 +80,19 @@ func (g *Systems) Purge() {
 	for _, s := range g.sys {
 		s.Purge()
 	}
+}
+
+// StateEqual reports whether every system's logical cache state equals
+// its counterpart's in other, which must be a *Systems built from the same
+// configurations.
+func (g *Systems) StateEqual(other parallel.Replica) bool {
+	o := other.(*Systems)
+	for i, s := range g.sys {
+		if !s.StateEqual(o.sys[i]) {
+			return false
+		}
+	}
+	return true
 }
 
 // Purges returns the purge count (identical across systems: the driver
