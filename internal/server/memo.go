@@ -90,14 +90,16 @@ type flight struct {
 // caller's flight. fn runs with a context descending from the server's base
 // context (not from ctx: the computation must outlive any single caller
 // that times out while others still wait); it is cancelled when every
-// waiter has gone or the server shuts down.
+// waiter has gone or the server shuts down. A flight whose waiters have all
+// gone is cancelled but may still be unwinding; a new caller starts a fresh
+// flight in its place rather than joining one that can only fail.
 func (s *Server) do(ctx context.Context, key string, fn func(context.Context) (any, error)) (val any, memoHit, shared bool, err error) {
 	s.mu.Lock()
 	if v, ok := s.memo.get(key); ok {
 		s.mu.Unlock()
 		return v, true, false, nil
 	}
-	if f, ok := s.flights[key]; ok {
+	if f, ok := s.flights[key]; ok && f.waiters > 0 {
 		f.waiters++
 		s.mu.Unlock()
 		v, err := s.wait(ctx, f)
@@ -114,11 +116,14 @@ func (s *Server) do(ctx context.Context, key string, fn func(context.Context) (a
 	return v, false, false, err
 }
 
-// runFlight executes one flight's computation and publishes its result.
+// runFlight executes one flight's computation and publishes its result. It
+// unregisters the flight only if a fresh flight has not replaced it.
 func (s *Server) runFlight(fctx context.Context, key string, f *flight, fn func(context.Context) (any, error)) {
 	val, err := s.withWorker(fctx, fn)
 	s.mu.Lock()
-	delete(s.flights, key)
+	if s.flights[key] == f {
+		delete(s.flights, key)
+	}
 	if err == nil {
 		s.memo.add(key, val)
 	}

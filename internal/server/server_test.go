@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"net/http"
@@ -221,6 +222,96 @@ func TestSingleflightDedup(t *testing.T) {
 	}
 	if joined != clients-1 {
 		t.Errorf("%d clients reported shared/cached, want %d", joined, clients-1)
+	}
+}
+
+// TestFreshFlightReplacesAbandoned covers the window between a flight's
+// last waiter leaving (which cancels it) and the flight unwinding: a new
+// caller for the same key must start a fresh flight instead of joining the
+// cancelled one and failing with its context error, and the abandoned
+// flight must not unregister its replacement when it finally returns.
+func TestFreshFlightReplacesAbandoned(t *testing.T) {
+	t.Parallel()
+	s := New(Config{})
+	defer s.Close()
+	const key = "k"
+	started, unwinding, release := make(chan struct{}), make(chan struct{}), make(chan struct{})
+	ctx1, cancel1 := context.WithCancel(context.Background())
+	first := make(chan error, 1)
+	go func() {
+		_, _, _, err := s.do(ctx1, key, func(fctx context.Context) (any, error) {
+			close(started)
+			<-fctx.Done()
+			close(unwinding)
+			<-release
+			return nil, fctx.Err()
+		})
+		first <- err
+	}()
+	<-started
+	s.mu.Lock()
+	old := s.flights[key]
+	s.mu.Unlock()
+	cancel1()
+	if err := <-first; !errors.Is(err, context.Canceled) {
+		t.Fatalf("abandoning caller got %v, want context.Canceled", err)
+	}
+	<-unwinding // cancelled, not yet returned
+
+	type result struct {
+		val    any
+		shared bool
+		err    error
+	}
+	gate := make(chan struct{})
+	fresh := func(context.Context) (any, error) { <-gate; return "fresh", nil }
+	second := make(chan result, 1)
+	go func() {
+		v, _, shared, err := s.do(context.Background(), key, fresh)
+		second <- result{v, shared, err}
+	}()
+	current := func() (*flight, int) {
+		s.mu.Lock()
+		defer s.mu.Unlock()
+		if f := s.flights[key]; f != nil {
+			return f, f.waiters
+		}
+		return nil, 0
+	}
+	for deadline := time.Now().Add(5 * time.Second); ; time.Sleep(time.Millisecond) {
+		if f, _ := current(); f != old {
+			break
+		}
+		if time.Now().After(deadline) {
+			close(release)
+			t.Fatalf("a new caller joined the abandoned flight: %+v", <-second)
+		}
+	}
+
+	close(release)
+	<-old.done
+	if f, _ := current(); f == nil {
+		t.Fatal("the abandoned flight unregistered its replacement")
+	}
+	third := make(chan result, 1)
+	go func() {
+		v, _, shared, err := s.do(context.Background(), key, fresh)
+		third <- result{v, shared, err}
+	}()
+	for deadline := time.Now().Add(5 * time.Second); ; time.Sleep(time.Millisecond) {
+		if _, waiters := current(); waiters == 2 {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatal("a third caller did not join the fresh flight")
+		}
+	}
+	close(gate)
+	if r := <-second; r.err != nil || r.val != "fresh" || r.shared {
+		t.Errorf("patient caller got %+v, want the fresh flight's value, unshared", r)
+	}
+	if r := <-third; r.err != nil || r.val != "fresh" || !r.shared {
+		t.Errorf("third caller got %+v, want the fresh flight's value, shared", r)
 	}
 }
 
