@@ -9,7 +9,6 @@ import (
 	"strings"
 	"time"
 
-	"cacheeval/internal/core"
 	"cacheeval/internal/experiments"
 	"cacheeval/internal/jobs"
 	"cacheeval/internal/obs"
@@ -69,17 +68,6 @@ type JobCellOut struct {
 	Result   VariantOut `json:"result"`
 }
 
-// evalPayload is an evaluate job's "summary" event payload: exactly the
-// memoized prefix of EvaluateResponse, so the async answer matches the
-// synchronous one field for field (minus the per-request cached/shared/
-// elapsed_ms envelope).
-type evalPayload struct {
-	Report   core.Report  `json:"report"`
-	CI       *MissCIOut   `json:"miss_ratio_ci,omitempty"`
-	Sampled  *SampledOut  `json:"sampled,omitempty"`
-	Parallel *ParallelOut `json:"parallel,omitempty"`
-}
-
 // JobStatusOut is the GET /v1/jobs/{id} reply: enough to resume after a
 // disconnect without replaying the stream — the completed cells so far and,
 // once done, the same summary payload the stream's terminal event carried.
@@ -137,9 +125,7 @@ func (s *Server) handleJobCreate(w http.ResponseWriter, r *http.Request) {
 					return body(s.jobFlightCtx(fctx, jctx, sink))
 				}
 			}, func(val any) any {
-				memo := val.(evalMemo)
-				return evalPayload{Report: memo.Report, CI: memo.CI,
-					Sampled: memo.Sampled, Parallel: memo.Parallel}
+				return val.(evalMemo).Payload
 			})
 		}
 	} else {

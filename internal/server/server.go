@@ -456,14 +456,23 @@ func missCIOut(ci *cache.MissCI) *MissCIOut {
 	return &MissCIOut{Level: ci.Level, Lo: ci.Lo, Hi: ci.Hi, Windows: ci.Windows}
 }
 
-// EvaluateResponse is the POST /v1/evaluate reply. MissRatioCI and Sampled
-// appear only for sampled-mode requests (and the CI only when sampling
-// succeeded — a fallback's results are exact and need no interval).
-type EvaluateResponse struct {
+// evalPayload is the memoized portion of an evaluate response, and an
+// evaluate job's "summary" event payload, so the async answer matches the
+// synchronous one field for field (minus the per-request cached/shared/
+// elapsed_ms envelope). MissRatioCI and Sampled appear only for
+// sampled-mode requests (and the CI only when sampling succeeded — a
+// fallback's results are exact and need no interval); Parallel only for
+// time-parallel ones.
+type evalPayload struct {
 	Report      core.Report  `json:"report"`
 	MissRatioCI *MissCIOut   `json:"miss_ratio_ci,omitempty"`
 	Sampled     *SampledOut  `json:"sampled,omitempty"`
 	Parallel    *ParallelOut `json:"parallel,omitempty"`
+}
+
+// EvaluateResponse is the POST /v1/evaluate reply.
+type EvaluateResponse struct {
+	evalPayload
 	// Cached reports a memoization hit; Shared reports singleflight dedup
 	// against a concurrent identical request.
 	Cached    bool              `json:"cached"`
@@ -472,15 +481,11 @@ type EvaluateResponse struct {
 	Trace     []obs.SpanSummary `json:"trace,omitempty"`
 }
 
-// evalMemo is the memoized portion of an evaluate response: the report,
-// sampled-mode outputs when they exist, plus the spans of the run that
-// produced it.
+// evalMemo is the memoized portion of an evaluate response plus the
+// producing run's spans.
 type evalMemo struct {
-	Report   core.Report
-	CI       *MissCIOut
-	Sampled  *SampledOut
-	Parallel *ParallelOut
-	Trace    []obs.SpanSummary
+	Payload evalPayload
+	Trace   []obs.SpanSummary
 }
 
 // requestError is a validation failure plus the HTTP status it maps to.
@@ -672,9 +677,7 @@ func (s *Server) handleEvaluate(w http.ResponseWriter, r *http.Request) {
 	s.countOutcome(hit, shared)
 	memo := val.(evalMemo)
 	resp := EvaluateResponse{
-		Report: memo.Report, MissRatioCI: memo.CI, Sampled: memo.Sampled,
-		Parallel: memo.Parallel,
-		Cached:   hit, Shared: shared,
+		evalPayload: memo.Payload, Cached: hit, Shared: shared,
 		ElapsedMS: float64(time.Since(start)) / float64(time.Millisecond),
 	}
 	if req.Trace {
@@ -733,7 +736,7 @@ func (s *Server) evalFlight(req *EvaluateRequest, design cache.SystemConfig, mix
 				if err != nil {
 					return nil, err
 				}
-				return evalMemo{Report: rep, CI: missCIOut(ci), Sampled: sampledOut(info), Trace: tr.Summary()}, nil
+				return evalMemo{Payload: evalPayload{Report: rep, MissRatioCI: missCIOut(ci), Sampled: sampledOut(info)}, Trace: tr.Summary()}, nil
 			}
 			if req.Parallel >= 2 {
 				rep, info, err := core.EvaluateParallelRefsContext(fctx, design, mix.Name, refs,
@@ -741,7 +744,7 @@ func (s *Server) evalFlight(req *EvaluateRequest, design cache.SystemConfig, mix
 				if err != nil {
 					return nil, err
 				}
-				return evalMemo{Report: rep, Parallel: parallelOut(info), Trace: tr.Summary()}, nil
+				return evalMemo{Payload: evalPayload{Report: rep, Parallel: parallelOut(info)}, Trace: tr.Summary()}, nil
 			}
 			if l2cfg != nil {
 				rep, err := core.EvaluateHierarchyRefsContext(fctx,
@@ -749,13 +752,13 @@ func (s *Server) evalFlight(req *EvaluateRequest, design cache.SystemConfig, mix
 				if err != nil {
 					return nil, err
 				}
-				return evalMemo{Report: rep, Trace: tr.Summary()}, nil
+				return evalMemo{Payload: evalPayload{Report: rep}, Trace: tr.Summary()}, nil
 			}
 			rep, err := core.EvaluateRefsContext(fctx, design, mix.Name, refs)
 			if err != nil {
 				return nil, err
 			}
-			return evalMemo{Report: rep, Trace: tr.Summary()}, nil
+			return evalMemo{Payload: evalPayload{Report: rep}, Trace: tr.Summary()}, nil
 		})
 	}
 }
