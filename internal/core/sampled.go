@@ -13,6 +13,7 @@ import (
 	"context"
 	"fmt"
 	"math"
+	"slices"
 
 	"cacheeval/internal/cache"
 	"cacheeval/internal/obs"
@@ -98,6 +99,15 @@ func (o SampledOptions) withDefaults() SampledOptions {
 	return o
 }
 
+// linesOf returns the line count of a cache of size bytes: the state the
+// sampling warm-up has to rebuild after each gap.
+func linesOf(size, lineSize int) int {
+	if lineSize <= 0 {
+		return 1
+	}
+	return size / lineSize
+}
+
 // planShape picks the window geometry and starting fraction for a trace
 // of total references, a largest simulated cache of lines lines, and a
 // workload cycle of cycle references (the purge/task-switch round; 0 when
@@ -169,21 +179,6 @@ func planShape(o SampledOptions, total, lines, cycle int) (window, align int, wa
 	return window, 0, float64(warm) / float64(window), raise(window)
 }
 
-// maxLines returns the line count of the spec's largest cache — the state
-// the sampling warm-up has to rebuild after each gap.
-func (s SweepSpec) maxLines() int {
-	max := 0
-	for _, size := range s.Sizes {
-		if size > max {
-			max = size
-		}
-	}
-	if s.LineSize <= 0 {
-		return 1
-	}
-	return max / s.LineSize
-}
-
 // sampledEngine runs the sampled driver over the spec's segment engine and
 // scales the estimate's line-level statistics to trace scale; on fallback
 // it delegates to the exact engine the registry would have picked without
@@ -211,11 +206,6 @@ func init() {
 		if err != nil {
 			return SweepOut{}, err
 		}
-		o := s.Sampled.withDefaults()
-		cycle := o.CycleRefs
-		if cycle == 0 {
-			cycle = s.Quantum
-		}
 		// Exact fallback: strip the sampling request and run whatever
 		// engine the registry picks for the rest of the spec.
 		exact := s
@@ -223,9 +213,8 @@ func init() {
 		e := SelectEngine(exact)
 		var out SweepOut
 		res, info, err := runSampled(ctx, sink, stage, refs, sampledPass{
-			opts:    o,
-			lines:   s.maxLines(),
-			cycle:   cycle,
+			opts:    *s.Sampled,
+			lines:   linesOf(slices.Max(s.Sizes), s.LineSize),
 			quantum: s.Quantum,
 			configs: len(s.Sizes),
 			engine:  s.segmentEngine(),
@@ -252,11 +241,10 @@ func init() {
 // sampledPass is what the sampled driver needs to know about one run
 // beyond its stream.
 type sampledPass struct {
-	opts    SampledOptions // defaulted (withDefaults)
-	lines   int            // line count of the largest simulated cache (see planShape)
-	cycle   int            // the workload's cycle in references; 0 when it has none
-	quantum int            // trace-clock purge interval
-	configs int            // results per target
+	opts    SampledOptions
+	lines   int // line count of the largest simulated cache (see planShape)
+	quantum int // trace-clock purge interval, and the workload cycle unless opts sets one
+	configs int // results per target
 	engine  segmentEngine
 	exact   exactRun // the exact run the driver falls back to
 }
@@ -277,8 +265,12 @@ type sampledResult struct {
 // estimate. When sampling cannot meet the budget it runs p.exact instead
 // and returns a nil result; the SampledInfo says which happened.
 func runSampled(ctx context.Context, sink obs.Sink, stage string, refs []trace.Ref, p sampledPass) (*sampledResult, *SampledInfo, error) {
-	o := p.opts
-	window, align, warmFrac, initFrac := planShape(o, len(refs), p.lines, p.cycle)
+	o := p.opts.withDefaults()
+	cycle := o.CycleRefs
+	if cycle == 0 {
+		cycle = p.quantum
+	}
+	window, align, warmFrac, initFrac := planShape(o, len(refs), p.lines, cycle)
 	ctrl := sampling.Controller{
 		RelErrBudget:    o.ErrorBudget,
 		Confidence:      o.Confidence,
@@ -338,7 +330,9 @@ func runSampled(ctx context.Context, sink obs.Sink, stage string, refs []trace.R
 		info.SimulatedRefs = outc.SimulatedRefs()
 		info.CountedRefs = est.CountedRefs
 	}
-	info.SampledFraction = fracOf(info.SimulatedRefs, info.TotalRefs)
+	if info.TotalRefs > 0 {
+		info.SampledFraction = float64(info.SimulatedRefs) / float64(info.TotalRefs)
+	}
 	endSampled(run, stage, info)
 	return res, info, nil
 }
@@ -367,11 +361,4 @@ func endSampled(run *stageRun, stage string, info *SampledInfo) {
 			Rounds: info.Rounds, FellBack: info.FellBack,
 		})
 	}
-}
-
-func fracOf(part, whole uint64) float64 {
-	if whole == 0 {
-		return 0
-	}
-	return float64(part) / float64(whole)
 }

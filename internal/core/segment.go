@@ -1,12 +1,8 @@
 package core
 
-// The engine ladder of the windowed (sampled) and segmented (time-parallel)
-// drivers. Both drivers run a purge-free instance of a sweep engine over
-// part of the stream and replay the purge schedule on the trace clock, so
-// both pick that engine the same way: the serial registry's ladder — stack
-// inclusion to the Mattson engine, prefetch-always LRU to the fan-out
-// engine, independent per-size systems otherwise — built without purging.
-// A single-design run is the one-config case of the last rung.
+// The engine ladder of the sampled and time-parallel drivers: the serial
+// registry's ladder, built without purging (both drivers replay purges on
+// the trace clock). A single design is the one-config case of its last rung.
 
 import (
 	"cacheeval/internal/cache"

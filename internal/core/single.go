@@ -1,9 +1,7 @@
 package core
 
 // Single-design sampled and time-parallel evaluation: one-config runs of
-// the drivers behind the sampled and parallel sweep engines, over one
-// purge-free System, with the exact single-design evaluation as the
-// fallback.
+// the sampled and parallel sweep engines' drivers.
 
 import (
 	"context"
@@ -30,34 +28,28 @@ func EvaluateSampledRefsContext(ctx context.Context, design cache.SystemConfig, 
 		rep, err := EvaluateRefsContext(ctx, design, name, refs)
 		return rep, nil, nil, err
 	}
-	od := o.withDefaults()
 	lineSize := design.Unified.LineSize
 	if design.Split {
 		lineSize = design.I.LineSize
 	}
-	lines := 1
-	if lineSize > 0 {
-		lines = sizeOf(design) / lineSize
-	}
-	cycle := od.CycleRefs
-	if cycle == 0 {
-		cycle = design.PurgeInterval
-	}
-	exact := newExactEvaluation(ctx, design, name, refs)
+	var rep Report
+	var exactErr error
 	res, info, err := runSampled(ctx, obs.SinkFrom(ctx), "simulate:"+name, refs, sampledPass{
-		opts:    od,
-		lines:   lines,
-		cycle:   cycle,
+		opts:    *o,
+		lines:   linesOf(sizeOf(design), lineSize),
 		quantum: design.PurgeInterval,
 		configs: 1,
 		engine:  oneConfig(design),
-		exact:   exact.run,
+		exact: exactRun{"system", func() error {
+			rep, exactErr = EvaluateRefsContext(ctx, design, name, refs)
+			return exactErr
+		}},
 	})
 	if err != nil {
-		return Report{}, nil, nil, exact.label(err)
+		return Report{}, nil, nil, labelled(err, exactErr, name)
 	}
 	if res == nil {
-		return exact.rep, nil, info, nil
+		return rep, nil, info, nil
 	}
 	r := res.results[0]
 	return newReport(design, nil, name, r, tally{
@@ -86,19 +78,23 @@ func EvaluateParallelRefsContext(ctx context.Context, design cache.SystemConfig,
 	if po != nil {
 		opts = *po
 	}
-	exact := newExactEvaluation(ctx, design, name, refs)
+	var rep Report
+	var exactErr error
 	res, info, err := runParallel(ctx, obs.SinkFrom(ctx), "simulate:"+name, refs, parallelPass{
 		opts:    opts,
 		quantum: design.PurgeInterval,
 		random:  replOf(design) == cache.Random,
 		engine:  oneConfig(design),
-		exact:   exact.run,
+		exact: exactRun{"system", func() error {
+			rep, exactErr = EvaluateRefsContext(ctx, design, name, refs)
+			return exactErr
+		}},
 	})
 	if err != nil {
-		return Report{}, nil, exact.label(err)
+		return Report{}, nil, labelled(err, exactErr, name)
 	}
 	if res == nil {
-		return exact.rep, info, nil
+		return rep, info, nil
 	}
 	r := res.Results[0]
 	return newReport(design, nil, name, r, tally{
@@ -106,31 +102,13 @@ func EvaluateParallelRefsContext(ctx context.Context, design cache.SystemConfig,
 	}), info, nil
 }
 
-// exactEvaluation is a single-design driver's exact path:
-// EvaluateRefsContext over the whole stream, keeping its report and error.
-type exactEvaluation struct {
-	name string
-	run  exactRun
-	rep  Report
-	err  error
-}
-
-func newExactEvaluation(ctx context.Context, design cache.SystemConfig, name string, refs []trace.Ref) *exactEvaluation {
-	e := &exactEvaluation{name: name}
-	e.run = exactRun{"system", func() error {
-		e.rep, e.err = EvaluateRefsContext(ctx, design, name, refs)
-		return e.err
-	}}
-	return e
-}
-
-// label names the workload in a driver error, unless the error came from
-// the exact path, which names it already.
-func (e *exactEvaluation) label(err error) error {
-	if err == e.err {
+// labelled names the workload in a driver error, unless the error came
+// from the exact path (exactErr), which names it already.
+func labelled(err, exactErr error, name string) error {
+	if err == exactErr {
 		return err
 	}
-	return fmt.Errorf("core: evaluating %s: %w", e.name, err)
+	return fmt.Errorf("core: evaluating %s: %w", name, err)
 }
 
 // refBytesOf returns the processor-request byte count a cacheless system
