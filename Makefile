@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all ci build vet fmt-check lint staticcheck govulncheck test test-short test-race bench bench-smoke benchjson benchcheck fuzz cover repro serve obs-smoke examples fmt clean
+.PHONY: all ci build vet fmt-check lint staticcheck govulncheck test test-short test-race bench bench-smoke bench-pairs fuzz cover repro serve obs-smoke examples fmt clean
 
 # `all` is `ci` plus the full (non-short) test suite; vet/gofmt run once via
 # the ci target rather than being listed twice.
@@ -54,27 +54,15 @@ bench:
 bench-smoke:
 	$(GO) test -run '^$$' -bench . -benchtime=1x ./...
 
-# Record the perf trajectory: run the artifact + simulator benchmarks
-# (including the exact/sampled/parallel/hierarchy sweep family) and merge the
-# numbers into BENCH_7.json under the "after" key (use BENCHKEY=before to
-# record a baseline first). Prior records (BENCH_2..6.json) are kept as
-# history.
-BENCHKEY ?= after
-BENCHREGEX = Table|Figure|Cache|StackSim|MultiSystem|FanoutSystem|Sweep
-benchjson:
-	$(GO) test -run '^$$' -bench '$(BENCHREGEX)' -benchmem . \
-		| $(GO) run ./cmd/benchjson -key $(BENCHKEY) -o BENCH_7.json
-
-# Local regression check: one quick iteration of the recorded benchmarks
-# against the BENCH_7.json record. Meaningful only on the machine that
-# recorded the baseline (absolute timings are machine-specific); CI instead
-# runs a blocking gate that baselines the merge-base on the same runner
-# (see .github/workflows/ci.yml, bench-smoke job).
-BENCHTHRESHOLD ?= 1.5
-BENCHBASE ?= BENCH_7.json
-benchcheck:
-	$(GO) test -run '^$$' -bench '$(BENCHREGEX)' -benchtime=1x . \
-		| $(GO) run ./cmd/benchjson -against $(BENCHBASE) -threshold $(BENCHTHRESHOLD)
+# Interleaved end-to-end benchmark pairs (bench/, BENCHMARK.json): the
+# PARENT revision against the working tree on one WORKLOAD, PAIRS runs per
+# side with a 25 s window, then the `bench/run.sh compare` table. See
+# scripts/benchpairs.sh. BENCH_2..7.json are kept as history.
+PARENT ?= HEAD
+WORKLOAD ?= grid-stack
+PAIRS ?= 5
+bench-pairs:
+	bash scripts/benchpairs.sh $(PARENT) $(WORKLOAD) $(PAIRS)
 
 # Fuzz smoke: run every Fuzz* target in the packages that define them for
 # FUZZTIME each (native go fuzzing; seeds always run under plain `go test`).

@@ -25,8 +25,8 @@ import (
 // (one iteration per benchmark) finish in seconds; absolute numbers from
 // short runs are not comparable to full ones.
 //
-// Every benchmark runs with obs.Discard installed so `make benchcheck`
-// (threshold 1.5 against the recorded baseline) guards the overhead of the
+// Every benchmark runs with obs.Discard installed so CI's bench-smoke gate
+// (threshold 1.5 against the merge-base) guards the overhead of the
 // instrumented engine path, not just the sink-free one. Discard is not
 // Enabled for obs.KindMissCauses, so the 3C tracker stays off.
 func benchOpts() experiments.Options {

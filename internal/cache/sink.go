@@ -11,8 +11,8 @@ import (
 // sink is nil unless a caller installs one, and each Run loop guards its
 // progress events behind that nil check, so the uninstrumented hot path
 // pays one predictable branch per reference and allocates nothing — the
-// engine benchmarks run with obs.Discard installed precisely so `make
-// benchcheck` keeps the instrumented path honest too. See DESIGN.md §8.
+// engine benchmarks run with obs.Discard installed precisely so CI's
+// bench-smoke gate keeps the instrumented path honest too. See DESIGN.md §8.
 type engineSink struct {
 	sink  obs.Sink
 	stage string

@@ -168,30 +168,26 @@ type SweepOut struct {
 // the capability (when the engine's results are bit-identical to per-size
 // simulation; the sampled engine instead guarantees budgeted estimates or
 // exact fallback); Run executes it. rd is already context-guarded; sink
-// may be nil; total is the expected stream length when known.
+// may be nil; total is the expected stream length when known. Open, when
+// non-nil, is the engine's incremental form (see SweepStream): the
+// one-pass engines, which need each reference once and in order, have
+// one, and their Run is that form fed from rd. An engine that must hold
+// the whole stream (per-size, sampled, parallel) leaves it nil, so a
+// caller can tell from SelectEngine alone whether a spec can be fed
+// without materializing its stream.
 type SweepEngine struct {
 	Name     string
 	Supports func(s SweepSpec) bool
 	Run      func(ctx context.Context, s SweepSpec, rd trace.Reader, sink obs.Sink, stage string, total int64) (SweepOut, error)
+	Open     func(s SweepSpec, sink obs.Sink, stage string, total int64) (*SweepStream, error)
 }
 
 // multiEngine: generalized stack simulation, one pass for all sizes.
 var multiEngine = SweepEngine{
 	Name:     "multisystem",
 	Supports: SweepSpec.StackInclusion,
-	Run: func(ctx context.Context, s SweepSpec, rd trace.Reader, sink obs.Sink, stage string, total int64) (SweepOut, error) {
-		ms, err := cache.NewMultiSystem(cache.MultiConfig{
-			Sizes: s.Sizes, LineSize: s.LineSize, Split: s.Split, PurgeInterval: s.Quantum,
-		})
-		if err != nil {
-			return SweepOut{}, err
-		}
-		ms.SetSink(sink, stage, total)
-		if _, err := ms.Run(rd, 0); err != nil {
-			return SweepOut{}, err
-		}
-		return SweepOut{Results: ms.Results(), Purges: ms.Purges()}, nil
-	},
+	Run:      streamed(openMulti),
+	Open:     openMulti,
 }
 
 // fanoutEngine: one decode/purge/straddle pass fanned out to per-size
@@ -200,20 +196,8 @@ var multiEngine = SweepEngine{
 var fanoutEngine = SweepEngine{
 	Name:     "fanout",
 	Supports: SweepSpec.fanoutSound,
-	Run: func(ctx context.Context, s SweepSpec, rd trace.Reader, sink obs.Sink, stage string, total int64) (SweepOut, error) {
-		fs, err := cache.NewFanoutSystem(cache.FanoutConfig{
-			Sizes: s.Sizes, LineSize: s.LineSize, Split: s.Split, PurgeInterval: s.Quantum,
-		})
-		if err != nil {
-			return SweepOut{}, err
-		}
-		defer fs.Release()
-		fs.SetSink(sink, stage, total)
-		if _, err := fs.Run(rd, 0); err != nil {
-			return SweepOut{}, err
-		}
-		return SweepOut{Results: fs.Results(), Purges: fs.Purges()}, nil
-	},
+	Run:      streamed(openFanout),
+	Open:     openFanout,
 }
 
 // perSizeEngine: the universal fallback — borrow the stream once, then run

@@ -71,10 +71,15 @@ type Options struct {
 	// jobs and segments then compete for one shared pool of Workers
 	// goroutines, so a wide grid keeps job-level parallelism and a narrow
 	// one (a single mix, the validate harness) gets within-job speedup
-	// from the same budget instead of idling. Results are bit-identical
-	// either way; set &core.ParallelOptions{Workers: 1} to force the
-	// serial engines. A caller-supplied Budget is honoured; otherwise the
-	// experiment's shared pool is injected.
+	// from the same budget instead of idling. The default does not apply
+	// to a streamed sweep (see SweepMixesContext): when every pass runs
+	// on a one-pass engine and the streams come from the generator, a nil
+	// (or single-worker) Parallel splits the workers across passes
+	// instead, so such a sweep — the default LRU grid without
+	// StreamSource — records no parallel passes. Results are
+	// bit-identical either way; set &core.ParallelOptions{Workers: 1} to
+	// force the serial engines. A caller-supplied Budget is honoured;
+	// otherwise the experiment's shared pool is injected.
 	Parallel *core.ParallelOptions
 	// Sink, when non-nil, receives the engine events (obs.Event: run
 	// start/progress/end plus the engines' batched reports) of every
@@ -112,25 +117,26 @@ func (o Options) withDefaults() Options {
 	if o.budget == nil {
 		o.budget = parallel.NewBudget(o.Workers)
 	}
-	if o.Parallel == nil {
-		o.Parallel = &core.ParallelOptions{Workers: o.Workers}
-	}
 	return o
 }
 
-// parallelSpec returns the ParallelOptions a sweep pass should carry:
-// the configured options with the experiment's shared budget injected
+// parallelSpec returns the ParallelOptions a materialized sweep pass
+// should carry: the configured options (Workers segment workers when the
+// caller left Parallel nil) with the experiment's shared budget injected
 // (unless the caller brought their own), or nil when parallel simulation
 // is off so the spec stays identical to the serial one. Victim buffers
 // and hierarchies run serially (core.SweepSpec.Validate rejects the
-// combination): withDefaults injects Workers unconditionally, so without
+// combination): the default asks for Workers unconditionally, so without
 // this suppression every victim/L2 sweep on a multicore host would be an
 // error rather than a quiet serial run.
 func (o Options) parallelSpec() *core.ParallelOptions {
-	if o.Parallel == nil || o.Parallel.Workers < 2 || o.Victim > 0 || o.L2 != nil {
+	po := core.ParallelOptions{Workers: o.Workers}
+	if o.Parallel != nil {
+		po = *o.Parallel
+	}
+	if po.Workers < 2 || o.Victim > 0 || o.L2 != nil {
 		return nil
 	}
-	po := *o.Parallel
 	if po.Budget == nil {
 		po.Budget = o.budget
 	}
@@ -186,15 +192,7 @@ func (o Options) collectMixCtx(ctx context.Context, m workload.Mix) ([]trace.Ref
 	if o.StreamSource != nil {
 		return o.StreamSource(ctx, m)
 	}
-	if o.RefLimit > 0 {
-		limited := m
-		limited.Specs = make([]workload.Spec, len(m.Specs))
-		copy(limited.Specs, m.Specs)
-		for i := range limited.Specs {
-			limited.Specs[i].Refs = o.limit(limited.Specs[i].Refs)
-		}
-		m = limited
-	}
+	m = o.limitMix(m)
 	r, err := m.Open()
 	if err != nil {
 		return nil, err
@@ -204,6 +202,22 @@ func (o Options) collectMixCtx(ctx context.Context, m workload.Mix) ([]trace.Ref
 	return trace.Collect(trace.NewContextReader(ctx, r), 0, m.TotalRefs())
 }
 
+// limitMix applies RefLimit to every member of m, preserving the
+// round-robin structure at reduced scale; without a limit m is returned
+// as is.
+func (o Options) limitMix(m workload.Mix) workload.Mix {
+	if o.RefLimit <= 0 {
+		return m
+	}
+	limited := m
+	limited.Specs = make([]workload.Spec, len(m.Specs))
+	copy(limited.Specs, m.Specs)
+	for i := range limited.Specs {
+		limited.Specs[i].Refs = o.limit(limited.Specs[i].Refs)
+	}
+	return limited
+}
+
 // forEach runs fn(i) for i in [0, n) on the calling goroutine plus as
 // many extra workers as the experiment's shared budget grants, and
 // returns the first error (by lowest index) if any failed.
@@ -211,11 +225,13 @@ func (o Options) forEach(n int, fn func(i int) error) error {
 	return o.forEachCtx(context.Background(), n, fn)
 }
 
-// forEachCtx is forEach with cancellation: once ctx is done no further
-// indices are dispatched, in-flight fn calls are left to observe ctx
-// themselves, and ctx.Err() is reported unless an fn error at a lower index
-// takes precedence. All worker goroutines have exited by the time it
-// returns.
+// forEachCtx is forEach with cancellation: once ctx is done or an fn call
+// has failed no further indices are dispatched, in-flight fn calls are
+// left to observe ctx themselves, and ctx.Err() is reported unless an fn
+// error takes precedence. Indices are dispatched in order, so every index
+// below a failed one has run and the lowest-index error is the one the
+// serial order would have hit first. All worker goroutines have exited by
+// the time it returns.
 //
 // Concurrency comes from Options.budget, the pool shared with the
 // segment-level parallel engine: up to n-1 extra workers are acquired
@@ -242,13 +258,27 @@ func (o Options) forEachCtx(ctx context.Context, n int, fn func(i int) error) er
 	}
 	errs := make([]error, n)
 	next := make(chan int)
+	failed := make(chan struct{})
+	var fail sync.Once
+	run := func(i int) {
+		if errs[i] = fn(i); errs[i] != nil {
+			fail.Do(func() { close(failed) })
+		}
+	}
 	go func() {
 		defer close(next)
 		done := ctx.Done()
 		for i := 0; i < n; i++ {
 			select {
+			case <-failed:
+				return
+			default:
+			}
+			select {
 			case next <- i:
 			case <-done:
+				return
+			case <-failed:
 				return
 			}
 		}
@@ -262,13 +292,13 @@ func (o Options) forEachCtx(ctx context.Context, n int, fn func(i int) error) er
 				wg.Done()
 			}()
 			for i := range next {
-				errs[i] = fn(i)
+				run(i)
 			}
 		}()
 	}
 	// The caller consumes too: its goroutine is the budget's implicit slot.
 	for i := range next {
-		errs[i] = fn(i)
+		run(i)
 	}
 	wg.Wait()
 	for _, err := range errs {

@@ -6,6 +6,7 @@ import (
 	"reflect"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"cacheeval/internal/workload"
 )
@@ -99,6 +100,28 @@ func TestForEachErrorPrecedence(t *testing.T) {
 	})
 	if !errors.Is(err, errLow) {
 		t.Fatalf("err = %v, want the lowest-index error", err)
+	}
+}
+
+// TestForEachCtxStopsAfterError: once a job fails, the parallel pool stops
+// dispatching, as the serial loop returns at once; a failing mix must not
+// let the rest of a large grid run to completion.
+func TestForEachCtxStopsAfterError(t *testing.T) {
+	fail := errors.New("job 0 failed")
+	var calls atomic.Int32
+	err := optWorkers(2).forEachCtx(context.Background(), 1000, func(i int) error {
+		calls.Add(1)
+		if i == 0 {
+			return fail
+		}
+		time.Sleep(time.Millisecond) // long enough that job 0 fails first
+		return nil
+	})
+	if !errors.Is(err, fail) {
+		t.Fatalf("err = %v, want job 0's error", err)
+	}
+	if n := calls.Load(); n > 50 {
+		t.Fatalf("%d of 1000 jobs ran after job 0 failed", n)
 	}
 }
 

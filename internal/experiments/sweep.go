@@ -48,9 +48,12 @@ type SweepResult struct {
 	// Parallel records per-pass time-parallel metadata (one entry per grid
 	// job whose spec requested parallel simulation, whether it segmented
 	// or fell back to a serial engine); empty when Workers grants no
-	// within-job parallelism. The simulated results are bit-identical
-	// either way — only this metadata depends on the plan, and under a
-	// contended shared budget the segment counts may vary run to run.
+	// within-job parallelism, and empty for a streamed sweep (see
+	// SweepMixesContext) — so a default-Parallel LRU sweep without
+	// StreamSource records no parallel passes. The simulated results are
+	// bit-identical either way — only this metadata depends on the plan,
+	// and under a contended shared budget the segment counts may vary run
+	// to run.
 	Parallel []ParallelPass
 	opts     Options
 }
@@ -99,17 +102,35 @@ func SweepMixes(o Options, mixes []workload.Mix) (*SweepResult, error) {
 // and inside one (each simulation's reference stream is context-checked),
 // so even a single-cell sweep over a long trace aborts promptly.
 //
-// Every grid job routes through the engine capability registry
-// (core.RunSweep), which picks the fastest engine that is sound for the
-// job's configuration: under LRU (the default), the demand half runs one
+// Every grid pass routes through the engine capability registry
+// (core.SelectEngine), which picks the fastest engine that is sound for the
+// pass's configuration: under LRU (the default), the demand half runs one
 // generalized stack-simulation pass per (mix, organization)
 // (cache.MultiSystem) and the prefetch half one fan-out pass
 // (cache.FanoutSystem); a non-LRU Options.Repl breaks stack inclusion, so
 // the registry transparently falls back to one cache per size. All routes
 // are bit-identical to the per-size simulations they replace.
+//
+// When every pass selects an engine with an incremental form and the
+// streams come from the generator — no StreamSource, no Sampled, and no
+// time-parallel request (Parallel nil or below two workers) — the sweep is
+// streamed: no stream is materialized. Each job opens one mix's generator
+// and feeds a group of its passes from one reusable chunk buffer
+// (core.Feed), so workers split engines, not time. Otherwise every mix is
+// materialized once and each pass re-reads it from memory.
 func SweepMixesContext(ctx context.Context, o Options, mixes []workload.Mix) (*SweepResult, error) {
 	o = o.withDefaults()
 	res := &SweepResult{Sizes: o.Sizes, Mixes: mixes, opts: o}
+	res.Cells = make([][]SweepCell, len(mixes))
+	for i := range res.Cells {
+		res.Cells[i] = make([]SweepCell, len(o.Sizes))
+	}
+	if o.streamed(mixes) {
+		if err := o.sweepStreamed(ctx, mixes, res.Cells); err != nil {
+			return nil, err
+		}
+		return res, nil
+	}
 	// Materialize each mix's reference stream once; the grid re-reads it
 	// from memory for every job.
 	streams := make([][]trace.Ref, len(mixes))
@@ -128,23 +149,18 @@ func SweepMixesContext(ctx context.Context, o Options, mixes []workload.Mix) (*S
 	if err != nil {
 		return nil, err
 	}
-	res.Cells = make([][]SweepCell, len(mixes))
-	for i := range res.Cells {
-		res.Cells[i] = make([]SweepCell, len(o.Sizes))
-	}
 	// Job list: per mix, one all-sizes pass per (fetch policy,
 	// organization). Each job writes only its own cell fields, so results
 	// are bit-identical regardless of the worker count.
 	type job struct {
-		mi       int
-		split    bool
-		prefetch bool
+		mi int
+		p  gridPass
 	}
 	var jobs []job
 	for mi := range mixes {
-		jobs = append(jobs,
-			job{mi, true, false}, job{mi, false, false},
-			job{mi, true, true}, job{mi, false, true})
+		for _, p := range gridPasses {
+			jobs = append(jobs, job{mi, p})
+		}
 	}
 	// Each job writes only its own slot, so sampled-pass metadata stays
 	// deterministic (job order) regardless of the worker count.
@@ -153,15 +169,15 @@ func SweepMixesContext(ctx context.Context, o Options, mixes []workload.Mix) (*S
 	err = o.forEachCtx(ctx, len(jobs), func(j int) error {
 		jb := jobs[j]
 		mix, refs := mixes[jb.mi], streams[jb.mi]
-		out, err := runPass(ctx, o, mix, refs, jb.split, jb.prefetch, res.Cells[jb.mi])
+		out, err := runPass(ctx, o, mix, refs, jb.p, res.Cells[jb.mi])
 		if err != nil {
-			return fmt.Errorf("sweep %s %s: %w", mix.Name, fetchName(jb.prefetch), err)
+			return fmt.Errorf("sweep %s %s: %w", mix.Name, fetchName(jb.p.prefetch), err)
 		}
 		if out.Sampled != nil {
-			passes[j] = &SampledPass{Mix: mix.Name, Split: jb.split, Prefetch: jb.prefetch, Info: *out.Sampled}
+			passes[j] = &SampledPass{Mix: mix.Name, Split: jb.p.split, Prefetch: jb.p.prefetch, Info: *out.Sampled}
 		}
 		if out.Parallel != nil {
-			parPasses[j] = &ParallelPass{Mix: mix.Name, Split: jb.split, Prefetch: jb.prefetch, Info: *out.Parallel}
+			parPasses[j] = &ParallelPass{Mix: mix.Name, Split: jb.p.split, Prefetch: jb.p.prefetch, Info: *out.Parallel}
 		}
 		return nil
 	})
@@ -179,6 +195,19 @@ func SweepMixesContext(ctx context.Context, o Options, mixes []workload.Mix) (*S
 		}
 	}
 	return res, nil
+}
+
+// gridPass is one of a mix's four all-sizes passes: an organization and a
+// fetch policy.
+type gridPass struct{ split, prefetch bool }
+
+// gridPasses lists a mix's passes in job order: the demand half, then the
+// prefetch half, split before unified in each.
+var gridPasses = []gridPass{{true, false}, {false, false}, {true, true}, {false, true}}
+
+// stage names the pass in sink events and spans.
+func (p gridPass) stage(mix workload.Mix) string {
+	return "sweep:" + mix.Name + ":" + fetchName(p.prefetch) + ":" + orgName(p.split)
 }
 
 // orgName names a cache organization in stage and span labels.
@@ -208,17 +237,11 @@ type PassResult struct {
 	Results  []SimOut
 }
 
-// runPass executes one (organization, fetch policy) job at every size via
-// the engine capability registry and scatters the per-size results into
-// the mix's cell row. The returned SweepOut carries the sampling and
-// parallel metadata when those engines ran (its Results are already
-// scattered).
-func runPass(ctx context.Context, o Options, mix workload.Mix, refs []trace.Ref, split, prefetch bool, row []SweepCell) (core.SweepOut, error) {
-	stage := "sweep:" + mix.Name + ":" + fetchName(prefetch) + ":" + orgName(split)
-	sp := obs.StartSpan(ctx, stage)
-	defer sp.End()
+// passSpec is the serial sweep spec of one pass over mix; a materialized
+// pass adds the time-parallel options (see runPass).
+func (o Options) passSpec(mix workload.Mix, p gridPass) core.SweepSpec {
 	fetch := cache.DemandFetch
-	if prefetch {
+	if p.prefetch {
 		fetch = cache.PrefetchAlways
 	}
 	sampled := o.Sampled
@@ -230,32 +253,51 @@ func runPass(ctx context.Context, o Options, mix workload.Mix, refs []trace.Ref,
 		derived.CycleRefs = len(mix.Specs) * mix.Quantum
 		sampled = &derived
 	}
-	spec := core.SweepSpec{
-		Sizes: o.Sizes, LineSize: o.LineSize, Split: split,
+	return core.SweepSpec{
+		Sizes: o.Sizes, LineSize: o.LineSize, Split: p.split,
 		Quantum: mix.Quantum, Fetch: fetch, Repl: o.Repl,
-		Victim: o.Victim, L2: o.L2,
-		Sampled: sampled, Parallel: o.parallelSpec(),
+		Victim: o.Victim, L2: o.L2, Sampled: sampled,
 	}
+}
+
+// runPass executes one materialized (organization, fetch policy) job at
+// every size via the engine capability registry and scatters the per-size
+// results into the mix's cell row. The returned SweepOut carries the
+// sampling and parallel metadata when those engines ran (its Results are
+// already scattered).
+func runPass(ctx context.Context, o Options, mix workload.Mix, refs []trace.Ref, p gridPass, row []SweepCell) (core.SweepOut, error) {
+	stage := p.stage(mix)
+	sp := obs.StartSpan(ctx, stage)
+	defer sp.End()
+	spec := o.passSpec(mix, p)
+	spec.Parallel = o.parallelSpec()
 	out, err := core.RunSweep(ctx, spec, trace.NewSliceReader(refs), o.Sink, stage, int64(len(refs)))
 	if err != nil {
 		return core.SweepOut{}, err
 	}
 	sp.AddRefs(int64(len(refs)))
+	o.deliver(mix, p, out.Results, row)
+	return out, nil
+}
+
+// deliver scatters one pass's per-size results into the mix's cell row
+// and hands them to OnPass.
+func (o Options) deliver(mix workload.Mix, p gridPass, results []cache.SizeResult, row []SweepCell) {
 	var outs []SimOut
 	if o.OnPass != nil { // only allocate the callback's copy when someone listens
-		outs = make([]SimOut, len(out.Results))
+		outs = make([]SimOut, len(results))
 	}
-	for si, r := range out.Results {
+	for si, r := range results {
 		cell := SimOut{Ref: r.Ref, I: r.I, D: r.D, U: r.U, CI: r.CI, H: r.H}
 		if outs != nil {
 			outs[si] = cell
 		}
 		switch {
-		case split && prefetch:
+		case p.split && p.prefetch:
 			row[si].SplitPrefetch = cell
-		case split:
+		case p.split:
 			row[si].SplitDemand = cell
-		case prefetch:
+		case p.prefetch:
 			row[si].UnifiedPrefetch = cell
 		default:
 			row[si].UnifiedDemand = cell
@@ -263,11 +305,112 @@ func runPass(ctx context.Context, o Options, mix workload.Mix, refs []trace.Ref,
 	}
 	if o.OnPass != nil {
 		o.OnPass(PassResult{
-			Mix: mix.Name, Split: split, Prefetch: prefetch,
+			Mix: mix.Name, Split: p.split, Prefetch: p.prefetch,
 			Sizes: o.Sizes, Results: outs,
 		})
 	}
-	return out, nil
+}
+
+// streamed reports whether the sweep takes the streamed path: the streams
+// come from the generator, no pass is sampled or time-parallel, and the
+// registry picks an engine with an incremental form for every pass.
+func (o Options) streamed(mixes []workload.Mix) bool {
+	if o.StreamSource != nil || o.Sampled != nil || (o.Parallel != nil && o.Parallel.Workers >= 2) {
+		return false
+	}
+	for _, m := range mixes {
+		for _, p := range gridPasses {
+			spec := o.passSpec(m, p)
+			if spec.Validate() != nil || core.SelectEngine(spec).Open == nil {
+				return false
+			}
+		}
+	}
+	return true
+}
+
+// passGroups splits a mix's passes into the streamed sweep's jobs: all
+// four in one job when the mixes alone give every worker a job; else the
+// split and unified pairs (each one demand pass plus one prefetch pass);
+// else one pass per job. Each job regenerates its mix's stream.
+func (o Options) passGroups(mixes int) [][]gridPass {
+	switch {
+	case mixes >= o.Workers:
+		return [][]gridPass{gridPasses}
+	case 2*mixes >= o.Workers:
+		return [][]gridPass{
+			{gridPasses[0], gridPasses[2]},
+			{gridPasses[1], gridPasses[3]},
+		}
+	default:
+		groups := make([][]gridPass, len(gridPasses))
+		for i := range gridPasses {
+			groups[i] = gridPasses[i : i+1]
+		}
+		return groups
+	}
+}
+
+// groupSpan names a streamed job's span: the mix for a whole-mix job, plus
+// the organization for a pair, plus the fetch policy for a single pass.
+func groupSpan(mix workload.Mix, group []gridPass) string {
+	switch len(group) {
+	case len(gridPasses):
+		return "sweep:" + mix.Name
+	case 1:
+		return group[0].stage(mix)
+	default:
+		return "sweep:" + mix.Name + ":" + orgName(group[0].split)
+	}
+}
+
+// sweepStreamed runs the streamed sweep: one job per (mix, pass group).
+// Each job writes only its own cell fields, so results are bit-identical
+// regardless of the worker count and the grouping.
+func (o Options) sweepStreamed(ctx context.Context, mixes []workload.Mix, cells [][]SweepCell) error {
+	groups := o.passGroups(len(mixes))
+	return o.forEachCtx(ctx, len(mixes)*len(groups), func(j int) error {
+		mi, group := j/len(groups), groups[j%len(groups)]
+		return o.runStreamed(ctx, mixes[mi], group, cells[mi])
+	})
+}
+
+// runStreamed is one streamed job: it opens the mix's generator once,
+// feeds every pass of the group from it chunk by chunk, and delivers each
+// pass's results when the stream ends. Its one span covers generation and
+// every pass, so spans still tile the sweep.
+func (o Options) runStreamed(ctx context.Context, mix workload.Mix, group []gridPass, row []SweepCell) error {
+	sp := obs.StartSpan(ctx, groupSpan(mix, group))
+	defer sp.End()
+	m := o.limitMix(mix)
+	rd, err := m.Open()
+	if err != nil {
+		return fmt.Errorf("sweep %s: %w", mix.Name, err)
+	}
+	total := int64(m.TotalRefs())
+	streams := make([]*core.SweepStream, 0, len(group))
+	for _, p := range group {
+		spec := o.passSpec(mix, p)
+		st, err := core.SelectEngine(spec).Open(spec, o.Sink, p.stage(mix), total)
+		if err != nil {
+			for _, open := range streams {
+				open.Close(err) // pairs its events and releases it; returns err
+			}
+			return fmt.Errorf("sweep %s %s: %w", mix.Name, fetchName(p.prefetch), err)
+		}
+		streams = append(streams, st)
+	}
+	err = core.Feed(ctx, rd, streams...)
+	for i, st := range streams {
+		if out, cerr := st.Close(err); cerr == nil {
+			o.deliver(mix, group[i], out.Results, row)
+		}
+	}
+	if err != nil {
+		return fmt.Errorf("sweep %s: %w", mix.Name, err)
+	}
+	sp.AddRefs(total)
+	return nil
 }
 
 // SizeIndex returns the index of a cache size in Sizes, or -1.

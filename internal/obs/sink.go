@@ -78,7 +78,7 @@ type Sink interface {
 // Discard is a Sink that wants nothing and drops everything. Installing it
 // (rather than nil) exercises the engines' instrumented path without
 // switching on 3C attribution; the benchmark suite does exactly that so
-// `make benchcheck` guards the overhead.
+// CI's bench-smoke gate guards the overhead.
 var Discard Sink = discard{}
 
 type discard struct{}
