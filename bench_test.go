@@ -8,14 +8,12 @@ package cacheeval_test
 
 import (
 	"context"
-	"runtime"
 	"testing"
 
 	"cacheeval"
 	"cacheeval/internal/core"
 	"cacheeval/internal/experiments"
 	"cacheeval/internal/obs"
-	"cacheeval/internal/parallel"
 	"cacheeval/internal/trace"
 	"cacheeval/internal/workload"
 )
@@ -180,8 +178,7 @@ func benchSampledOpts(b *testing.B) (experiments.Options, []workload.Mix) {
 		refs = 25000
 	}
 	// Workers pins the grid serial so Exact/Sampled stay stable baselines on
-	// any runner; BenchmarkSweepParallel overrides it to measure the
-	// time-parallel engine against them.
+	// any runner.
 	o := experiments.Options{Sink: obs.Discard, Workers: 1}
 	// Two of Table 3's single-trace workload units (VCCOM, VSPICE), with
 	// their run lengths extended beyond the paper's 250,000 references
@@ -240,38 +237,6 @@ func BenchmarkSweepSampled(b *testing.B) {
 		}
 		if !testing.Short() {
 			for _, p := range res.Sampled {
-				if p.Info.FellBack {
-					b.Fatalf("pass %s split=%v prefetch=%v fell back: %s",
-						p.Mix, p.Split, p.Prefetch, p.Info.FallbackReason)
-				}
-			}
-		}
-	}
-}
-
-// BenchmarkSweepParallel runs the same sweep as BenchmarkSweepExact under
-// the time-parallel engine: jobs stay serial (the baseline's schedule) and
-// each pass segments its stream across GOMAXPROCS workers, so the recorded
-// BENCH_5.json pair (exact vs parallel) isolates the wall-clock effect of
-// segmentation alone. Results are bit-identical to the exact baseline by
-// construction. On a single-core runner the engine delegates to serial and
-// the pair records ~1x; the speedup claim in README.md applies to runners
-// with four or more cores.
-func BenchmarkSweepParallel(b *testing.B) {
-	o, mixes := benchSampledOpts(b)
-	workers := runtime.GOMAXPROCS(0)
-	o.Parallel = &core.ParallelOptions{
-		Workers: workers,
-		Budget:  parallel.NewBudget(workers),
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		res, err := experiments.SweepMixes(o, mixes)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if workers > 1 && !testing.Short() {
-			for _, p := range res.Parallel {
 				if p.Info.FellBack {
 					b.Fatalf("pass %s split=%v prefetch=%v fell back: %s",
 						p.Mix, p.Split, p.Prefetch, p.Info.FallbackReason)

@@ -55,29 +55,16 @@ func run(args []string, stdin io.Reader, stdout io.Writer) error {
 	jsonOut := fs.Bool("json", false, "emit machine-readable JSON instead of text")
 	sampleBudget := fs.Float64("sample-budget", 0,
 		"interval-sampled run targeting this relative CI half-width (e.g. 0.02 = ±2%); 0 = exact simulation")
-	parallelN := fs.Int("parallel", 0,
-		"time-parallel exact simulation with N segment workers (results bit-identical to serial); 0 or 1 = serial")
 	if err := fs.Parse(args); err != nil {
 		return err
-	}
-	if *parallelN < 0 {
-		return fmt.Errorf("-parallel %d must be >= 0", *parallelN)
-	}
-	if *parallelN >= 2 && *sampleBudget > 0 {
-		return fmt.Errorf("-parallel and -sample-budget are mutually exclusive")
 	}
 	if *l2Size == 0 && (*l2Line != 0 || *l2Assoc != 0) {
 		return fmt.Errorf("-l2-line and -l2-assoc require -l2-size")
 	}
-	if *victim > 0 || *l2Size > 0 {
-		// Neither the sampled nor the time-parallel engine is sound for
-		// victim buffers or hierarchies (see core.SweepSpec.Validate).
-		if *sampleBudget > 0 {
-			return fmt.Errorf("-victim/-l2-size and -sample-budget are mutually exclusive")
-		}
-		if *parallelN >= 2 {
-			return fmt.Errorf("-victim/-l2-size and -parallel are mutually exclusive")
-		}
+	if (*victim > 0 || *l2Size > 0) && *sampleBudget > 0 {
+		// The sampled engine is not sound for victim buffers or
+		// hierarchies (see core.SweepSpec.Validate).
+		return fmt.Errorf("-victim/-l2-size and -sample-budget are mutually exclusive")
 	}
 
 	cfg := cache.Config{
@@ -139,9 +126,6 @@ func run(args []string, stdin io.Reader, stdout io.Writer) error {
 	}
 	if *sampleBudget > 0 {
 		return runSampled(stdout, sc, cfg, rd, *maxRefs, *sampleBudget, *jsonOut)
-	}
-	if *parallelN >= 2 {
-		return runParallel(stdout, sc, cfg, rd, *maxRefs, *parallelN, *jsonOut)
 	}
 	n, err := sys.Run(rd, *maxRefs)
 	if err != nil {
@@ -336,92 +320,6 @@ func runSampled(stdout io.Writer, sc cache.SystemConfig, cfg cache.Config, rd tr
 	}
 	fmt.Fprintf(stdout, "traffic ratio:    %.3f (vs cacheless, [Hil84])\n", rep.TrafficRatio)
 	return nil
-}
-
-// runParallel executes the trace on the time-parallel engine: the stream
-// splits into contiguous segments simulated concurrently and reconciled to
-// results bit-identical to a serial run. The output adds the plan — segment
-// count, alignment, convergence cost — or the reason the run stayed serial.
-func runParallel(stdout io.Writer, sc cache.SystemConfig, cfg cache.Config, rd trace.Reader, maxRefs, workers int, jsonOut bool) error {
-	var lim trace.Reader = rd
-	if maxRefs > 0 {
-		lim = trace.NewLimitReader(rd, maxRefs)
-	}
-	refs, err := trace.Collect(lim, 0, maxRefs)
-	if err != nil {
-		return err
-	}
-	rep, info, err := core.EvaluateParallelRefsContext(
-		context.Background(), sc, "trace", refs, &core.ParallelOptions{Workers: workers})
-	if err != nil {
-		return err
-	}
-	if jsonOut {
-		enc := json.NewEncoder(stdout)
-		enc.SetIndent("", "  ")
-		return enc.Encode(parallelJSONResult{
-			Configuration:        cfg.String(),
-			References:           rep.Refs,
-			MissRatio:            rep.MissRatio,
-			InstrMiss:            rep.InstrMiss,
-			DataMiss:             rep.DataMiss,
-			TrafficRatio:         rep.TrafficRatio,
-			Workers:              workers,
-			Engine:               info.Engine,
-			Segments:             info.Segments,
-			Aligned:              info.Aligned,
-			Boundaries:           info.Boundaries,
-			Converged:            info.Converged,
-			MaxConvergenceRefs:   info.MaxConvergenceRefs,
-			TotalConvergenceRefs: info.TotalConvergenceRefs,
-			FellBack:             info.FellBack,
-			FallbackReason:       info.FallbackReason,
-		})
-	}
-	fmt.Fprintf(stdout, "configuration:    %s", cfg)
-	if sc.Split {
-		fmt.Fprintf(stdout, " (split I/D)")
-	}
-	if sc.PurgeInterval > 0 {
-		fmt.Fprintf(stdout, ", purge every %d refs", sc.PurgeInterval)
-	}
-	fmt.Fprintln(stdout)
-	fmt.Fprintf(stdout, "references:       %d\n", rep.Refs)
-	fmt.Fprintf(stdout, "miss ratio:       %.4f overall, %.4f instruction, %.4f data\n",
-		rep.MissRatio, rep.InstrMiss, rep.DataMiss)
-	if info.FellBack {
-		fmt.Fprintf(stdout, "parallel:         ran serially: %s\n", info.FallbackReason)
-	} else {
-		plan := "speculative"
-		if info.Aligned {
-			plan = "purge-aligned"
-		}
-		fmt.Fprintf(stdout, "parallel:         %d segments (%s), %d/%d boundaries converged, %d refs re-simulated (max %d)\n",
-			info.Segments, plan, info.Converged, info.Boundaries,
-			info.TotalConvergenceRefs, info.MaxConvergenceRefs)
-	}
-	fmt.Fprintf(stdout, "traffic ratio:    %.3f (vs cacheless, [Hil84])\n", rep.TrafficRatio)
-	return nil
-}
-
-// parallelJSONResult is the -json output shape of a -parallel run.
-type parallelJSONResult struct {
-	Configuration        string  `json:"configuration"`
-	References           uint64  `json:"references"`
-	MissRatio            float64 `json:"miss_ratio"`
-	InstrMiss            float64 `json:"instruction_miss_ratio"`
-	DataMiss             float64 `json:"data_miss_ratio"`
-	TrafficRatio         float64 `json:"traffic_ratio"`
-	Workers              int     `json:"workers"`
-	Engine               string  `json:"engine"`
-	Segments             int     `json:"segments"`
-	Aligned              bool    `json:"aligned"`
-	Boundaries           int     `json:"boundaries"`
-	Converged            int     `json:"converged"`
-	MaxConvergenceRefs   int     `json:"max_convergence_refs"`
-	TotalConvergenceRefs uint64  `json:"total_convergence_refs"`
-	FellBack             bool    `json:"fell_back"`
-	FallbackReason       string  `json:"fallback_reason,omitempty"`
 }
 
 // jsonCI is the machine-readable confidence interval of a sampled run.

@@ -207,98 +207,6 @@ func TestRunSampledJSON(t *testing.T) {
 	}
 }
 
-// parallelTestTrace renders a trace long enough for the time-parallel
-// engine's default 64K-reference minimum segment to split in two.
-func parallelTestTrace(t *testing.T) string {
-	t.Helper()
-	var b bytes.Buffer
-	w := trace.NewTextWriter(&b)
-	for i := 0; i < 140000; i++ {
-		w.Write(trace.Ref{Addr: uint64(i%2900) * 16, Size: 4, Kind: trace.IFetch})
-		if i%5 == 0 {
-			w.Write(trace.Ref{Addr: 0x100000 + uint64(i%733)*8, Size: 8, Kind: trace.Read})
-		}
-		if i%11 == 0 {
-			w.Write(trace.Ref{Addr: 0x200000 + uint64(i%89)*8, Size: 8, Kind: trace.Write})
-		}
-	}
-	if err := w.Flush(); err != nil {
-		t.Fatal(err)
-	}
-	return b.String()
-}
-
-func TestRunParallel(t *testing.T) {
-	tr := parallelTestTrace(t)
-	serialArgs := []string{"-size", "4096", "-purge", "20000", "-json"}
-	var serial bytes.Buffer
-	if err := run(serialArgs, strings.NewReader(tr), &serial); err != nil {
-		t.Fatal(err)
-	}
-	var par bytes.Buffer
-	if err := run(append(serialArgs, "-parallel", "4"), strings.NewReader(tr), &par); err != nil {
-		t.Fatal(err)
-	}
-	var want, got map[string]any
-	if err := json.Unmarshal(serial.Bytes(), &want); err != nil {
-		t.Fatal(err)
-	}
-	if err := json.Unmarshal(par.Bytes(), &got); err != nil {
-		t.Fatalf("invalid JSON: %v\n%s", err, par.String())
-	}
-	// The parallel run must reproduce the serial figures bit for bit.
-	for _, key := range []string{"references", "miss_ratio", "instruction_miss_ratio",
-		"data_miss_ratio", "traffic_ratio"} {
-		if got[key] != want[key] {
-			t.Errorf("%s: parallel %v != serial %v", key, got[key], want[key])
-		}
-	}
-	if got["fell_back"].(bool) {
-		t.Fatalf("parallel run fell back: %v", got["fallback_reason"])
-	}
-	if seg := got["segments"].(float64); seg < 2 {
-		t.Errorf("segments = %v, want >= 2", seg)
-	}
-	if got["aligned"] != true {
-		t.Errorf("purge-rich trace did not align: %v", got)
-	}
-
-	// Text mode reports the plan.
-	var text bytes.Buffer
-	if err := run([]string{"-size", "4096", "-purge", "20000", "-parallel", "4"},
-		strings.NewReader(tr), &text); err != nil {
-		t.Fatal(err)
-	}
-	for _, wantStr := range []string{"parallel:", "segments", "boundaries converged"} {
-		if !strings.Contains(text.String(), wantStr) {
-			t.Errorf("text output missing %q:\n%s", wantStr, text.String())
-		}
-	}
-}
-
-func TestRunParallelFallback(t *testing.T) {
-	// The short trace cannot fill two minimum-length segments, so the run
-	// must delegate to serial simulation and say so.
-	var out bytes.Buffer
-	if err := run([]string{"-size", "1024", "-parallel", "4"},
-		strings.NewReader(testTrace(t)), &out); err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(out.String(), "ran serially:") {
-		t.Errorf("fallback not reported:\n%s", out.String())
-	}
-}
-
-func TestRunParallelFlagValidation(t *testing.T) {
-	if err := run([]string{"-parallel", "-3"}, strings.NewReader(""), &bytes.Buffer{}); err == nil {
-		t.Error("negative -parallel accepted")
-	}
-	if err := run([]string{"-parallel", "4", "-sample-budget", "0.1"},
-		strings.NewReader(""), &bytes.Buffer{}); err == nil {
-		t.Error("-parallel with -sample-budget accepted")
-	}
-}
-
 func TestRunJSON(t *testing.T) {
 	var out bytes.Buffer
 	if err := run([]string{"-size", "1024", "-json"}, strings.NewReader(testTrace(t)), &out); err != nil {

@@ -131,7 +131,7 @@ type monitor struct {
 	stages   map[string]*stageView
 	order    []string // stage insertion order, for stable rendering
 	cells    int
-	notes    []string // one-shot findings: sampled verdicts, parallel plans, gaps
+	notes    []string // one-shot findings: sampled verdicts, gaps
 	summary  json.RawMessage
 	rendered int // lines drawn by the last live frame, for cursor-up redraw
 }
@@ -240,20 +240,6 @@ func (m *monitor) apply(ev jobs.Event) {
 		}
 		m.notes = append(m.notes, note)
 		line = note
-	case obs.EventParallelRun:
-		var d obs.ParallelRunEvent
-		json.Unmarshal(ev.Data, &d)
-		note := fmt.Sprintf("%s: parallel plan: %d segments (aligned=%v)", d.Stage, d.Segments, d.Aligned)
-		if d.FellBack {
-			note = fmt.Sprintf("%s: parallel fell back to serial: %s", d.Stage, d.Reason)
-		}
-		m.notes = append(m.notes, note)
-		line = note
-	case obs.EventParallelBoundary:
-		var d obs.ParallelBoundaryEvent
-		json.Unmarshal(ev.Data, &d)
-		line = fmt.Sprintf("%s: boundary reconciled after %d refs (converged=%v)",
-			d.Stage, d.DistanceRefs, d.Converged)
 	case obs.EventHierarchyRun, obs.EventMissCauses:
 		line = ev.Type
 	case jobs.EventGap:

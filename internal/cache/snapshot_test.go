@@ -144,8 +144,8 @@ func TestMultiSystemExplicitPurge(t *testing.T) {
 // contract to every replacement policy: a purge-free System purged
 // manually on the trace clock must match an auto-purging one bit for bit —
 // reference stats, line stats, and end state. This is what lets the
-// time-parallel engine replay the serial purge schedule onto its segment
-// replicas for any policy (Random included: identical purge points keep
+// sampled driver replay the serial purge schedule onto its purge-free
+// targets for any policy (Random included: identical purge points keep
 // the rng consumption aligned).
 func TestSystemExplicitPurgeAllPolicies(t *testing.T) {
 	refs := simcheck.Stream(19, 5000)

@@ -4,12 +4,10 @@ import "slices"
 
 // Logical state equality.
 //
-// The time-parallel sweep engine (internal/parallel) simulates segments of
-// one reference stream speculatively from a cold state and must detect the
-// instant a speculative cache has provably converged onto the true one:
-// from a common state, identical references produce identical transitions
-// and identical statistics deltas, so once the states match the segment's
-// remaining counts can be spliced in exactly.
+// Two simulators that must behave identically from here on — a cache built
+// from recycled arrays and a fresh one, an engine observed mid-run and an
+// unobserved twin — are compared by logical state: from a common state,
+// identical references produce identical transitions and statistics.
 //
 // "State" here is everything that can influence a future access: resident
 // tags and their order within each replacement list, per-sub-block valid
@@ -19,11 +17,9 @@ import "slices"
 // layout are allocation details that two caches built by different
 // histories need not share and that no policy except Random can observe.
 // Random replacement picks victims by frame index from its private rng, so
-// its future behaviour is not a function of this state — callers that need
-// convergence (the parallel engine) must not rely on StateEqual under
-// Random. The 3C-attribution shadow (EnableMissCauses) is likewise outside
-// the comparison: it is observability state, never consulted by the
-// replacement path.
+// its future behaviour is not a function of this state. The 3C-attribution
+// shadow (EnableMissCauses) is likewise outside the comparison: it is
+// observability state, never consulted by the replacement path.
 
 // StateEqual reports whether c and o — two caches built from the same
 // Config — hold identical logical state: the same tags in the same
@@ -72,8 +68,7 @@ func (c *Cache) StateEqual(o *Cache) bool {
 
 // StateEqual reports whether two systems built from the same SystemConfig
 // hold identical logical cache state (see Cache.StateEqual). Statistics
-// and the purge clock are not state: the parallel engine drives purges on
-// the trace clock, so replicas it compares never self-schedule.
+// and the purge clock are not state.
 func (s *System) StateEqual(o *System) bool {
 	return cachePairEqual(s.unified, o.unified) &&
 		cachePairEqual(s.icache, o.icache) &&
@@ -110,70 +105,6 @@ func vbufEqual(a, b *set) bool {
 		bi = bn.next
 	}
 	return true
-}
-
-// StateEqual reports whether two engines built from the same MultiConfig
-// hold identical logical state: the same lines in the same recency order
-// with the same outside-count, dirty-bound and written annotations, and
-// every per-size marker at the same stack depth. Node arena indices are
-// insertion-order artifacts and excluded.
-func (m *MultiSystem) StateEqual(o *MultiSystem) bool {
-	return multiSimPairEqual(m.unified, o.unified) &&
-		multiSimPairEqual(m.icache, o.icache) &&
-		multiSimPairEqual(m.dcache, o.dcache)
-}
-
-func multiSimPairEqual(a, b *multiSim) bool {
-	if (a == nil) != (b == nil) {
-		return false
-	}
-	return a == nil || a.stateEqual(b)
-}
-
-func (s *multiSim) stateEqual(o *multiSim) bool {
-	if !slices.Equal(s.lines, o.lines) {
-		return false
-	}
-	bi := o.head
-	for ai := s.head; ai != -1; ai = s.nodes[ai].next {
-		if bi == -1 {
-			return false
-		}
-		an, bn := &s.nodes[ai], &o.nodes[bi]
-		if an.line != bn.line || an.out != bn.out || an.written != bn.written {
-			return false
-		}
-		if an.written && an.lo != bn.lo {
-			return false
-		}
-		bi = bn.next
-	}
-	if bi != -1 {
-		return false
-	}
-	for i := range s.markers {
-		if s.markerDepth(i) != o.markerDepth(i) {
-			return false
-		}
-	}
-	return true
-}
-
-// markerDepth returns the stack depth of marker i (-1 when unset). O(live);
-// used only by state comparison, never on the simulation hot path.
-func (s *multiSim) markerDepth(i int) int {
-	ni := s.markers[i]
-	if ni < 0 {
-		return -1
-	}
-	d := 0
-	for x := s.head; x != -1; x = s.nodes[x].next {
-		if x == ni {
-			return d
-		}
-		d++
-	}
-	return -2 // marker off-stack: impossible by construction
 }
 
 // StateEqual reports whether two engines built from the same FanoutConfig
@@ -219,9 +150,7 @@ func (c *fanoutCache) stateEqual(o *fanoutCache) bool {
 // ResultsSnapshot returns what Results would report right now, without
 // settling or consuming the engine: the bucket accounting is copied and
 // the outstanding push/dirty attribution applied to the copies, so the
-// engine keeps processing references afterwards. Every Stats field is a
-// linear function of the bucket histograms, which is what makes per-segment
-// snapshot deltas splice exactly in the time-parallel engine.
+// engine keeps processing references afterwards.
 func (m *MultiSystem) ResultsSnapshot() []SizeResult {
 	lineBytes := uint64(m.cfg.LineSize)
 	var iStats, dStats, uStats []Stats

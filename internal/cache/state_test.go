@@ -8,9 +8,7 @@ import (
 	"cacheeval/internal/trace"
 )
 
-// newStateSystem builds a purge-free system for state-equality tests
-// (the time-parallel driver schedules purges itself, so the replicas it
-// compares never self-purge).
+// newStateSystem builds a purge-free system for state-equality tests.
 func newStateSystem(t *testing.T, repl cache.Replacement, split bool) *cache.System {
 	t.Helper()
 	base := cache.Config{Size: 1024, LineSize: 16, Repl: repl, Seed: 42}
@@ -84,10 +82,9 @@ func TestStateEqualSeesDirtyAndOrder(t *testing.T) {
 	}
 }
 
-// TestStateEqualConvergence is the property the time-parallel engine's
-// reconciliation rests on: an LRU cache forgets its past, so a cold system
-// and a warm system fed the same churning suffix end StateEqual — and from
-// that point identical inputs keep them identical.
+// TestStateEqualConvergence checks that an LRU cache forgets its past: a
+// cold system and a warm system fed the same churning suffix end
+// StateEqual — and from that point identical inputs keep them identical.
 func TestStateEqualConvergence(t *testing.T) {
 	warm := newStateSystem(t, cache.LRU, false)
 	cold := newStateSystem(t, cache.LRU, false)
@@ -117,42 +114,7 @@ func TestStateEqualConvergence(t *testing.T) {
 	}
 }
 
-// TestMultiSystemStateEqual checks the stack-engine comparison: identical
-// feeds stay equal, diverging feeds do not, and a purge restores equality
-// (both stacks empty) — the aligned-plan convergence point.
-func TestMultiSystemStateEqual(t *testing.T) {
-	refs := simcheck.Stream(7, 3000)
-	for _, split := range []bool{false, true} {
-		mk := func() *cache.MultiSystem {
-			ms, err := cache.NewMultiSystem(cache.MultiConfig{
-				Sizes: []int{256, 1024}, LineSize: 16, Split: split,
-			})
-			if err != nil {
-				t.Fatal(err)
-			}
-			return ms
-		}
-		a, b := mk(), mk()
-		for n, r := range refs {
-			a.Ref(r)
-			b.Ref(r)
-			if n%307 == 0 && !a.StateEqual(b) {
-				t.Fatalf("split=%v n=%d: identical feeds not StateEqual", split, n)
-			}
-		}
-		a.Ref(trace.Ref{Addr: 1 << 40, Size: 4, Kind: trace.Write})
-		if a.StateEqual(b) {
-			t.Fatalf("split=%v: StateEqual survived a diverging reference", split)
-		}
-		a.Purge()
-		b.Purge()
-		if !a.StateEqual(b) {
-			t.Fatalf("split=%v: purged engines not StateEqual", split)
-		}
-	}
-}
-
-// TestFanoutStateEqual is the same contract for the prefetch engine,
+// TestFanoutStateEqual is the StateEqual contract for the prefetch engine,
 // including its sensitivity to the prefetched bit (which decides future
 // prefetch-accuracy accounting).
 func TestFanoutStateEqual(t *testing.T) {
@@ -180,8 +142,7 @@ func TestFanoutStateEqual(t *testing.T) {
 	}
 }
 
-// TestMultiSystemResultsSnapshot checks the splice-arithmetic contract:
-// mid-run, ResultsSnapshot equals what a fresh engine fed the same prefix
+// TestMultiSystemResultsSnapshot checks the non-consuming snapshot: mid-run, ResultsSnapshot equals what a fresh engine fed the same prefix
 // reports from Results, and taking the snapshot must not perturb the
 // engine — the tail of the run stays bit-identical to an unobserved one.
 func TestMultiSystemResultsSnapshot(t *testing.T) {

@@ -147,8 +147,8 @@ type tally struct {
 	// scale extrapolates the memory byte counts to trace scale: trace
 	// references per simulated one, 1 for a run over the whole trace.
 	scale float64
-	// victimHits reports the victim-buffer hits; the sampled and
-	// time-parallel paths leave them out.
+	// victimHits reports the victim-buffer hits; the sampled path leaves
+	// them out.
 	victimHits bool
 }
 

@@ -49,12 +49,6 @@ type SweepSpec struct {
 	// Sampled opts the sweep into interval-sampled simulation with the
 	// given error budget; nil (or a zero budget) means exact simulation.
 	Sampled *SampledOptions
-	// Parallel opts the sweep into time-parallel exact simulation with the
-	// given worker budget; nil (or fewer than two workers) keeps the
-	// serial engines. Composes with Sampled: when sampling falls back to
-	// exact simulation, the fallback re-enters the registry and picks the
-	// parallel engine.
-	Parallel *ParallelOptions
 	// Victim adds a victim buffer of this many fully-associative lines
 	// behind every cache in the sweep (Jouppi's organization). Zero means
 	// no buffer. A buffer breaks stack inclusion — its contents depend on
@@ -104,11 +98,10 @@ func (s SweepSpec) fanoutSound() bool {
 }
 
 // Validate checks the spec by validating the per-size cache (or
-// hierarchy) configs it implies and the sampling/parallel options, when
-// present. Sampling and time-parallel simulation do not compose with
-// victim buffers or hierarchies; those combinations are rejected here so
-// every caller — the service's validators in particular — fails them
-// before an engine runs.
+// hierarchy) configs it implies and the sampling options, when present.
+// Sampling does not compose with victim buffers or hierarchies; those
+// combinations are rejected here so every caller — the service's
+// validators in particular — fails them before an engine runs.
 func (s SweepSpec) Validate() error {
 	if len(s.Sizes) == 0 {
 		return fmt.Errorf("core: sweep has no sizes")
@@ -125,13 +118,7 @@ func (s SweepSpec) Validate() error {
 	if s.Sampled != nil && s.Sampled.ErrorBudget > 0 && (s.Victim > 0 || s.L2 != nil) {
 		return fmt.Errorf("core: sampled sweeps do not support victim buffers or hierarchies")
 	}
-	if s.Parallel != nil && s.Parallel.Workers > 1 && (s.Victim > 0 || s.L2 != nil) {
-		return fmt.Errorf("core: time-parallel sweeps do not support victim buffers or hierarchies")
-	}
-	if err := s.Sampled.Validate(); err != nil {
-		return err
-	}
-	return s.Parallel.Validate()
+	return s.Sampled.Validate()
 }
 
 // systemConfig returns the per-size system configuration the spec implies.
@@ -155,13 +142,12 @@ func (s SweepSpec) hierarchyConfig(size int) cache.HierarchyConfig {
 }
 
 // SweepOut is what a sweep engine produces: the per-size results (in
-// Sizes order), the purge count, and — for the sampled and parallel
-// engines — their run metadata. Serial exact engines leave both nil.
+// Sizes order), the purge count, and — for the sampled engine — its run
+// metadata. Exact engines leave Sampled nil.
 type SweepOut struct {
-	Results  []cache.SizeResult
-	Purges   uint64
-	Sampled  *SampledInfo
-	Parallel *ParallelInfo
+	Results []cache.SizeResult
+	Purges  uint64
+	Sampled *SampledInfo
 }
 
 // SweepEngine is one registered way to execute a sweep. Supports declares
@@ -172,7 +158,7 @@ type SweepOut struct {
 // non-nil, is the engine's incremental form (see SweepStream): the
 // one-pass engines, which need each reference once and in order, have
 // one, and their Run is that form fed from rd. An engine that must hold
-// the whole stream (per-size, sampled, parallel) leaves it nil, so a
+// the whole stream (per-size, sampled) leaves it nil, so a
 // caller can tell from SelectEngine alone whether a spec can be fed
 // without materializing its stream.
 type SweepEngine struct {
@@ -261,13 +247,10 @@ func newSizeSim(sc cache.SystemConfig, l2 *cache.Config) (sizeSim, error) {
 // sound for every spec it claims. The sampled engine leads: a spec that
 // carries a positive error budget has opted into estimates, and the
 // engine's own exact-fallback escape hatch re-enters this list with the
-// budget stripped when sampling cannot meet it. The parallel engine comes
-// next — exact results from concurrent segments when the spec grants
-// workers, with its own serial-delegation escape hatch re-entering this
-// list when no sound parallel plan exists. Victim-buffer, L2 and non-LRU
-// specs reach only the per-size fallback.
+// budget stripped when sampling cannot meet it. Victim-buffer, L2 and
+// non-LRU specs reach only the per-size fallback.
 func Engines() []SweepEngine {
-	return []SweepEngine{sampledEngine, parallelEngine, multiEngine, fanoutEngine, perSizeEngine}
+	return []SweepEngine{sampledEngine, multiEngine, fanoutEngine, perSizeEngine}
 }
 
 // SelectEngine returns the fastest sound engine for the spec. The

@@ -4,6 +4,7 @@ import (
 	"context"
 	"math"
 	"runtime"
+	"slices"
 	"testing"
 
 	"cacheeval/internal/cache"
@@ -47,28 +48,10 @@ func TestSelectEngineTable(t *testing.T) {
 			if got := SelectEngine(spec).Name; got != want(fetch, repl) {
 				t.Errorf("SelectEngine(%v, %v, budget 0) = %q, want %q", fetch, repl, got, want(fetch, repl))
 			}
-			// A multi-worker parallel request outranks the serial engines
-			// (the parallel engine itself delegates when segmentation is
-			// unsound for the spec), but never outranks sampling, and a
-			// single-worker request changes nothing.
-			spec.Sampled = nil
-			spec.Parallel = &ParallelOptions{Workers: 4}
-			if got := SelectEngine(spec).Name; got != "parallel" {
-				t.Errorf("SelectEngine(%v, %v, workers 4) = %q, want parallel", fetch, repl, got)
-			}
-			spec.Sampled = &SampledOptions{ErrorBudget: 0.02}
-			if got := SelectEngine(spec).Name; got != "sampled" {
-				t.Errorf("SelectEngine(%v, %v, workers 4 + budget) = %q, want sampled", fetch, repl, got)
-			}
-			spec.Sampled = nil
-			spec.Parallel = &ParallelOptions{Workers: 1}
-			if got := SelectEngine(spec).Name; got != want(fetch, repl) {
-				t.Errorf("SelectEngine(%v, %v, workers 1) = %q, want %q", fetch, repl, got, want(fetch, repl))
-			}
 			// A victim buffer breaks stack inclusion (the buffer's contents
 			// depend on the size-varying eviction stream), so victim sweeps
 			// must run per size — never on a stack engine.
-			spec.Parallel = nil
+			spec.Sampled = nil
 			spec.Victim = 4
 			if got := SelectEngine(spec).Name; got != "persize" {
 				t.Errorf("SelectEngine(%v, %v, victim 4) = %q, want persize", fetch, repl, got)
@@ -112,8 +95,12 @@ func TestInclusionBreakingNeverStackSimulated(t *testing.T) {
 	// The selection order invariant behind the table: every engine ahead of
 	// the fallback must reject inclusion-breaking specs.
 	engines := Engines()
-	if engines[len(engines)-1].Name != "persize" {
-		t.Fatalf("fallback engine must be last, got %q", engines[len(engines)-1].Name)
+	var names []string
+	for _, e := range engines {
+		names = append(names, e.Name)
+	}
+	if want := []string{"sampled", "multisystem", "fanout", "persize"}; !slices.Equal(names, want) {
+		t.Fatalf("Engines() = %v, want %v", names, want)
 	}
 	broken := SweepSpec{Sizes: []int{512}, LineSize: 16, Fetch: cache.DemandFetch, Repl: cache.ARC}
 	for _, e := range engines[:len(engines)-1] {
@@ -316,9 +303,6 @@ func TestRunSweepValidates(t *testing.T) {
 		{Sizes: []int{128}, LineSize: 16, Sampled: &SampledOptions{ErrorBudget: math.NaN()}},
 		{Sizes: []int{128}, LineSize: 16, Sampled: &SampledOptions{ErrorBudget: 1}},
 		{Sizes: []int{128}, LineSize: 16, Sampled: &SampledOptions{ErrorBudget: 0.02, Confidence: 1.5}},
-		{Sizes: []int{128}, LineSize: 16, Parallel: &ParallelOptions{Workers: -1}},
-		{Sizes: []int{128}, LineSize: 16, Parallel: &ParallelOptions{Workers: 2, MinSegmentRefs: -1}},
-		{Sizes: []int{128}, LineSize: 16, Parallel: &ParallelOptions{Workers: 2, CheckEvery: -1}},
 		{Sizes: []int{128}, LineSize: 16, Victim: -1},                       // negative buffer
 		{Sizes: []int{128}, LineSize: 16, Victim: 1 << 20},                  // absurd buffer
 		{Sizes: []int{4096}, LineSize: 16, L2: &L2Spec{Size: 512}},          // inverted hierarchy: L2 < L1
@@ -327,8 +311,6 @@ func TestRunSweepValidates(t *testing.T) {
 		{Sizes: []int{128}, LineSize: 16, L2: &L2Spec{Size: 512, Assoc: 3}}, // bad associativity
 		{Sizes: []int{128}, LineSize: 16, Victim: 2, Sampled: &SampledOptions{ErrorBudget: 0.02}},
 		{Sizes: []int{128}, LineSize: 16, L2: &L2Spec{Size: 512}, Sampled: &SampledOptions{ErrorBudget: 0.02}},
-		{Sizes: []int{128}, LineSize: 16, Victim: 2, Parallel: &ParallelOptions{Workers: 4}},
-		{Sizes: []int{128}, LineSize: 16, L2: &L2Spec{Size: 512}, Parallel: &ParallelOptions{Workers: 4}},
 	}
 	for i, spec := range bad {
 		if _, err := RunSweep(context.Background(), spec, trace.NewSliceReader(nil), nil, "test", 0); err == nil {

@@ -245,7 +245,7 @@ type sampledPass struct {
 	lines   int // line count of the largest simulated cache (see planShape)
 	quantum int // trace-clock purge interval, and the workload cycle unless opts sets one
 	configs int // results per target
-	engine  segmentEngine
+	engine  targetBuilder
 	exact   exactRun // the exact run the driver falls back to
 }
 
@@ -291,7 +291,7 @@ func runSampled(ctx context.Context, sink obs.Sink, stage string, refs []trace.R
 	defer run.end(0) // an error return still closes the stage
 	outc, err := ctrl.Run(len(refs), p.configs,
 		func() trace.Reader { return trace.NewContextReader(ctx, trace.NewSliceReader(refs)) },
-		func() (sampling.Target, error) { return p.engine.build() },
+		p.engine,
 	)
 	if err != nil {
 		return nil, nil, err

@@ -1,7 +1,7 @@
 package core
 
-// Single-design sampled and time-parallel evaluation: one-config runs of
-// the sampled and parallel sweep engines' drivers.
+// Single-design sampled evaluation: a one-config run of the sampled sweep
+// engine's driver.
 
 import (
 	"context"
@@ -59,49 +59,6 @@ func EvaluateSampledRefsContext(ctx context.Context, design cache.SystemConfig, 
 	}), r.CI, info, nil
 }
 
-// EvaluateParallelRefsContext is EvaluateRefsContext with time-parallel
-// simulation: the single-design analogue of the sweep engine, for callers
-// holding a materialized stream (the evaluation service, cachesim
-// -parallel). Results are bit-identical to the serial path; the returned
-// ParallelInfo reports the plan, or why the run stayed serial. 3C miss
-// attribution (obs.KindMissCauses) is not available on the parallel path:
-// segment replicas would misattribute each other's compulsory misses, so
-// replicas carry no sink.
-func EvaluateParallelRefsContext(ctx context.Context, design cache.SystemConfig, name string, refs []trace.Ref, po *ParallelOptions) (Report, *ParallelInfo, error) {
-	if err := po.Validate(); err != nil {
-		return Report{}, nil, err
-	}
-	if err := design.Validate(); err != nil {
-		return Report{}, nil, err
-	}
-	var opts ParallelOptions
-	if po != nil {
-		opts = *po
-	}
-	var rep Report
-	var exactErr error
-	res, info, err := runParallel(ctx, obs.SinkFrom(ctx), "simulate:"+name, refs, parallelPass{
-		opts:    opts,
-		quantum: design.PurgeInterval,
-		random:  replOf(design) == cache.Random,
-		engine:  oneConfig(design),
-		exact: exactRun{"system", func() error {
-			rep, exactErr = EvaluateRefsContext(ctx, design, name, refs)
-			return exactErr
-		}},
-	})
-	if err != nil {
-		return Report{}, nil, labelled(err, exactErr, name)
-	}
-	if res == nil {
-		return rep, info, nil
-	}
-	r := res.Results[0]
-	return newReport(design, nil, name, r, tally{
-		refs: r.Ref.TotalRefs(), refBytes: refBytesOf(refs), scale: 1,
-	}), info, nil
-}
-
 // labelled names the workload in a driver error, unless the error came
 // from the exact path (exactErr), which names it already.
 func labelled(err, exactErr error, name string) error {
@@ -109,27 +66,4 @@ func labelled(err, exactErr error, name string) error {
 		return err
 	}
 	return fmt.Errorf("core: evaluating %s: %w", name, err)
-}
-
-// refBytesOf returns the processor-request byte count a cacheless system
-// would transfer for refs, accumulated exactly as System.Ref does.
-func refBytesOf(refs []trace.Ref) uint64 {
-	var n uint64
-	for _, ref := range refs {
-		n += max(uint64(ref.Size), 1)
-	}
-	return n
-}
-
-// replOf returns the replacement policy of the design's active cache(s);
-// split designs use the same policy on both sides in this repository, but
-// Random on either side disqualifies the parallel path.
-func replOf(design cache.SystemConfig) cache.Replacement {
-	if design.Split {
-		if design.I.Repl == cache.Random || design.D.Repl == cache.Random {
-			return cache.Random
-		}
-		return design.I.Repl
-	}
-	return design.Unified.Repl
 }

@@ -9,7 +9,6 @@ import (
 
 	"cacheeval/internal/cache"
 	"cacheeval/internal/obs"
-	"cacheeval/internal/simcheck"
 	"cacheeval/internal/trace"
 )
 
@@ -39,22 +38,15 @@ func (s *cancelingSink) Observe(e obs.Event) {
 	}
 }
 
-// TestSinkStagesPairedOnCancel cancels each engine-level run (sampled and
-// time-parallel, sweep and single-design) the moment its stage opens: the
+// TestSinkStagesPairedOnCancel cancels each sampled run (sweep and
+// single-design) the moment its stage opens: the
 // run must fail with the cancellation and still close every stage it
 // opened, so a consumer's per-stage state is never left dangling.
 func TestSinkStagesPairedOnCancel(t *testing.T) {
-	// Segments check for cancellation every obs.ProgressInterval refs, so
-	// each of the two must be longer than that.
-	parRefs := simcheck.Stream(29, 3*obs.ProgressInterval)
 	sampRefs, mix := sampledTestRefs(t, 60000)
 	design := cache.SystemConfig{
 		Unified:       cache.Config{Size: 2048, LineSize: 16},
 		PurgeInterval: 2500,
-	}
-	parSpec := SweepSpec{
-		Sizes: []int{512, 2048}, LineSize: 16, Quantum: 2500,
-		Fetch: cache.DemandFetch, Repl: cache.LRU, Parallel: parallelTestOptions(2),
 	}
 	sampSpec := SweepSpec{
 		Sizes: []int{256, 1024, 4096}, LineSize: 16, Quantum: mix.Quantum,
@@ -64,14 +56,6 @@ func TestSinkStagesPairedOnCancel(t *testing.T) {
 		name, suffix string
 		run          func(ctx context.Context, sink obs.Sink) error
 	}{
-		{"parallel-sweep", ":parallel", func(ctx context.Context, sink obs.Sink) error {
-			_, err := RunSweep(ctx, parSpec, trace.NewSliceReader(parRefs), sink, "test", int64(len(parRefs)))
-			return err
-		}},
-		{"parallel-evaluate", ":parallel", func(ctx context.Context, sink obs.Sink) error {
-			_, _, err := EvaluateParallelRefsContext(obs.WithSink(ctx, sink), design, "w", parRefs, parallelTestOptions(2))
-			return err
-		}},
 		{"sampled-sweep", ":sampled", func(ctx context.Context, sink obs.Sink) error {
 			_, err := RunSweep(ctx, sampSpec, trace.NewSliceReader(sampRefs), sink, "test", int64(len(sampRefs)))
 			return err

@@ -16,7 +16,6 @@ import (
 	"cacheeval/internal/core"
 	"cacheeval/internal/model"
 	"cacheeval/internal/obs"
-	"cacheeval/internal/parallel"
 	"cacheeval/internal/trace"
 	"cacheeval/internal/workload"
 )
@@ -66,21 +65,6 @@ type Options struct {
 	// second-level cache (see core.SweepSpec.L2); nil keeps single-level
 	// simulation. Hierarchies route to the per-size engine.
 	L2 *core.L2Spec
-	// Parallel tunes time-parallel exact simulation inside each sweep pass
-	// (see core.ParallelOptions). Nil defaults to Workers segment workers:
-	// jobs and segments then compete for one shared pool of Workers
-	// goroutines, so a wide grid keeps job-level parallelism and a narrow
-	// one (a single mix, the validate harness) gets within-job speedup
-	// from the same budget instead of idling. The default does not apply
-	// to a streamed sweep (see SweepMixesContext): when every pass runs
-	// on a one-pass engine and the streams come from the generator, a nil
-	// (or single-worker) Parallel splits the workers across passes
-	// instead, so such a sweep — the default LRU grid without
-	// StreamSource — records no parallel passes. Results are
-	// bit-identical either way; set &core.ParallelOptions{Workers: 1} to
-	// force the serial engines. A caller-supplied Budget is honoured;
-	// otherwise the experiment's shared pool is injected.
-	Parallel *core.ParallelOptions
 	// Sink, when non-nil, receives the engine events (obs.Event: run
 	// start/progress/end plus the engines' batched reports) of every
 	// simulation an experiment runs. The sink must be safe for concurrent
@@ -96,12 +80,6 @@ type Options struct {
 	// uses it to stream per-cell results from async jobs; nil costs
 	// nothing.
 	OnPass func(p PassResult)
-
-	// budget is the experiment's shared worker pool: Workers-1 grantable
-	// slots split between job-level fan-out (forEachCtx) and segment-level
-	// fan-out (the core parallel engine), so nested parallelism degrades
-	// to sequential instead of multiplying into Workers² goroutines.
-	budget *parallel.Budget
 }
 
 func (o Options) withDefaults() Options {
@@ -114,33 +92,7 @@ func (o Options) withDefaults() Options {
 	if o.Workers <= 0 {
 		o.Workers = runtime.GOMAXPROCS(0)
 	}
-	if o.budget == nil {
-		o.budget = parallel.NewBudget(o.Workers)
-	}
 	return o
-}
-
-// parallelSpec returns the ParallelOptions a materialized sweep pass
-// should carry: the configured options (Workers segment workers when the
-// caller left Parallel nil) with the experiment's shared budget injected
-// (unless the caller brought their own), or nil when parallel simulation
-// is off so the spec stays identical to the serial one. Victim buffers
-// and hierarchies run serially (core.SweepSpec.Validate rejects the
-// combination): the default asks for Workers unconditionally, so without
-// this suppression every victim/L2 sweep on a multicore host would be an
-// error rather than a quiet serial run.
-func (o Options) parallelSpec() *core.ParallelOptions {
-	po := core.ParallelOptions{Workers: o.Workers}
-	if o.Parallel != nil {
-		po = *o.Parallel
-	}
-	if po.Workers < 2 || o.Victim > 0 || o.L2 != nil {
-		return nil
-	}
-	if po.Budget == nil {
-		po.Budget = o.budget
-	}
-	return &po
 }
 
 // limit caps n by the RefLimit option.
@@ -218,9 +170,9 @@ func (o Options) limitMix(m workload.Mix) workload.Mix {
 	return limited
 }
 
-// forEach runs fn(i) for i in [0, n) on the calling goroutine plus as
-// many extra workers as the experiment's shared budget grants, and
-// returns the first error (by lowest index) if any failed.
+// forEach runs fn(i) for i in [0, n) on the calling goroutine plus up to
+// Workers-1 more, and returns the first error (by lowest index) if any
+// failed.
 func (o Options) forEach(n int, fn func(i int) error) error {
 	return o.forEachCtx(context.Background(), n, fn)
 }
@@ -233,19 +185,13 @@ func (o Options) forEach(n int, fn func(i int) error) error {
 // serial order would have hit first. All worker goroutines have exited by
 // the time it returns.
 //
-// Concurrency comes from Options.budget, the pool shared with the
-// segment-level parallel engine: up to n-1 extra workers are acquired
-// non-blockingly, so a nested call — or one racing a time-parallel
-// simulation — degrades toward sequential instead of oversubscribing.
-// With Workers=1 the budget grants nothing and every job runs in index
-// order on the calling goroutine. Each job writes only its own slot, so
-// results are bit-identical regardless of how many slots were granted.
+// It starts min(Workers, n)-1 goroutines; the caller's own goroutine is
+// the last worker. With Workers=1 (or n=1) every job runs in index order
+// on the calling goroutine. Each job writes only its own slot, so results
+// are bit-identical regardless of the worker count.
 func (o Options) forEachCtx(ctx context.Context, n int, fn func(i int) error) error {
-	extra := 0
-	for extra < n-1 && o.budget.TryAcquire() {
-		extra++
-	}
-	if extra == 0 {
+	extra := min(max(o.Workers, 1), n) - 1
+	if extra <= 0 {
 		for i := 0; i < n; i++ {
 			if err := ctx.Err(); err != nil {
 				return err
@@ -287,16 +233,12 @@ func (o Options) forEachCtx(ctx context.Context, n int, fn func(i int) error) er
 	for w := 0; w < extra; w++ {
 		wg.Add(1)
 		go func() {
-			defer func() {
-				o.budget.Release()
-				wg.Done()
-			}()
+			defer wg.Done()
 			for i := range next {
 				run(i)
 			}
 		}()
 	}
-	// The caller consumes too: its goroutine is the budget's implicit slot.
 	for i := range next {
 		run(i)
 	}

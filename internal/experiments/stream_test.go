@@ -127,8 +127,8 @@ func TestStreamedMatchesMaterialized(t *testing.T) {
 					if !reflect.DeepEqual(got.Cells, want.Cells) {
 						t.Error("streamed cells differ from materialized cells")
 					}
-					if len(got.Parallel) != 0 || len(got.Sampled) != 0 {
-						t.Errorf("streamed sweep recorded %d parallel and %d sampled passes, want none", len(got.Parallel), len(got.Sampled))
+					if len(got.Sampled) != 0 {
+						t.Errorf("streamed sweep recorded %d sampled passes, want none", len(got.Sampled))
 					}
 					if len(gotPasses.passes) != 4*n || gotPasses.dups != 0 {
 						t.Errorf("OnPass: %d passes (%d repeated), want %d once each", len(gotPasses.passes), gotPasses.dups, 4*n)
@@ -238,6 +238,42 @@ func TestStreamedSweepCancel(t *testing.T) {
 	}
 }
 
+// TestMaterializedSweepCancelSettles cancels a StreamSource sweep at its
+// first progress event with four workers, so forEachCtx runs the four grid
+// passes on three goroutines of its own plus the caller's. The sweep must
+// fail with the cancellation, close every stage it opened, and leave no
+// goroutine behind.
+func TestMaterializedSweepCancelSettles(t *testing.T) {
+	mix := shortMixes(3, 300_000)[2] // VCCOM
+	refs, err := Options{}.CollectMixContext(context.Background(), mix)
+	if err != nil {
+		t.Fatal(err)
+	}
+	base := runtime.NumGoroutine()
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	sink := newStageSink()
+	sink.cancel = cancel
+	o := Options{
+		Sizes: []int{1024, 16384}, Workers: 4, Sink: sink,
+		StreamSource: func(context.Context, workload.Mix) ([]trace.Ref, error) { return refs, nil },
+	}
+	if _, err := SweepMixesContext(ctx, o, []workload.Mix{mix}); !errors.Is(err, context.Canceled) {
+		t.Fatalf("err = %v, want context.Canceled", err)
+	}
+	if len(sink.starts) == 0 || !reflect.DeepEqual(sink.starts, sink.ends) {
+		t.Errorf("unpaired stages: starts %v ends %v", sink.starts, sink.ends)
+	}
+	deadline := time.Now().Add(5 * time.Second)
+	for runtime.NumGoroutine() > base && time.Now().Before(deadline) {
+		time.Sleep(10 * time.Millisecond)
+	}
+	if n := runtime.NumGoroutine(); n > base {
+		buf := make([]byte, 1<<16)
+		t.Fatalf("%d goroutines after the sweep, %d before\n%s", n, base, buf[:runtime.Stack(buf, true)])
+	}
+}
+
 // TestStreamedSweepBoundedAlloc locks the streamed sweep's memory claim: a
 // one-mix sweep allocates the same whatever its stream's length, because
 // no stream is held. Tenfold more references (50k → 500k) may add at most
@@ -272,7 +308,7 @@ func TestStreamedSweepBoundedAlloc(t *testing.T) {
 }
 
 // TestStreamedPathSelection pins when a sweep streams: only generator-fed,
-// exact, serial-engine sweeps whose every pass selects a one-pass engine.
+// exact sweeps whose every pass selects a one-pass engine.
 func TestStreamedPathSelection(t *testing.T) {
 	mixes := shortMixes(1, 1000)
 	src := func(context.Context, workload.Mix) ([]trace.Ref, error) { return nil, nil }
@@ -282,8 +318,7 @@ func TestStreamedPathSelection(t *testing.T) {
 		want bool
 	}{
 		{"default", Options{}, true},
-		{"serial parallel", Options{Workers: 4, Parallel: &core.ParallelOptions{Workers: 1}}, true},
-		{"time-parallel", Options{Parallel: &core.ParallelOptions{Workers: 2}}, false},
+		{"four workers", Options{Workers: 4}, true},
 		{"stream source", Options{StreamSource: src}, false},
 		{"sampled", Options{Sampled: &core.SampledOptions{ErrorBudget: 0.05}}, false},
 		{"victim", Options{Victim: 4}, false},

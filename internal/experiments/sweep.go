@@ -45,15 +45,10 @@ type SweepResult struct {
 	// Sampled records per-pass sampling metadata (one entry per grid job
 	// that ran under the sampled engine); empty for exact sweeps.
 	Sampled []SampledPass
-	// Parallel records per-pass time-parallel metadata (one entry per grid
-	// job whose spec requested parallel simulation, whether it segmented
-	// or fell back to a serial engine); empty when Workers grants no
-	// within-job parallelism, and empty for a streamed sweep (see
-	// SweepMixesContext) — so a default-Parallel LRU sweep without
-	// StreamSource records no parallel passes. The simulated results are
-	// bit-identical either way — only this metadata depends on the plan,
-	// and under a contended shared budget the segment counts may vary run
-	// to run.
+	// Parallel is always empty: sweeps no longer split a pass's stream
+	// into time segments.
+	//
+	// Deprecated: kept only so existing readers still compile.
 	Parallel []ParallelPass
 	opts     Options
 }
@@ -68,13 +63,15 @@ type SampledPass struct {
 	Info     core.SampledInfo
 }
 
-// ParallelPass identifies one grid pass that requested time-parallel
-// simulation and reports its plan (see core.ParallelInfo).
+// ParallelPass is the element type of the always-empty
+// SweepResult.Parallel.
+//
+// Deprecated: no sweep produces one.
 type ParallelPass struct {
-	Mix      string
-	Split    bool
-	Prefetch bool
-	Info     core.ParallelInfo
+	Info struct {
+		FellBack bool
+		Segments int
+	}
 }
 
 // Sweep runs the full §3.3-§3.5 simulation grid: the sixteen Table 3
@@ -112,12 +109,11 @@ func SweepMixes(o Options, mixes []workload.Mix) (*SweepResult, error) {
 // are bit-identical to the per-size simulations they replace.
 //
 // When every pass selects an engine with an incremental form and the
-// streams come from the generator — no StreamSource, no Sampled, and no
-// time-parallel request (Parallel nil or below two workers) — the sweep is
-// streamed: no stream is materialized. Each job opens one mix's generator
-// and feeds a group of its passes from one reusable chunk buffer
-// (core.Feed), so workers split engines, not time. Otherwise every mix is
-// materialized once and each pass re-reads it from memory.
+// streams come from the generator — no StreamSource and no Sampled — the
+// sweep is streamed: no stream is materialized. Each job opens one mix's
+// generator and feeds a group of its passes from one reusable chunk
+// buffer (core.Feed), so workers split engines, not time. Otherwise every
+// mix is materialized once and each pass re-reads it from memory.
 func SweepMixesContext(ctx context.Context, o Options, mixes []workload.Mix) (*SweepResult, error) {
 	o = o.withDefaults()
 	res := &SweepResult{Sizes: o.Sizes, Mixes: mixes, opts: o}
@@ -165,7 +161,6 @@ func SweepMixesContext(ctx context.Context, o Options, mixes []workload.Mix) (*S
 	// Each job writes only its own slot, so sampled-pass metadata stays
 	// deterministic (job order) regardless of the worker count.
 	passes := make([]*SampledPass, len(jobs))
-	parPasses := make([]*ParallelPass, len(jobs))
 	err = o.forEachCtx(ctx, len(jobs), func(j int) error {
 		jb := jobs[j]
 		mix, refs := mixes[jb.mi], streams[jb.mi]
@@ -176,9 +171,6 @@ func SweepMixesContext(ctx context.Context, o Options, mixes []workload.Mix) (*S
 		if out.Sampled != nil {
 			passes[j] = &SampledPass{Mix: mix.Name, Split: jb.p.split, Prefetch: jb.p.prefetch, Info: *out.Sampled}
 		}
-		if out.Parallel != nil {
-			parPasses[j] = &ParallelPass{Mix: mix.Name, Split: jb.p.split, Prefetch: jb.p.prefetch, Info: *out.Parallel}
-		}
 		return nil
 	})
 	if err != nil {
@@ -187,11 +179,6 @@ func SweepMixesContext(ctx context.Context, o Options, mixes []workload.Mix) (*S
 	for _, p := range passes {
 		if p != nil {
 			res.Sampled = append(res.Sampled, *p)
-		}
-	}
-	for _, p := range parPasses {
-		if p != nil {
-			res.Parallel = append(res.Parallel, *p)
 		}
 	}
 	return res, nil
@@ -237,8 +224,7 @@ type PassResult struct {
 	Results  []SimOut
 }
 
-// passSpec is the serial sweep spec of one pass over mix; a materialized
-// pass adds the time-parallel options (see runPass).
+// passSpec is the sweep spec of one pass over mix.
 func (o Options) passSpec(mix workload.Mix, p gridPass) core.SweepSpec {
 	fetch := cache.DemandFetch
 	if p.prefetch {
@@ -263,15 +249,13 @@ func (o Options) passSpec(mix workload.Mix, p gridPass) core.SweepSpec {
 // runPass executes one materialized (organization, fetch policy) job at
 // every size via the engine capability registry and scatters the per-size
 // results into the mix's cell row. The returned SweepOut carries the
-// sampling and parallel metadata when those engines ran (its Results are
-// already scattered).
+// sampling metadata when that engine ran (its Results are already
+// scattered).
 func runPass(ctx context.Context, o Options, mix workload.Mix, refs []trace.Ref, p gridPass, row []SweepCell) (core.SweepOut, error) {
 	stage := p.stage(mix)
 	sp := obs.StartSpan(ctx, stage)
 	defer sp.End()
-	spec := o.passSpec(mix, p)
-	spec.Parallel = o.parallelSpec()
-	out, err := core.RunSweep(ctx, spec, trace.NewSliceReader(refs), o.Sink, stage, int64(len(refs)))
+	out, err := core.RunSweep(ctx, o.passSpec(mix, p), trace.NewSliceReader(refs), o.Sink, stage, int64(len(refs)))
 	if err != nil {
 		return core.SweepOut{}, err
 	}
@@ -312,10 +296,10 @@ func (o Options) deliver(mix workload.Mix, p gridPass, results []cache.SizeResul
 }
 
 // streamed reports whether the sweep takes the streamed path: the streams
-// come from the generator, no pass is sampled or time-parallel, and the
-// registry picks an engine with an incremental form for every pass.
+// come from the generator, no pass is sampled, and the registry picks an
+// engine with an incremental form for every pass.
 func (o Options) streamed(mixes []workload.Mix) bool {
-	if o.StreamSource != nil || o.Sampled != nil || (o.Parallel != nil && o.Parallel.Workers >= 2) {
+	if o.StreamSource != nil || o.Sampled != nil {
 		return false
 	}
 	for _, m := range mixes {

@@ -2,7 +2,7 @@
 // bounded registry of simulation jobs, each with a replayable event buffer
 // and broadcast fan-out to any number of stream subscribers.
 //
-// Design (see DESIGN.md §13):
+// Design (see DESIGN.md §12):
 //
 //   - Publishing never blocks. Events append to the job's bounded buffer
 //     under its lock and a broadcast channel is closed; the engine

@@ -11,15 +11,13 @@ import (
 // are part of the public API surface (documented in README "Jobs and live
 // progress").
 const (
-	EventRunStart         = "run_start"
-	EventProgress         = "progress"
-	EventRunEnd           = "run_end"
-	EventSampledRound     = "sampled_round"
-	EventSampledRun       = "sampled"
-	EventParallelRun      = "parallel"
-	EventParallelBoundary = "parallel_boundary"
-	EventHierarchyRun     = "hierarchy"
-	EventMissCauses       = "miss_causes"
+	EventRunStart     = "run_start"
+	EventProgress     = "progress"
+	EventRunEnd       = "run_end"
+	EventSampledRound = "sampled_round"
+	EventSampledRun   = "sampled"
+	EventHierarchyRun = "hierarchy"
+	EventMissCauses   = "miss_causes"
 )
 
 // RunStartEvent is the payload of an EventRunStart event.
@@ -66,24 +64,6 @@ type SampledRunEvent struct {
 	Fraction    float64 `json:"sampled_fraction"`
 	Rounds      int     `json:"rounds"`
 	FellBack    bool    `json:"fell_back"`
-}
-
-// ParallelRunEvent is the payload of an EventParallelRun event: a
-// time-parallel pass's plan (see KindParallelRun).
-type ParallelRunEvent struct {
-	Stage    string `json:"stage"`
-	Segments int    `json:"segments"`
-	Aligned  bool   `json:"aligned"`
-	FellBack bool   `json:"fell_back"`
-	Reason   string `json:"reason,omitempty"`
-}
-
-// ParallelBoundaryEvent is the payload of an EventParallelBoundary event:
-// one reconciled segment boundary and its convergence distance.
-type ParallelBoundaryEvent struct {
-	Stage        string `json:"stage"`
-	DistanceRefs int64  `json:"distance_refs"`
-	Converged    bool   `json:"converged"`
 }
 
 // HierarchyRunEvent is the payload of an EventHierarchyRun event (see
@@ -141,15 +121,6 @@ func payload(e Event) (string, any) {
 		return EventSampledRun, SampledRunEvent{
 			Stage: e.Stage, ErrorBudget: e.Budget, Achieved: e.Achieved,
 			Fraction: e.Fraction, Rounds: e.Rounds, FellBack: e.FellBack,
-		}
-	case KindParallelRun:
-		return EventParallelRun, ParallelRunEvent{
-			Stage: e.Stage, Segments: e.Segments, Aligned: e.Aligned,
-			FellBack: e.FellBack, Reason: e.Reason,
-		}
-	case KindParallelBoundary:
-		return EventParallelBoundary, ParallelBoundaryEvent{
-			Stage: e.Stage, DistanceRefs: e.Distance, Converged: e.Converged,
 		}
 	case KindHierarchyRun:
 		return EventHierarchyRun, HierarchyRunEvent{

@@ -117,8 +117,6 @@ func TestEventProbeExtensions(t *testing.T) {
 	s.Observe(Event{Kind: KindSampledRound, Stage: "s", Round: 2, Achieved: 0.04, Budget: 0.05, Fraction: 0.3})
 	s.Observe(Event{Kind: KindSampledRound, Stage: "s", Achieved: math.Inf(1), Budget: 0.05, Fraction: 0.1})
 	s.Observe(Event{Kind: KindSampledRun, Stage: "s", Budget: 0.05, Achieved: 0.04, Fraction: 0.3, Rounds: 3})
-	s.Observe(Event{Kind: KindParallelRun, Stage: "s", Segments: 4, Aligned: true})
-	s.Observe(Event{Kind: KindParallelBoundary, Stage: "s", Distance: 128, Converged: true})
 	s.Observe(Event{Kind: KindHierarchyRun, Stage: "s", L2Fetches: 10, L2FetchMisses: 2, L2Writes: 5, L2WriteMisses: 1, VictimHits: 7})
 
 	mc := rec.byType[EventMissCauses][0].(MissCausesEvent)
@@ -137,8 +135,7 @@ func TestEventProbeExtensions(t *testing.T) {
 	if sr := rec.byType[EventSampledRun][0].(SampledRunEvent); sr.Rounds != 3 || sr.ErrorBudget != 0.05 {
 		t.Fatalf("sampled payload = %+v", sr)
 	}
-	if len(rec.byType[EventParallelRun]) != 1 || len(rec.byType[EventParallelBoundary]) != 1 ||
-		len(rec.byType[EventHierarchyRun]) != 1 {
+	if len(rec.byType[EventHierarchyRun]) != 1 {
 		t.Fatalf("extension events missing: %v", rec.types)
 	}
 	// The teed sink is Enabled for miss causes and sampled rounds only;

@@ -15,15 +15,13 @@ const ProgressInterval = 1 << 16
 type Kind uint8
 
 const (
-	KindRunStart         Kind = iota + 1 // Total
-	KindProgress                         // Refs so far, every ProgressInterval refs
-	KindRunEnd                           // Refs, Elapsed
-	KindMissCauses                       // Compulsory, Capacity, Conflict; after KindRunEnd
-	KindSampledRound                     // Round, Achieved (+Inf: unusable), Budget, Fraction
-	KindSampledRun                       // Budget, Achieved, Fraction, Rounds, FellBack; after KindRunEnd
-	KindParallelRun                      // Segments, Aligned, FellBack, Reason
-	KindParallelBoundary                 // Distance, Converged
-	KindHierarchyRun                     // L2 event totals, VictimHits; after KindRunEnd
+	KindRunStart     Kind = iota + 1 // Total
+	KindProgress                     // Refs so far, every ProgressInterval refs
+	KindRunEnd                       // Refs, Elapsed
+	KindMissCauses                   // Compulsory, Capacity, Conflict; after KindRunEnd
+	KindSampledRound                 // Round, Achieved (+Inf: unusable), Budget, Fraction
+	KindSampledRun                   // Budget, Achieved, Fraction, Rounds, FellBack; after KindRunEnd
+	KindHierarchyRun                 // L2 event totals, VictimHits; after KindRunEnd
 )
 
 // Event is one report from a simulation engine. It is a plain value —
@@ -47,13 +45,7 @@ type Event struct {
 	Achieved float64 // achieved worst-size relative CI half-width
 	Budget   float64 // requested relative error budget
 	Fraction float64 // share of the trace simulated
-	FellBack bool    // ran exact or serial instead
-
-	Segments  int
-	Aligned   bool   // parallel segments cut at purge boundaries
-	Reason    string // why a parallel pass fell back
-	Distance  int64  // references re-simulated at a boundary
-	Converged bool
+	FellBack bool    // ran exact instead
 
 	L2Fetches, L2FetchMisses, L2Writes, L2WriteMisses, VictimHits uint64
 }

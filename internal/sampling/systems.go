@@ -4,13 +4,11 @@ import (
 	"fmt"
 
 	"cacheeval/internal/cache"
-	"cacheeval/internal/parallel"
 	"cacheeval/internal/trace"
 )
 
 // Systems adapts independent per-size cache.Systems to a single sweep
-// Target and a time-parallel segment replica (parallel.Replica) — the
-// windowed and segmented form of the registry's per-size fallback engine,
+// Target — the windowed form of the registry's per-size fallback engine,
 // sound for every fetch and replacement policy. A single-config
 // evaluation is the one-element case.
 type Systems struct {
@@ -80,19 +78,6 @@ func (g *Systems) Purge() {
 	for _, s := range g.sys {
 		s.Purge()
 	}
-}
-
-// StateEqual reports whether every system's logical cache state equals
-// its counterpart's in other, which must be a *Systems built from the same
-// configurations.
-func (g *Systems) StateEqual(other parallel.Replica) bool {
-	o := other.(*Systems)
-	for i, s := range g.sys {
-		if !s.StateEqual(o.sys[i]) {
-			return false
-		}
-	}
-	return true
 }
 
 // Purges returns the purge count (identical across systems: the driver

@@ -3,14 +3,16 @@ package server
 import (
 	"encoding/json"
 	"net/http"
+	"reflect"
 	"strings"
 	"testing"
 )
 
 // TestHierarchyValidation pins the structured 400s for malformed victim and
 // l2 request blocks on both endpoints: out-of-range buffers, inverted
-// hierarchies, and the combinations with sampled or parallel engines that
-// no multi-level simulation supports.
+// hierarchies, the combinations with the sampled engine, which no
+// multi-level simulation supports, and /v1/evaluate's unknown "parallel"
+// field.
 func TestHierarchyValidation(t *testing.T) {
 	t.Parallel()
 	_, hs := newTestServer(t, Config{})
@@ -40,8 +42,6 @@ func TestHierarchyValidation(t *testing.T) {
 		{"sweep oversized l2", "/v1/sweep", `{"mixes":["FGO1"],"sizes":[512],"l2":{"size":33554432}}`},
 		{"sweep l2 with sampled", "/v1/sweep",
 			`{"mixes":["FGO1"],"sizes":[512],"l2":{"size":65536},"mode":"sampled","error_budget":0.02}`},
-		{"sweep victim with parallel", "/v1/sweep",
-			`{"mixes":["FGO1"],"sizes":[512],"victim":2,"parallel":4}`},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -137,8 +137,9 @@ func TestEvaluateHierarchyEndToEnd(t *testing.T) {
 }
 
 // TestSweepHierarchyEndToEnd drives /v1/sweep with an L2 and a victim
-// buffer: every variant carries the l2 block and victim hits, and the sweep
-// memoizes separately from the identical single-level grid.
+// buffer: every variant carries the l2 block and victim hits, the sweep
+// memoizes separately from the identical single-level grid, and a
+// "parallel" worker count shares its memo entry.
 func TestSweepHierarchyEndToEnd(t *testing.T) {
 	t.Parallel()
 	_, hs := newTestServer(t, Config{})
@@ -220,6 +221,18 @@ func TestSweepHierarchyEndToEnd(t *testing.T) {
 	}
 	if !again.Cached {
 		t.Error("repeat hierarchy sweep missed the memo")
+	}
+	code, b = post(t, hs.URL+"/v1/sweep", strings.Replace(hier, `"victim":2`, `"victim":2,"parallel":4`, 1))
+	if code != http.StatusOK {
+		t.Fatalf("parallel repeat status %d: %s", code, b)
+	}
+	var par SweepResponse
+	if err := json.Unmarshal(b, &par); err != nil {
+		t.Fatal(err)
+	}
+	if !par.Cached || !reflect.DeepEqual(par.Cells, resp.Cells) {
+		t.Errorf(`"parallel":4 hierarchy sweep: cached=%v, cells equal=%v; want a memo hit with the same cells`,
+			par.Cached, reflect.DeepEqual(par.Cells, resp.Cells))
 	}
 }
 

@@ -20,7 +20,7 @@ import (
 var progressRate = regexp.MustCompile(`"refs_per_sec":[^,}]+`)
 
 // TestJobEventWireGolden pins the job stream's engine-event vocabulary byte
-// for byte: one event of each of the nine engine kinds (plus the
+// for byte: one event of each of the seven engine kinds (plus the
 // omitempty and -1-for-+Inf edge cases) is published through the job sink
 // and jobs.Job.Publish, and each resulting NDJSON line must match
 // testdata/job_events.golden.ndjson. The golden is the wire contract
@@ -46,9 +46,6 @@ func TestJobEventWireGolden(t *testing.T) {
 		{Kind: obs.KindSampledRound, Stage: "sweep:FGO1", Round: 0, Achieved: math.Inf(1), Budget: 0.05, Fraction: 0.1}, // unusable: -1
 		{Kind: obs.KindSampledRound, Stage: "sweep:FGO1", Round: 1, Achieved: 0.04, Budget: 0.05, Fraction: 0.3},
 		{Kind: obs.KindSampledRun, Stage: "sweep:FGO1", Budget: 0.05, Achieved: 0.04, Fraction: 0.3, Rounds: 2},
-		{Kind: obs.KindParallelRun, Stage: "sweep:FGO1", Segments: 4, Aligned: true},
-		{Kind: obs.KindParallelRun, Stage: "simulate:FGO1", FellBack: true, Reason: "fewer than two workers"},
-		{Kind: obs.KindParallelBoundary, Stage: "sweep:FGO1", Distance: 4096, Converged: true},
 		{Kind: obs.KindHierarchyRun, Stage: "sweep:FGO1:1024", L2Fetches: 10, L2FetchMisses: 2, L2Writes: 5, L2WriteMisses: 1, VictimHits: 7},
 	} {
 		p.Observe(e)

@@ -1,18 +1,20 @@
 package server
 
 import (
-	"bytes"
+	"context"
 	"encoding/json"
+	"errors"
 	"net/http"
 	"reflect"
+	"runtime"
 	"strings"
 	"testing"
-
-	"cacheeval/internal/obs"
+	"time"
 )
 
 // TestParallelValidation pins the structured 400s for every malformed
-// parallel request on both endpoints.
+// parallel request: /v1/evaluate has no such field, and /v1/sweep bounds
+// its worker count.
 func TestParallelValidation(t *testing.T) {
 	t.Parallel()
 	_, hs := newTestServer(t, Config{})
@@ -43,195 +45,97 @@ func TestParallelValidation(t *testing.T) {
 	}
 }
 
-// TestEvaluateParallelEndToEnd drives /v1/evaluate with a parallel worker
-// count: the report is identical to the serial evaluation of the same
-// request, the response reports the segmentation plan, parallel results
-// memoize separately from serial ones, and parallel:1 is canonicalized to
-// the serial entry.
-func TestEvaluateParallelEndToEnd(t *testing.T) {
-	t.Parallel()
-	_, hs := newTestServer(t, Config{})
-	// 150000 references clear the default 64K-reference minimum segment,
-	// so a 4-worker request segments in two; FGO1's 20000-reference purge
-	// quantum makes the plan purge-aligned.
-	serial := `{"mix":"FGO1","ref_limit":150000}`
-	par := `{"mix":"FGO1","ref_limit":150000,"parallel":4}`
-
-	code, b := post(t, hs.URL+"/v1/evaluate", serial)
-	if code != http.StatusOK {
-		t.Fatalf("serial status %d: %s", code, b)
-	}
-	var want EvaluateResponse
-	if err := json.Unmarshal(b, &want); err != nil {
-		t.Fatal(err)
-	}
-	if want.Parallel != nil {
-		t.Error("serial evaluation reported parallel metadata")
-	}
-
-	code, b = post(t, hs.URL+"/v1/evaluate", par)
-	if code != http.StatusOK {
-		t.Fatalf("parallel status %d: %s", code, b)
-	}
-	var got EvaluateResponse
-	if err := json.Unmarshal(b, &got); err != nil {
-		t.Fatal(err)
-	}
-	if got.Cached {
-		t.Error("parallel request hit the serial memo entry")
-	}
-	if got.Parallel == nil {
-		t.Fatal("parallel evaluation returned no plan metadata")
-	}
-	if got.Parallel.FellBack {
-		t.Fatalf("parallel evaluation fell back: %s", got.Parallel.FallbackReason)
-	}
-	if got.Parallel.Segments < 2 || !got.Parallel.Aligned {
-		t.Errorf("plan %+v, want >= 2 purge-aligned segments", got.Parallel)
-	}
-	if got.Parallel.Converged != got.Parallel.Boundaries {
-		t.Errorf("plan %+v: aligned boundaries must all converge", got.Parallel)
-	}
-	if !reflect.DeepEqual(got.Report, want.Report) {
-		t.Errorf("parallel report diverges from serial\n got %+v\nwant %+v", got.Report, want.Report)
-	}
-
-	// Identical parallel request: memo hit, metadata preserved.
-	code, b = post(t, hs.URL+"/v1/evaluate", par)
-	if code != http.StatusOK {
-		t.Fatalf("repeat status %d: %s", code, b)
-	}
-	var repeat EvaluateResponse
-	if err := json.Unmarshal(b, &repeat); err != nil {
-		t.Fatal(err)
-	}
-	if !repeat.Cached || repeat.Parallel == nil {
-		t.Errorf("repeat: cached=%v parallel=%v, want memoized with metadata", repeat.Cached, repeat.Parallel)
-	}
-
-	// parallel:1 means serial and must hit the serial memo entry.
-	code, b = post(t, hs.URL+"/v1/evaluate", `{"mix":"FGO1","ref_limit":150000,"parallel":1}`)
-	if code != http.StatusOK {
-		t.Fatalf("parallel:1 status %d: %s", code, b)
-	}
-	var one EvaluateResponse
-	if err := json.Unmarshal(b, &one); err != nil {
-		t.Fatal(err)
-	}
-	if !one.Cached || one.Parallel != nil {
-		t.Errorf("parallel:1: cached=%v parallel=%v, want serial memo hit", one.Cached, one.Parallel)
-	}
-}
-
-// TestSweepParallelEndToEnd drives /v1/sweep with a worker count wide
-// enough for both job-level and segment-level parallelism: the grid cells
-// are bit-identical to a serial sweep and every pass reports its plan.
+// TestSweepParallelEndToEnd checks that "parallel" is only a worker count:
+// a "parallel":2 sweep after its serial twin is a memo hit with identical
+// cells, and a sweep that runs with "parallel":4 from the start matches
+// the serial cells too.
 func TestSweepParallelEndToEnd(t *testing.T) {
 	t.Parallel()
 	_, hs := newTestServer(t, Config{})
-	serial := `{"mixes":["FGO1"],"sizes":[1024,4096],"ref_limit":150000}`
-	// 8 workers over 4 grid jobs: the shared pool leaves each concurrent
-	// pass a spare slot, so passes segment instead of falling back.
-	par := `{"mixes":["FGO1"],"sizes":[1024,4096],"ref_limit":150000,"parallel":8}`
-
-	code, b := post(t, hs.URL+"/v1/sweep", serial)
-	if code != http.StatusOK {
-		t.Fatalf("serial status %d: %s", code, b)
-	}
-	var want SweepResponse
-	if err := json.Unmarshal(b, &want); err != nil {
-		t.Fatal(err)
-	}
-	if len(want.Parallel) != 0 {
-		t.Error("serial sweep reported parallel passes")
-	}
-
-	code, b = post(t, hs.URL+"/v1/sweep", par)
-	if code != http.StatusOK {
-		t.Fatalf("parallel status %d: %s", code, b)
-	}
-	var got SweepResponse
-	if err := json.Unmarshal(b, &got); err != nil {
-		t.Fatal(err)
-	}
-	if got.Cached {
-		t.Error("parallel sweep hit the serial memo entry")
-	}
-	if !reflect.DeepEqual(got.Cells, want.Cells) {
-		t.Error("parallel sweep cells diverge from serial sweep")
-	}
-	if len(got.Parallel) != 4 {
-		t.Fatalf("%d parallel passes, want one per grid job (4)", len(got.Parallel))
-	}
-	for _, p := range got.Parallel {
-		if p.Mix != "FGO1" {
-			t.Errorf("pass names mix %q", p.Mix)
+	sweep := func(body string) SweepResponse {
+		t.Helper()
+		code, b := post(t, hs.URL+"/v1/sweep", body)
+		if code != http.StatusOK {
+			t.Fatalf("status %d: %s", code, b)
 		}
-		if p.FellBack {
-			t.Errorf("pass (split=%v prefetch=%v) fell back: %s", p.Split, p.Prefetch, p.FallbackReason)
-		} else if p.Segments < 2 {
-			t.Errorf("pass (split=%v prefetch=%v) ran %d segments", p.Split, p.Prefetch, p.Segments)
+		if strings.Contains(string(b), `"parallel"`) {
+			t.Errorf("response carries a parallel block: %s", b)
 		}
+		var resp SweepResponse
+		if err := json.Unmarshal(b, &resp); err != nil {
+			t.Fatal(err)
+		}
+		return resp
+	}
+	serial := sweep(`{"mixes":["FGO1"],"sizes":[1024,4096],"ref_limit":150000}`)
+	if serial.Cached {
+		t.Fatal("first sweep reported a memo hit")
+	}
+	par := sweep(`{"mixes":["FGO1"],"sizes":[1024,4096],"ref_limit":150000,"parallel":2}`)
+	if !par.Cached {
+		t.Error(`"parallel":2 sweep missed its serial twin's memo entry`)
+	}
+	if !reflect.DeepEqual(par.Cells, serial.Cells) {
+		t.Error(`"parallel":2 sweep cells differ from the serial sweep's`)
+	}
+	fresh := sweep(`{"mixes":["FGO1","CGO1"],"sizes":[1024,4096],"ref_limit":150000,"parallel":4}`)
+	if fresh.Cached {
+		t.Fatal("fresh parallel sweep reported a memo hit")
+	}
+	if !reflect.DeepEqual(fresh.Cells[0], serial.Cells[0]) {
+		t.Error(`"parallel":4 sweep cells differ from the serial sweep's`)
 	}
 }
 
-// TestMetricsParallelExposition is the golden exposition check for the
-// cacheeval_parallel_* families: one aligned two-segment run plus one
-// serial fallback land in the counters, and the convergence-distance
-// histogram records the aligned boundary's zero distance in its first
-// bucket.
-func TestMetricsParallelExposition(t *testing.T) {
-	t.Parallel()
-	_, hs := newTestServer(t, Config{})
+// TestSweepDisconnectSettles drops the client of a "parallel":4 sweep once
+// its simulation holds a worker slot. The abandoned flight is cancelled,
+// so its grid workers must exit: the goroutine count returns to its
+// pre-request level and in_flight to 0.
+func TestSweepDisconnectSettles(t *testing.T) {
+	s, hs := newTestServer(t, Config{})
+	before := runtime.NumGoroutine()
 
-	if code, b := post(t, hs.URL+"/v1/evaluate",
-		`{"mix":"FGO1","ref_limit":150000,"parallel":4}`); code != http.StatusOK {
-		t.Fatalf("parallel evaluate status %d: %s", code, b)
-	}
-	// Too short to segment: a serial fallback, still counted as a run.
-	if code, b := post(t, hs.URL+"/v1/evaluate",
-		`{"mix":"FGO1","ref_limit":20000,"parallel":4}`); code != http.StatusOK {
-		t.Fatalf("short parallel evaluate status %d: %s", code, b)
-	}
-
-	resp, err := http.Get(hs.URL + "/metrics")
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	body := `{"parallel":4}` // all 17 standard mixes at full length: seconds of work
+	req, err := http.NewRequestWithContext(ctx, "POST", hs.URL+"/v1/sweep", strings.NewReader(body))
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer resp.Body.Close()
-	var buf bytes.Buffer
-	if _, err := buf.ReadFrom(resp.Body); err != nil {
-		t.Fatal(err)
-	}
-	text := buf.String()
-	if err := obs.CheckExposition(text); err != nil {
-		t.Fatalf("invalid exposition: %v\n%s", err, text)
-	}
-	for _, family := range []string{
-		"cacheeval_parallel_runs_total",
-		"cacheeval_parallel_serial_fallbacks_total",
-		"cacheeval_parallel_segments_total",
-		"cacheeval_parallel_aligned_runs_total",
-		"cacheeval_parallel_boundaries_total",
-		"cacheeval_parallel_boundaries_converged_total",
-		"cacheeval_parallel_convergence_distance_refs",
-	} {
-		if !strings.Contains(text, "# TYPE "+family+" ") {
-			t.Errorf("family %s missing from exposition", family)
+	errc := make(chan error, 1)
+	go func() {
+		resp, err := http.DefaultClient.Do(req)
+		if err == nil {
+			resp.Body.Close()
 		}
-	}
-	for _, line := range []string{
-		"cacheeval_parallel_runs_total 2",
-		"cacheeval_parallel_serial_fallbacks_total 1",
-		"cacheeval_parallel_segments_total 2",
-		"cacheeval_parallel_aligned_runs_total 1",
-		"cacheeval_parallel_boundaries_total 1",
-		"cacheeval_parallel_boundaries_converged_total 1",
-		"cacheeval_parallel_convergence_distance_refs_count 1",
-		`cacheeval_parallel_convergence_distance_refs_bucket{le="256"} 1`,
-	} {
-		if !strings.Contains(text, line+"\n") {
-			t.Errorf("expected sample %q in exposition", line)
+		errc <- err
+	}()
+	deadline := time.Now().Add(5 * time.Second)
+	for s.snapshot().InFlight == 0 {
+		if time.Now().After(deadline) {
+			t.Fatal("sweep never started")
 		}
+		time.Sleep(time.Millisecond)
+	}
+	cancel()
+	if err := <-errc; !errors.Is(err, context.Canceled) {
+		t.Fatalf("client error = %v, want context.Canceled", err)
+	}
+
+	deadline = time.Now().Add(5 * time.Second)
+	for {
+		// Drop keep-alive connection goroutines so only simulation leaks
+		// would remain.
+		http.DefaultClient.CloseIdleConnections()
+		n, inFlight := runtime.NumGoroutine(), s.snapshot().InFlight
+		if n <= before && inFlight == 0 {
+			return
+		}
+		if time.Now().After(deadline) {
+			buf := make([]byte, 1<<16)
+			t.Fatalf("after disconnect: goroutines before=%d now=%d, in_flight=%d\n%s",
+				before, n, inFlight, buf[:runtime.Stack(buf, true)])
+		}
+		time.Sleep(20 * time.Millisecond)
 	}
 }

@@ -114,22 +114,6 @@ func (s *Server) buildProm() {
 		"Fraction of the trace simulated by sampled runs (above 1 means a fallback re-ran the trace exactly).",
 		[]float64{0.05, 0.1, 0.2, 0.3, 0.5, 0.75, 1, 1.5, 2})
 
-	s.parallelRuns = reg.NewCounter("cacheeval_parallel_runs_total",
-		"Time-parallel engine runs completed (serial fallbacks included).")
-	s.parallelFallback = reg.NewCounter("cacheeval_parallel_serial_fallbacks_total",
-		"Time-parallel runs that delegated to a serial engine.")
-	s.parallelSegments = reg.NewCounter("cacheeval_parallel_segments_total",
-		"Stream segments simulated concurrently, summed over parallel runs.")
-	s.parallelAligned = reg.NewCounter("cacheeval_parallel_aligned_runs_total",
-		"Parallel runs whose plan cut segments at purge boundaries (no reconciliation needed).")
-	s.parallelBoundaries = reg.NewCounter("cacheeval_parallel_boundaries_total",
-		"Segment boundaries reconciled, summed over parallel runs.")
-	s.parallelConverged = reg.NewCounter("cacheeval_parallel_boundaries_converged_total",
-		"Reconciled boundaries whose speculative state provably reached the true state before segment end.")
-	s.parallelDistance = reg.NewHistogram("cacheeval_parallel_convergence_distance_refs",
-		"References re-simulated per boundary before speculative and true state converged (unconverged boundaries count their whole segment).",
-		[]float64{256, 1024, 4096, 16384, 65536, 262144, 1048576})
-
 	s.hierL2Fetches = reg.NewCounter("cacheeval_hierarchy_l2_fetches_total",
 		"Fetch events the second-level cache served, summed over two-level engine runs.")
 	s.hierL2FetchMisses = reg.NewCounter("cacheeval_hierarchy_l2_fetch_misses_total",
@@ -181,8 +165,7 @@ type simSink struct{ s *Server }
 // Enabled reports the kinds Observe counts.
 func (p simSink) Enabled(k obs.Kind) bool {
 	switch k {
-	case obs.KindRunEnd, obs.KindMissCauses, obs.KindSampledRun,
-		obs.KindParallelRun, obs.KindParallelBoundary, obs.KindHierarchyRun:
+	case obs.KindRunEnd, obs.KindMissCauses, obs.KindSampledRun, obs.KindHierarchyRun:
 		return true
 	}
 	return false
@@ -190,9 +173,7 @@ func (p simSink) Enabled(k obs.Kind) bool {
 
 // Observe updates the families an event feeds. The sampled verdict's
 // achieved-versus-requested error says whether the error-budget knob is
-// honest in production; the parallel convergence distance says how much
-// re-simulation the speculative segmentation really costs; victim-only
-// hierarchy runs report zero L2 events.
+// honest in production; victim-only hierarchy runs report zero L2 events.
 func (p simSink) Observe(e obs.Event) {
 	s := p.s
 	switch e.Kind {
@@ -217,22 +198,6 @@ func (p simSink) Observe(e obs.Event) {
 		if e.Budget > 0 {
 			s.sampledVsBudget.Observe(e.Achieved / e.Budget)
 		}
-	case obs.KindParallelRun:
-		s.parallelRuns.Add(1)
-		if e.FellBack {
-			s.parallelFallback.Add(1)
-			return
-		}
-		s.parallelSegments.Add(int64(e.Segments))
-		if e.Aligned {
-			s.parallelAligned.Add(1)
-		}
-	case obs.KindParallelBoundary:
-		s.parallelBoundaries.Add(1)
-		if e.Converged {
-			s.parallelConverged.Add(1)
-		}
-		s.parallelDistance.Observe(float64(e.Distance))
 	case obs.KindHierarchyRun:
 		s.hierL2Fetches.Add(int64(e.L2Fetches))
 		s.hierL2FetchMisses.Add(int64(e.L2FetchMisses))

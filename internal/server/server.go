@@ -113,33 +113,26 @@ type Server struct {
 	// Prometheus exposition (see prom.go). The func-backed families read
 	// straight from metrics/state at scrape time; only the histograms and
 	// the engine refs counter hold their own state.
-	prom               *obs.Registry
-	evalHist           *obs.Histogram
-	sweepHist          *obs.Histogram
-	engineRefs         *obs.Counter
-	refsRateHist       *obs.Histogram
-	causeCompulsory    *obs.Counter
-	causeCapacity      *obs.Counter
-	causeConflict      *obs.Counter
-	sampledRuns        *obs.Counter
-	sampledFallback    *obs.Counter
-	sampledRounds      *obs.Counter
-	sampledRelErr      *obs.Histogram
-	sampledVsBudget    *obs.Histogram
-	sampledFraction    *obs.Histogram
-	parallelRuns       *obs.Counter
-	parallelFallback   *obs.Counter
-	parallelSegments   *obs.Counter
-	parallelAligned    *obs.Counter
-	parallelBoundaries *obs.Counter
-	parallelConverged  *obs.Counter
-	parallelDistance   *obs.Histogram
-	hierL2Fetches      *obs.Counter
-	hierL2FetchMisses  *obs.Counter
-	hierL2Writes       *obs.Counter
-	hierL2WriteMisses  *obs.Counter
-	hierVictimHits     *obs.Counter
-	httpInFlight       atomic.Int64
+	prom              *obs.Registry
+	evalHist          *obs.Histogram
+	sweepHist         *obs.Histogram
+	engineRefs        *obs.Counter
+	refsRateHist      *obs.Histogram
+	causeCompulsory   *obs.Counter
+	causeCapacity     *obs.Counter
+	causeConflict     *obs.Counter
+	sampledRuns       *obs.Counter
+	sampledFallback   *obs.Counter
+	sampledRounds     *obs.Counter
+	sampledRelErr     *obs.Histogram
+	sampledVsBudget   *obs.Histogram
+	sampledFraction   *obs.Histogram
+	hierL2Fetches     *obs.Counter
+	hierL2FetchMisses *obs.Counter
+	hierL2Writes      *obs.Counter
+	hierL2WriteMisses *obs.Counter
+	hierVictimHits    *obs.Counter
+	httpInFlight      atomic.Int64
 
 	jobs *jobs.Registry
 
@@ -303,24 +296,17 @@ type EvaluateRequest struct {
 	// mode. When sampling cannot meet it the server transparently falls
 	// back to exact simulation and says so in the response.
 	ErrorBudget float64 `json:"error_budget"`
-	// Parallel asks for time-parallel exact simulation with that many
-	// segment workers. 0 and 1 run serially; values above 2 engage the
-	// reconciling segment engine — results are bit-identical to serial,
-	// and the response's "parallel" block reports the plan (or why it fell
-	// back). Rejected when negative, above the service limit, or combined
-	// with "mode":"sampled" on this endpoint.
-	Parallel int `json:"parallel"`
 	// Victim adds a fully-associative victim buffer of this many lines
 	// behind every cache in the design (Jouppi's organization); 0 means no
 	// buffer. Folded into the design before keying, so "victim":4 and a
 	// design with VictimLines set directly memoize identically. Rejected
-	// when combined with "mode":"sampled" or parallel.
+	// when combined with "mode":"sampled".
 	Victim int `json:"victim"`
 	// L2 opts the evaluation into two-level simulation: the design becomes
 	// the first level and every L1 miss (and dirty push) feeds this unified
 	// second-level cache. The report then carries an L2 block with local
-	// and global miss ratios. Rejected when combined with "mode":"sampled"
-	// or parallel — neither engine is sound across levels.
+	// and global miss ratios. Rejected when combined with "mode":"sampled":
+	// the sampled engine is not sound across levels.
 	L2 *L2In `json:"l2"`
 	// Trace opts into the per-stage timing breakdown. It cannot change the
 	// simulation's result, so it is excluded from the memoization key; a
@@ -398,45 +384,13 @@ func sampledOut(info *core.SampledInfo) *SampledOut {
 	}
 }
 
-// ParallelOut reports how a time-parallel run went: the plan it executed
-// (or the serial engine it delegated to, and why), and the reconciliation
-// cost in re-simulated references.
-type ParallelOut struct {
-	Engine               string `json:"engine"`
-	Segments             int    `json:"segments"`
-	Aligned              bool   `json:"aligned"`
-	Boundaries           int    `json:"boundaries"`
-	Converged            int    `json:"converged"`
-	MaxConvergenceRefs   int    `json:"max_convergence_refs"`
-	TotalConvergenceRefs uint64 `json:"total_convergence_refs"`
-	FellBack             bool   `json:"fell_back"`
-	FallbackReason       string `json:"fallback_reason,omitempty"`
-}
-
-// parallelOut converts the core metadata to its response form.
-func parallelOut(info *core.ParallelInfo) *ParallelOut {
-	if info == nil {
-		return nil
-	}
-	return &ParallelOut{
-		Engine:               info.Engine,
-		Segments:             info.Segments,
-		Aligned:              info.Aligned,
-		Boundaries:           info.Boundaries,
-		Converged:            info.Converged,
-		MaxConvergenceRefs:   info.MaxConvergenceRefs,
-		TotalConvergenceRefs: info.TotalConvergenceRefs,
-		FellBack:             info.FellBack,
-		FallbackReason:       info.FallbackReason,
-	}
-}
-
-// maxParallelWorkers bounds the per-request segment-worker count. Segment
-// replicas each hold a full tag store per size, so letting a request name an
-// arbitrary worker count would multiply memory without bound.
+// maxParallelWorkers bounds a sweep's requested worker count. Each worker
+// runs one grid pass with its own tag stores, so letting a request name an
+// arbitrary worker count would multiply goroutines and memory without
+// bound.
 const maxParallelWorkers = 64
 
-// validateParallel checks the parallel field shared by both endpoints.
+// validateParallel checks a sweep's parallel field.
 func validateParallel(workers int) *requestError {
 	if workers < 0 {
 		return &requestError{http.StatusBadRequest, "parallel must be >= 0"}
@@ -461,13 +415,11 @@ func missCIOut(ci *cache.MissCI) *MissCIOut {
 // synchronous one field for field (minus the per-request cached/shared/
 // elapsed_ms envelope). MissRatioCI and Sampled appear only for
 // sampled-mode requests (and the CI only when sampling succeeded — a
-// fallback's results are exact and need no interval); Parallel only for
-// time-parallel ones.
+// fallback's results are exact and need no interval).
 type evalPayload struct {
-	Report      core.Report  `json:"report"`
-	MissRatioCI *MissCIOut   `json:"miss_ratio_ci,omitempty"`
-	Sampled     *SampledOut  `json:"sampled,omitempty"`
-	Parallel    *ParallelOut `json:"parallel,omitempty"`
+	Report      core.Report `json:"report"`
+	MissRatioCI *MissCIOut  `json:"miss_ratio_ci,omitempty"`
+	Sampled     *SampledOut `json:"sampled,omitempty"`
 }
 
 // EvaluateResponse is the POST /v1/evaluate reply.
@@ -551,32 +503,14 @@ func (s *Server) validateEvaluate(req *EvaluateRequest) (cache.SystemConfig, wor
 		return cache.SystemConfig{}, workload.Mix{}, verr
 	}
 	req.Mode = mode // canonical spelling, relied on by downstream keying
-	if verr := validateParallel(req.Parallel); verr != nil {
-		return cache.SystemConfig{}, workload.Mix{}, verr
-	}
-	if req.Parallel >= 2 && req.Mode == "sampled" {
-		return cache.SystemConfig{}, workload.Mix{}, &requestError{
-			http.StatusBadRequest,
-			`parallel and "mode":"sampled" are mutually exclusive on /v1/evaluate`}
-	}
-	if req.Parallel < 2 {
-		req.Parallel = 0 // canonical serial spelling, relied on by keying
-	}
 	if req.Victim < 0 {
 		return cache.SystemConfig{}, workload.Mix{}, &requestError{
 			http.StatusBadRequest, "victim must be >= 0"}
 	}
-	if req.Victim > 0 || req.L2 != nil {
-		if req.Mode == "sampled" {
-			return cache.SystemConfig{}, workload.Mix{}, &requestError{
-				http.StatusBadRequest,
-				`victim and l2 are mutually exclusive with "mode":"sampled"`}
-		}
-		if req.Parallel >= 2 {
-			return cache.SystemConfig{}, workload.Mix{}, &requestError{
-				http.StatusBadRequest,
-				"victim and l2 are mutually exclusive with parallel"}
-		}
+	if (req.Victim > 0 || req.L2 != nil) && req.Mode == "sampled" {
+		return cache.SystemConfig{}, workload.Mix{}, &requestError{
+			http.StatusBadRequest,
+			`victim and l2 are mutually exclusive with "mode":"sampled"`}
 	}
 	design := req.Design
 	if design == (cache.SystemConfig{}) {
@@ -706,9 +640,8 @@ func evalRequestKey(req *EvaluateRequest, design cache.SystemConfig, mixName str
 		RefLimit    int
 		Mode        string
 		ErrorBudget float64
-		Parallel    int
 		L2          *cache.Config
-	}{design, mixName, req.RefLimit, req.Mode, req.ErrorBudget, req.Parallel, l2cfg})
+	}{design, mixName, req.RefLimit, req.Mode, req.ErrorBudget, l2cfg})
 	return key, l2cfg, err
 }
 
@@ -737,14 +670,6 @@ func (s *Server) evalFlight(req *EvaluateRequest, design cache.SystemConfig, mix
 					return nil, err
 				}
 				return evalMemo{Payload: evalPayload{Report: rep, MissRatioCI: missCIOut(ci), Sampled: sampledOut(info)}, Trace: tr.Summary()}, nil
-			}
-			if req.Parallel >= 2 {
-				rep, info, err := core.EvaluateParallelRefsContext(fctx, design, mix.Name, refs,
-					&core.ParallelOptions{Workers: req.Parallel})
-				if err != nil {
-					return nil, err
-				}
-				return evalMemo{Payload: evalPayload{Report: rep, Parallel: parallelOut(info)}, Trace: tr.Summary()}, nil
 			}
 			if l2cfg != nil {
 				rep, err := core.EvaluateHierarchyRefsContext(fctx,
@@ -794,22 +719,21 @@ type SweepRequest struct {
 	// miss-ratio CI and the response lists per-pass sampling metadata.
 	Mode        string  `json:"mode"`
 	ErrorBudget float64 `json:"error_budget"`
-	// Parallel asks for time-parallel exact simulation with that many
-	// workers shared between grid jobs and stream segments (one pool, no
-	// oversubscription). Results are bit-identical to serial; the response
-	// lists per-pass plan metadata. Composable with "mode":"sampled" —
-	// a pass whose sampling falls back to exact re-runs parallel.
+	// Parallel raises the sweep's worker count — how many grid passes run
+	// at once — to N when N exceeds the server's SimWorkers (0-64). It
+	// cannot change the results, so it is excluded from the memoization
+	// key: a "parallel" sweep and its serial twin share one entry.
 	Parallel int `json:"parallel"`
 	// Victim adds a fully-associative victim buffer of this many lines
 	// behind every cache in the grid; 0 means none. Victim sweeps break
 	// stack inclusion and run one cache per size. Rejected when combined
-	// with "mode":"sampled" or parallel.
+	// with "mode":"sampled".
 	Victim int `json:"victim"`
 	// L2 opts the whole grid into two-level simulation: every L1 size runs
 	// in front of this second-level cache, and each variant then carries an
 	// "l2" block with local and global miss ratios. The L2 must hold the
 	// largest L1 in the grid (both caches of a split organization).
-	// Rejected when combined with "mode":"sampled" or parallel.
+	// Rejected when combined with "mode":"sampled".
 	L2 *L2In `json:"l2"`
 	// Trace opts into the per-stage timing breakdown; like timeout_ms it is
 	// excluded from the memoization key (see EvaluateRequest.Trace).
@@ -863,24 +787,15 @@ type SampledPassOut struct {
 	SampledOut
 }
 
-// ParallelPassOut is ParallelOut for one sweep grid pass.
-type ParallelPassOut struct {
-	Mix      string `json:"mix"`
-	Split    bool   `json:"split"`
-	Prefetch bool   `json:"prefetch"`
-	ParallelOut
-}
-
 // sweepPayload is the memoized portion of a sweep response. Mode is the
 // canonical request mode ("exact" or "sampled"); Sampled lists per-pass
 // sampling metadata for sampled sweeps.
 type sweepPayload struct {
-	Sizes    []int             `json:"sizes"`
-	Mixes    []string          `json:"mixes"`
-	Mode     string            `json:"mode"`
-	Cells    [][]SweepCellOut  `json:"cells"`
-	Sampled  []SampledPassOut  `json:"sampled,omitempty"`
-	Parallel []ParallelPassOut `json:"parallel,omitempty"`
+	Sizes   []int            `json:"sizes"`
+	Mixes   []string         `json:"mixes"`
+	Mode    string           `json:"mode"`
+	Cells   [][]SweepCellOut `json:"cells"`
+	Sampled []SampledPassOut `json:"sampled,omitempty"`
 }
 
 // SweepResponse is the POST /v1/sweep reply; Cells is indexed [mix][size].
@@ -953,17 +868,10 @@ func (s *Server) validateSweep(req *SweepRequest) ([]workload.Mix, cache.Replace
 	if verr := validateParallel(req.Parallel); verr != nil {
 		return nil, 0, verr
 	}
-	if req.Parallel < 2 {
-		req.Parallel = 0 // canonical serial spelling, relied on by keying
-	}
 	if req.Victim != 0 || req.L2 != nil {
 		if req.Mode == "sampled" {
 			return nil, 0, &requestError{http.StatusBadRequest,
 				`victim and l2 are mutually exclusive with "mode":"sampled"`}
-		}
-		if req.Parallel >= 2 {
-			return nil, 0, &requestError{http.StatusBadRequest,
-				"victim and l2 are mutually exclusive with parallel"}
 		}
 		if req.L2 != nil && req.L2.Size > maxCacheBytes {
 			return nil, 0, errCacheTooLarge
@@ -1053,18 +961,7 @@ func (s *Server) sweepOptions(req *SweepRequest, repl cache.Replacement) experim
 	if req.Mode == "sampled" {
 		opts.Sampled = &core.SampledOptions{ErrorBudget: req.ErrorBudget}
 	}
-	if req.Parallel >= 2 {
-		// One pool serves both grid jobs and stream segments (the
-		// experiments layer shares its budget with the parallel engine), so
-		// the request never exceeds its granted worker count.
-		if req.Parallel > opts.Workers {
-			opts.Workers = req.Parallel
-		}
-	} else {
-		// Pin the serial engines: without this, an operator-configured
-		// SimWorkers > 1 would opt every sweep into the parallel engine.
-		opts.Parallel = &core.ParallelOptions{Workers: 1}
-	}
+	opts.Workers = max(opts.Workers, req.Parallel)
 	return opts
 }
 
@@ -1072,6 +969,7 @@ func (s *Server) sweepOptions(req *SweepRequest, repl cache.Replacement) experim
 // validated, canonicalized form. The key carries the parsed policy's
 // canonical name, so the "slru", "segmented-lru" and "2q" spellings memoize
 // as one entry. Mode and budget isolate sampled results from exact ones.
+// The worker count ("parallel") is left out: it cannot change the cells.
 // Async jobs compute the same key, so an async sweep and its synchronous
 // twin share one memo entry and one flight.
 func sweepRequestKey(req *SweepRequest, repl cache.Replacement) (string, error) {
@@ -1083,10 +981,9 @@ func sweepRequestKey(req *SweepRequest, repl cache.Replacement) (string, error) 
 		RefLimit    int
 		Mode        string
 		ErrorBudget float64
-		Parallel    int
 		Victim      int
 		L2          *core.L2Spec
-	}{req.Mixes, req.Sizes, req.LineSize, repl.String(), req.RefLimit, req.Mode, req.ErrorBudget, req.Parallel,
+	}{req.Mixes, req.Sizes, req.LineSize, repl.String(), req.RefLimit, req.Mode, req.ErrorBudget,
 		req.Victim, req.L2.spec()})
 }
 
@@ -1120,12 +1017,6 @@ func summarizeSweep(res *experiments.SweepResult, mode string) sweepPayload {
 		out.Sampled = append(out.Sampled, SampledPassOut{
 			Mix: p.Mix, Split: p.Split, Prefetch: p.Prefetch,
 			SampledOut: *sampledOut(&p.Info),
-		})
-	}
-	for _, p := range res.Parallel {
-		out.Parallel = append(out.Parallel, ParallelPassOut{
-			Mix: p.Mix, Split: p.Split, Prefetch: p.Prefetch,
-			ParallelOut: *parallelOut(&p.Info),
 		})
 	}
 	out.Cells = make([][]SweepCellOut, len(res.Cells))

@@ -87,10 +87,15 @@ func TestHandlerErrors(t *testing.T) {
 		{"out-of-range numeric repl", "POST", "/v1/evaluate",
 			`{"mix":"FGO1","design":{"Unified":{"Size":1024,"LineSize":16,"Repl":9}}}`, http.StatusBadRequest},
 		{"sweep unknown policy", "POST", "/v1/sweep", `{"mixes":["FGO1"],"policy":"belady"}`, http.StatusBadRequest},
+		{"parallel on evaluate", "POST", "/v1/evaluate", `{"mix":"FGO1","parallel":2}`, http.StatusBadRequest},
 		{"wrong method policies", "POST", "/v1/policies", "", http.StatusMethodNotAllowed},
 		{"wrong method evaluate", "GET", "/v1/evaluate", "", http.StatusMethodNotAllowed},
 		{"wrong method mixes", "POST", "/v1/mixes", "", http.StatusMethodNotAllowed},
 		{"unknown path", "GET", "/v1/nope", "", http.StatusNotFound},
+	}
+	// The rejections whose error message must name what was wrong.
+	wantMsg := map[string]string{
+		"parallel on evaluate": `"parallel"`,
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -102,9 +107,21 @@ func TestHandlerErrors(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
+			b, err := io.ReadAll(resp.Body)
 			resp.Body.Close()
+			if err != nil {
+				t.Fatal(err)
+			}
 			if resp.StatusCode != tc.want {
 				t.Errorf("%s %s: got status %d, want %d", tc.method, tc.path, resp.StatusCode, tc.want)
+			}
+			if msg, ok := wantMsg[tc.name]; ok {
+				var e struct {
+					Error string `json:"error"`
+				}
+				if err := json.Unmarshal(b, &e); err != nil || !strings.Contains(e.Error, msg) {
+					t.Errorf("%s %s: error %s does not name %s", tc.method, tc.path, b, msg)
+				}
 			}
 		})
 	}

@@ -108,9 +108,9 @@ type Skipper interface {
 
 // Slicer is implemented by readers that can hand out their remaining
 // references as a shared slice without copying. Borrow uses it so that
-// consumers needing the whole stream in memory (the per-size, sampled and
-// parallel sweep engines) share the backing slice instead of collecting a
-// copy; ok=false means the reader cannot, and Borrow falls back to Collect.
+// consumers needing the whole stream in memory (the per-size and sampled
+// sweep engines) share the backing slice instead of collecting a copy;
+// ok=false means the reader cannot, and Borrow falls back to Collect.
 type Slicer interface {
 	RestSlice() (refs []Ref, ok bool)
 }
