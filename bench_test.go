@@ -171,7 +171,7 @@ func BenchmarkReplacementAblation(b *testing.B) {
 // size-scaled windows are a small fraction of the whole. The stream is
 // materialized once outside the timed region (both modes would otherwise
 // repay the same synthesis cost, burying the simulation difference).
-func benchSampledOpts(b *testing.B) (experiments.Options, []workload.Mix) {
+func benchSampledOpts(b *testing.B) (experiments.Options, []workload.Mix, [][]trace.Ref) {
 	b.Helper()
 	refs := 15000000
 	if testing.Short() {
@@ -197,27 +197,24 @@ func benchSampledOpts(b *testing.B) (experiments.Options, []workload.Mix) {
 		}
 		mixes[i] = workload.Mix{Name: m.Name, Specs: specs, Quantum: m.Quantum}
 	}
-	streams := make(map[string][]trace.Ref, len(mixes))
-	for _, m := range mixes {
+	streams := make([][]trace.Ref, len(mixes))
+	for i, m := range mixes {
 		refs, err := o.CollectMixContext(context.Background(), m)
 		if err != nil {
 			b.Fatal(err)
 		}
-		streams[m.Name] = refs
+		streams[i] = refs
 	}
-	o.StreamSource = func(_ context.Context, m workload.Mix) ([]trace.Ref, error) {
-		return streams[m.Name], nil
-	}
-	return o, mixes
+	return o, mixes, streams
 }
 
 // BenchmarkSweepExact is the exact-mode baseline for BenchmarkSweepSampled:
 // the same grid, trace and engine registry, with sampling disabled.
 func BenchmarkSweepExact(b *testing.B) {
-	o, mixes := benchSampledOpts(b)
+	o, mixes, streams := benchSampledOpts(b)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := experiments.SweepMixes(o, mixes); err != nil {
+		if _, err := experiments.SweepRefsContext(context.Background(), o, mixes, streams); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -227,11 +224,11 @@ func BenchmarkSweepExact(b *testing.B) {
 // ±5% error budget. The recorded BENCH_4.json pair (exact vs sampled) is
 // the wall-clock evidence for the sampled engine's speedup claim.
 func BenchmarkSweepSampled(b *testing.B) {
-	o, mixes := benchSampledOpts(b)
+	o, mixes, streams := benchSampledOpts(b)
 	o.Sampled = &core.SampledOptions{ErrorBudget: 0.05}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		res, err := experiments.SweepMixes(o, mixes)
+		res, err := experiments.SweepRefsContext(context.Background(), o, mixes, streams)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -254,12 +251,12 @@ func BenchmarkSweepSampled(b *testing.B) {
 // hierarchy) prices that routing against the one-pass stack engines the
 // single-level sweep gets to use.
 func BenchmarkSweepHierarchy(b *testing.B) {
-	o, mixes := benchSampledOpts(b)
+	o, mixes, streams := benchSampledOpts(b)
 	o.Victim = 4
 	o.L2 = &core.L2Spec{Size: 262144, LineSize: 64}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := experiments.SweepMixes(o, mixes); err != nil {
+		if _, err := experiments.SweepRefsContext(context.Background(), o, mixes, streams); err != nil {
 			b.Fatal(err)
 		}
 	}

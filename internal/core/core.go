@@ -86,7 +86,24 @@ func Evaluate(design cache.SystemConfig, mix workload.Mix, refLimit int) (Report
 // EvaluateContext is Evaluate with cancellation: the simulation aborts
 // shortly after ctx is done, returning an error wrapping ctx.Err() (check
 // with errors.Is against context.Canceled or context.DeadlineExceeded).
+// The design reads the mix's generator directly; no stream is
+// materialized.
 func EvaluateContext(ctx context.Context, design cache.SystemConfig, mix workload.Mix, refLimit int) (Report, error) {
+	return evaluateMix(ctx, design, nil, mix, refLimit)
+}
+
+// EvaluateHierarchyContext is EvaluateContext for a two-level design. The
+// Report's reference-level figures describe the processor's view (the L1);
+// the traffic figures describe the true memory interface (the L2's outer
+// side); the Hierarchy block carries the L2 event counts and miss ratios.
+func EvaluateHierarchyContext(ctx context.Context, hc cache.HierarchyConfig, mix workload.Mix, refLimit int) (Report, error) {
+	return evaluateMix(ctx, hc.L1, &hc.L2, mix, refLimit)
+}
+
+// evaluateMix evaluates design (in front of l2 when l2 is non-nil) over
+// the mix's generator, capped at refLimit references in total when
+// refLimit is positive.
+func evaluateMix(ctx context.Context, design cache.SystemConfig, l2 *cache.Config, mix workload.Mix, refLimit int) (Report, error) {
 	rd, err := mix.Open()
 	if err != nil {
 		return Report{}, err
@@ -94,24 +111,13 @@ func EvaluateContext(ctx context.Context, design cache.SystemConfig, mix workloa
 	if refLimit > 0 {
 		rd = trace.NewLimitReader(rd, refLimit)
 	}
-	return evaluate(ctx, design, nil, mix.Name, rd)
+	return evaluate(ctx, design, l2, mix.Name, rd)
 }
 
 // EvaluateRefsContext evaluates a design against an already-materialized
-// reference stream, skipping workload synthesis entirely. Callers that
-// evaluate many designs over the same stream (the evaluation service's
-// stream cache) use it to pay for materialization once.
+// reference stream, skipping workload synthesis entirely.
 func EvaluateRefsContext(ctx context.Context, design cache.SystemConfig, name string, refs []trace.Ref) (Report, error) {
 	return evaluate(ctx, design, nil, name, trace.NewSliceReader(refs))
-}
-
-// EvaluateHierarchyRefsContext evaluates a two-level design against an
-// already-materialized reference stream. The Report's reference-level
-// figures describe the processor's view (the L1); the traffic figures
-// describe the true memory interface (the L2's outer side); the Hierarchy
-// block carries the L2 event counts and miss ratios.
-func EvaluateHierarchyRefsContext(ctx context.Context, hc cache.HierarchyConfig, name string, refs []trace.Ref) (Report, error) {
-	return evaluate(ctx, hc.L1, &hc.L2, name, trace.NewSliceReader(refs))
 }
 
 // evaluate is the exact single-design evaluation: it runs design — in

@@ -232,6 +232,53 @@ func TestRunSweepHierarchy(t *testing.T) {
 	}
 }
 
+// TestEvaluateHierarchyContext checks the generator-fed two-level
+// evaluation against the registry's per-size hierarchy engine run over the
+// same stream, materialized: the reference-level view, the memory
+// interface and the L2 block must all agree.
+func TestEvaluateHierarchyContext(t *testing.T) {
+	spec1, err := workload.ByName("VTEKOFF")
+	if err != nil {
+		t.Fatal(err)
+	}
+	mix := workload.Mix{Name: "VTEKOFF", Specs: []workload.Spec{spec1}, Quantum: 3000}
+	hc := cache.HierarchyConfig{
+		L1: cache.SystemConfig{Unified: cache.Config{Size: 256, LineSize: 16, VictimLines: 2}, PurgeInterval: mix.Quantum},
+		L2: cache.Config{Size: 2048, LineSize: 32},
+	}
+	rep, err := EvaluateHierarchyContext(context.Background(), hc, mix, 12000)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rd, err := mix.Open()
+	if err != nil {
+		t.Fatal(err)
+	}
+	refs, err := trace.Collect(trace.NewLimitReader(rd, 12000), 0, 12000)
+	if err != nil {
+		t.Fatal(err)
+	}
+	spec := SweepSpec{
+		Sizes: []int{256}, LineSize: 16, Quantum: mix.Quantum,
+		Victim: 2, L2: &L2Spec{Size: 2048, LineSize: 32},
+	}
+	out, err := RunSweep(context.Background(), spec, trace.NewSliceReader(refs), nil, "test", 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	r := out.Results[0]
+	h := rep.Hierarchy
+	if h == nil || h.L2Design != hc.L2 {
+		t.Fatalf("hierarchy block %+v, want one for L2 %+v", h, hc.L2)
+	}
+	if rep.Refs != 12000 || rep.MissRatio != r.Ref.MissRatio() || rep.VictimHits != r.U.VictimHits ||
+		rep.BytesFromMemory != r.H.U.BytesFromMemory || rep.BytesToMemory != r.H.U.BytesToMemory ||
+		h.L2Fetches != r.H.Ev.Fetches || h.L2FetchMisses != r.H.Ev.FetchMisses ||
+		h.L2Writes != r.H.Ev.Writes || h.L2WriteMisses != r.H.Ev.WriteMisses {
+		t.Errorf("generator-fed hierarchy report %+v (L2 %+v) disagrees with the registry's %+v", rep, *h, r)
+	}
+}
+
 // TestPerSizeEngineHierarchyMatchesFresh checks the per-size engine on L2
 // specs: every size's result, the L2 block (SizeResult.H) included, equals
 // an independent cache.Hierarchy built fresh for that size, so the L2 the

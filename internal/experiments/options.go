@@ -40,13 +40,6 @@ type Options struct {
 	// each job writes only its own slot, so scheduling order never shows
 	// through in the output.
 	Workers int
-	// StreamSource, when non-nil, supplies a mix's materialized reference
-	// stream instead of synthesizing it from the mix's specs. Callers that
-	// run many experiments over the same mixes (the evaluation service)
-	// use it to share one materialization across requests. The source must
-	// honour the same RefLimit semantics as collectMixCtx (per-member
-	// limits) and callers must not mutate the returned slice.
-	StreamSource func(ctx context.Context, m workload.Mix) ([]trace.Ref, error)
 	// Repl is the replacement policy every simulated cache uses. The zero
 	// value is LRU, the paper's policy; non-LRU policies break stack
 	// inclusion, so sweeps over them fall back (via the core engine
@@ -127,23 +120,14 @@ func (o Options) collectSpec(s workload.Spec) ([]trace.Ref, error) {
 // collectMix materializes a mix's interleaved stream. RefLimit applies per
 // member, preserving the round-robin structure at reduced scale.
 func (o Options) collectMix(m workload.Mix) ([]trace.Ref, error) {
-	return o.collectMixCtx(context.Background(), m)
+	return o.CollectMixContext(context.Background(), m)
 }
 
 // CollectMixContext materializes a mix's interleaved reference stream
-// exactly as the sweep drivers do (RefLimit per member, StreamSource
-// honoured). Exported for callers that cache streams across runs — the
-// evaluation service feeds the result back in via StreamSource.
+// exactly as the sweep drivers do: RefLimit applies per member, preserving
+// the round-robin structure at reduced scale. Synthesizing a long trace is
+// itself slow enough to need the context check.
 func (o Options) CollectMixContext(ctx context.Context, m workload.Mix) ([]trace.Ref, error) {
-	return o.collectMixCtx(ctx, m)
-}
-
-// collectMixCtx is collectMix with cancellation; synthesizing a long trace
-// is itself slow enough to need a context check.
-func (o Options) collectMixCtx(ctx context.Context, m workload.Mix) ([]trace.Ref, error) {
-	if o.StreamSource != nil {
-		return o.StreamSource(ctx, m)
-	}
 	m = o.limitMix(m)
 	r, err := m.Open()
 	if err != nil {

@@ -7,7 +7,6 @@ import (
 	"reflect"
 	"runtime"
 	"sync"
-	"sync/atomic"
 	"testing"
 	"time"
 
@@ -93,37 +92,40 @@ func shortMixes(n, refs int) []workload.Mix {
 
 // TestStreamedMatchesMaterialized pins the streamed sweep to the
 // materialized one: the same sweep, once fed from the generator (streamed:
-// one job per mix and pass group) and once through a StreamSource (which
-// forces materialization), must give identical cells and OnPass results
-// at every worker count, so one, two and four pass groups all run. Every
-// pass stage must open and close exactly once on the sink.
+// one job per mix and pass group) and once through SweepRefsContext over
+// the mixes' collected streams, must give identical cells and OnPass
+// results at every worker count, so one, two and four pass groups all run.
+// Every pass stage must open and close exactly once on the sink.
 func TestStreamedMatchesMaterialized(t *testing.T) {
 	for _, n := range []int{1, 2, 6} {
 		for _, workers := range []int{1, 2, 4, 8} {
 			for _, limit := range []int{0, 4000} {
 				t.Run(fmt.Sprintf("mixes=%d/workers=%d/limit=%d", n, workers, limit), func(t *testing.T) {
 					mixes := shortMixes(n, 6000)
-					run := func(materialize bool) (*SweepResult, *stageSink, *passRecorder, int) {
+					run := func(materialize bool) (*SweepResult, *stageSink, *passRecorder) {
 						sink, rec := newStageSink(), &passRecorder{passes: map[passKey][]SimOut{}}
 						o := Options{Sizes: []int{64, 512, 4096}, RefLimit: limit, Workers: workers, Sink: sink, OnPass: rec.on}
-						var sourced atomic.Int32
+						sweep := SweepMixes
 						if materialize {
-							o.StreamSource = func(ctx context.Context, m workload.Mix) ([]trace.Ref, error) {
-								sourced.Add(1)
-								return Options{RefLimit: limit}.CollectMixContext(ctx, m)
+							sweep = func(o Options, mixes []workload.Mix) (*SweepResult, error) {
+								streams := make([][]trace.Ref, len(mixes))
+								for i, m := range mixes {
+									var err error
+									if streams[i], err = o.collectMix(m); err != nil {
+										return nil, err
+									}
+								}
+								return SweepRefsContext(context.Background(), o, mixes, streams)
 							}
 						}
-						res, err := SweepMixes(o, mixes)
+						res, err := sweep(o, mixes)
 						if err != nil {
 							t.Fatal(err)
 						}
-						return res, sink, rec, int(sourced.Load())
+						return res, sink, rec
 					}
-					want, _, wantPasses, sourced := run(true)
-					if sourced != n {
-						t.Fatalf("StreamSource called %d times, want %d", sourced, n)
-					}
-					got, sink, gotPasses, _ := run(false)
+					want, _, wantPasses := run(true)
+					got, sink, gotPasses := run(false)
 					if !reflect.DeepEqual(got.Cells, want.Cells) {
 						t.Error("streamed cells differ from materialized cells")
 					}
@@ -238,11 +240,11 @@ func TestStreamedSweepCancel(t *testing.T) {
 	}
 }
 
-// TestMaterializedSweepCancelSettles cancels a StreamSource sweep at its
-// first progress event with four workers, so forEachCtx runs the four grid
-// passes on three goroutines of its own plus the caller's. The sweep must
-// fail with the cancellation, close every stage it opened, and leave no
-// goroutine behind.
+// TestMaterializedSweepCancelSettles cancels a sweep over a materialized
+// stream (SweepRefsContext) at its first progress event with four
+// workers, so forEachCtx runs the four grid passes on three goroutines of
+// its own plus the caller's. The sweep must fail with the cancellation,
+// close every stage it opened, and leave no goroutine behind.
 func TestMaterializedSweepCancelSettles(t *testing.T) {
 	mix := shortMixes(3, 300_000)[2] // VCCOM
 	refs, err := Options{}.CollectMixContext(context.Background(), mix)
@@ -254,11 +256,8 @@ func TestMaterializedSweepCancelSettles(t *testing.T) {
 	defer cancel()
 	sink := newStageSink()
 	sink.cancel = cancel
-	o := Options{
-		Sizes: []int{1024, 16384}, Workers: 4, Sink: sink,
-		StreamSource: func(context.Context, workload.Mix) ([]trace.Ref, error) { return refs, nil },
-	}
-	if _, err := SweepMixesContext(ctx, o, []workload.Mix{mix}); !errors.Is(err, context.Canceled) {
+	o := Options{Sizes: []int{1024, 16384}, Workers: 4, Sink: sink}
+	if _, err := SweepRefsContext(ctx, o, []workload.Mix{mix}, [][]trace.Ref{refs}); !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}
 	if len(sink.starts) == 0 || !reflect.DeepEqual(sink.starts, sink.ends) {
@@ -307,11 +306,10 @@ func TestStreamedSweepBoundedAlloc(t *testing.T) {
 	}
 }
 
-// TestStreamedPathSelection pins when a sweep streams: only generator-fed,
-// exact sweeps whose every pass selects a one-pass engine.
+// TestStreamedPathSelection pins when a sweep streams: only exact sweeps
+// whose every pass selects a one-pass engine.
 func TestStreamedPathSelection(t *testing.T) {
 	mixes := shortMixes(1, 1000)
-	src := func(context.Context, workload.Mix) ([]trace.Ref, error) { return nil, nil }
 	for _, tc := range []struct {
 		name string
 		o    Options
@@ -319,7 +317,6 @@ func TestStreamedPathSelection(t *testing.T) {
 	}{
 		{"default", Options{}, true},
 		{"four workers", Options{Workers: 4}, true},
-		{"stream source", Options{StreamSource: src}, false},
 		{"sampled", Options{Sampled: &core.SampledOptions{ErrorBudget: 0.05}}, false},
 		{"victim", Options{Victim: 4}, false},
 		{"L2", Options{L2: &core.L2Spec{Size: 1 << 16}}, false},

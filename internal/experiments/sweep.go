@@ -108,31 +108,25 @@ func SweepMixes(o Options, mixes []workload.Mix) (*SweepResult, error) {
 // the registry transparently falls back to one cache per size. All routes
 // are bit-identical to the per-size simulations they replace.
 //
-// When every pass selects an engine with an incremental form and the
-// streams come from the generator — no StreamSource and no Sampled — the
-// sweep is streamed: no stream is materialized. Each job opens one mix's
-// generator and feeds a group of its passes from one reusable chunk
-// buffer (core.Feed), so workers split engines, not time. Otherwise every
-// mix is materialized once and each pass re-reads it from memory.
+// When every pass selects an engine with an incremental form and no pass
+// is sampled, the sweep is streamed: no stream is materialized. Each job
+// opens one mix's generator and feeds a group of its passes from one
+// reusable chunk buffer (core.Feed), so workers split engines, not time.
+// Otherwise every mix is materialized once and SweepRefsContext runs the
+// grid over the streams.
 func SweepMixesContext(ctx context.Context, o Options, mixes []workload.Mix) (*SweepResult, error) {
 	o = o.withDefaults()
-	res := &SweepResult{Sizes: o.Sizes, Mixes: mixes, opts: o}
-	res.Cells = make([][]SweepCell, len(mixes))
-	for i := range res.Cells {
-		res.Cells[i] = make([]SweepCell, len(o.Sizes))
-	}
 	if o.streamed(mixes) {
+		res := newSweepResult(o, mixes)
 		if err := o.sweepStreamed(ctx, mixes, res.Cells); err != nil {
 			return nil, err
 		}
 		return res, nil
 	}
-	// Materialize each mix's reference stream once; the grid re-reads it
-	// from memory for every job.
 	streams := make([][]trace.Ref, len(mixes))
 	err := o.forEachCtx(ctx, len(mixes), func(i int) error {
 		sp := obs.StartSpan(ctx, "materialize:"+mixes[i].Name)
-		refs, err := o.collectMixCtx(ctx, mixes[i])
+		refs, err := o.CollectMixContext(ctx, mixes[i])
 		if err != nil {
 			sp.End()
 			return fmt.Errorf("sweep %s: %w", mixes[i].Name, err)
@@ -145,6 +139,17 @@ func SweepMixesContext(ctx context.Context, o Options, mixes []workload.Mix) (*S
 	if err != nil {
 		return nil, err
 	}
+	return SweepRefsContext(ctx, o, mixes, streams)
+}
+
+// SweepRefsContext runs the sweep grid over already-materialized streams:
+// streams[i] is mixes[i]'s interleaved reference stream, which every pass
+// over the mix re-reads from memory. It never streams from the generator,
+// so callers that time the engines apart from workload synthesis (the
+// sweep benchmarks) materialize once and call it.
+func SweepRefsContext(ctx context.Context, o Options, mixes []workload.Mix, streams [][]trace.Ref) (*SweepResult, error) {
+	o = o.withDefaults()
+	res := newSweepResult(o, mixes)
 	// Job list: per mix, one all-sizes pass per (fetch policy,
 	// organization). Each job writes only its own cell fields, so results
 	// are bit-identical regardless of the worker count.
@@ -161,7 +166,7 @@ func SweepMixesContext(ctx context.Context, o Options, mixes []workload.Mix) (*S
 	// Each job writes only its own slot, so sampled-pass metadata stays
 	// deterministic (job order) regardless of the worker count.
 	passes := make([]*SampledPass, len(jobs))
-	err = o.forEachCtx(ctx, len(jobs), func(j int) error {
+	err := o.forEachCtx(ctx, len(jobs), func(j int) error {
 		jb := jobs[j]
 		mix, refs := mixes[jb.mi], streams[jb.mi]
 		out, err := runPass(ctx, o, mix, refs, jb.p, res.Cells[jb.mi])
@@ -182,6 +187,16 @@ func SweepMixesContext(ctx context.Context, o Options, mixes []workload.Mix) (*S
 		}
 	}
 	return res, nil
+}
+
+// newSweepResult returns an empty result with one cell row per mix.
+func newSweepResult(o Options, mixes []workload.Mix) *SweepResult {
+	res := &SweepResult{Sizes: o.Sizes, Mixes: mixes, opts: o}
+	res.Cells = make([][]SweepCell, len(mixes))
+	for i := range res.Cells {
+		res.Cells[i] = make([]SweepCell, len(o.Sizes))
+	}
+	return res
 }
 
 // gridPass is one of a mix's four all-sizes passes: an organization and a
@@ -295,11 +310,11 @@ func (o Options) deliver(mix workload.Mix, p gridPass, results []cache.SizeResul
 	}
 }
 
-// streamed reports whether the sweep takes the streamed path: the streams
-// come from the generator, no pass is sampled, and the registry picks an
-// engine with an incremental form for every pass.
+// streamed reports whether the sweep takes the streamed path: no pass is
+// sampled, and the registry picks an engine with an incremental form for
+// every pass.
 func (o Options) streamed(mixes []workload.Mix) bool {
-	if o.StreamSource != nil || o.Sampled != nil {
+	if o.Sampled != nil {
 		return false
 	}
 	for _, m := range mixes {

@@ -89,17 +89,14 @@ func TestSweepMatchesClassicPerSizeRuns(t *testing.T) {
 }
 
 // TestSweepMatchesReferenceModel drives the sweep path against the naive
-// reference simulator end-to-end: a StreamSource feeds the conformance
-// generator's stream into SweepMixes, and every cell must match the
-// reference model bit-for-bit.
+// reference simulator end-to-end: SweepRefsContext runs the grid over the
+// conformance generator's stream, and every cell must match the reference
+// model bit-for-bit.
 func TestSweepMatchesReferenceModel(t *testing.T) {
 	mix := workload.StandardMixes()[0]
 	refs := simcheck.Stream(77, 1200)
 	o := Options{Sizes: []int{32, 256, 2048}, RefLimit: 1200, Workers: 2}.withDefaults()
-	o.StreamSource = func(ctx context.Context, m workload.Mix) ([]trace.Ref, error) {
-		return refs, nil
-	}
-	res, err := SweepMixes(o, []workload.Mix{mix})
+	res, err := SweepRefsContext(context.Background(), o, []workload.Mix{mix}, [][]trace.Ref{refs})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -144,41 +141,5 @@ func TestSweepWorkerDeterminism(t *testing.T) {
 	})
 	if err != nil {
 		t.Fatal(err)
-	}
-}
-
-// TestSweepStreamSource checks that a StreamSource hook overrides stream
-// synthesis for sweeps.
-func TestSweepStreamSource(t *testing.T) {
-	mix := workload.StandardMixes()[0]
-	base := Options{Sizes: []int{64, 512}, RefLimit: 800, Workers: 1}.withDefaults()
-	refs, err := base.collectMix(mix)
-	if err != nil {
-		t.Fatal(err)
-	}
-	calls := 0
-	hooked := base
-	hooked.StreamSource = func(ctx context.Context, m workload.Mix) ([]trace.Ref, error) {
-		if m.Name != mix.Name {
-			t.Errorf("StreamSource got mix %q, want %q", m.Name, mix.Name)
-		}
-		calls++
-		return refs, nil
-	}
-	want, err := SweepMixes(base, []workload.Mix{mix})
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := SweepMixes(hooked, []workload.Mix{mix})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if calls == 0 {
-		t.Fatal("StreamSource was never called")
-	}
-	for si := range base.Sizes {
-		if got.Cells[0][si] != want.Cells[0][si] {
-			t.Errorf("size %d: StreamSource sweep diverged", base.Sizes[si])
-		}
 	}
 }

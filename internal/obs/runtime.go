@@ -7,7 +7,7 @@ import (
 
 // Go runtime telemetry: process-level health read from runtime/metrics at
 // scrape time. A stuck sweep shows up as a flat goroutine count, a leaky
-// stream cache as climbing heap in-use, and GC pressure from the big
+// result memo as climbing heap in-use, and GC pressure from big
 // materialized traces as mass in the pause histogram — all without any
 // accounting on the request path.
 

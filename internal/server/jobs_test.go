@@ -7,6 +7,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"net/http"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
@@ -304,10 +305,12 @@ func TestJobStreamReplayAndResume(t *testing.T) {
 }
 
 // TestJobSubscriberDisconnect attaches a subscriber that drops mid-stream;
-// the job must still run to completion for the next subscriber.
+// the job must still run to completion for the next subscriber, and
+// neither the dropped stream nor the finished job may leave a goroutine
+// behind. It does not run in parallel: the goroutine count is process-wide.
 func TestJobSubscriberDisconnect(t *testing.T) {
-	t.Parallel()
-	_, hs := newTestServer(t, Config{})
+	s, hs := newTestServer(t, Config{})
+	before := runtime.NumGoroutine()
 	id := createJob(t, hs.URL, `{"sweep":{"mixes":["FGO1"],"sizes":[1024,4096],"ref_limit":20000}}`)
 
 	ctx, cancel := context.WithCancel(context.Background())
@@ -344,16 +347,21 @@ func TestJobSubscriberDisconnect(t *testing.T) {
 		}
 		time.Sleep(10 * time.Millisecond)
 	}
+	waitSettled(t, s, before, "after subscriber disconnect")
 }
 
-// TestJobCancel cancels a running job via DELETE and checks the stream ends
-// with a canceled event.
+// TestJobCancel cancels a running job via DELETE once its sweep holds a
+// worker slot, so the cancel lands inside the streamed grid's feed loop.
+// The stream must end with a canceled event and every goroutine the job
+// started must exit. It does not run in parallel: the goroutine count is
+// process-wide.
 func TestJobCancel(t *testing.T) {
-	t.Parallel()
-	_, hs := newTestServer(t, Config{})
+	s, hs := newTestServer(t, Config{})
+	before := runtime.NumGoroutine()
 	// A grid big enough to still be running when the cancel lands.
 	id := createJob(t, hs.URL,
 		`{"sweep":{"mixes":["FGO1","FGO2","CGO1","MVS1"],"sizes":[1024,2048,4096,8192,16384,32768],"ref_limit":300000}}`)
+	waitInFlight(t, s)
 
 	req, _ := http.NewRequest(http.MethodDelete, hs.URL+"/v1/jobs/"+id, nil)
 	resp, err := http.DefaultClient.Do(req)
@@ -390,6 +398,7 @@ func TestJobCancel(t *testing.T) {
 	if resp.StatusCode != http.StatusConflict {
 		t.Fatalf("second cancel status %d, want 409", resp.StatusCode)
 	}
+	waitSettled(t, s, before, "after cancel")
 }
 
 // TestJobValidation covers the request-shape errors.

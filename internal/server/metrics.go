@@ -30,14 +30,10 @@ type Metrics struct {
 	Timeouts expvar.Int
 	// Errors counts requests answered with a non-2xx status.
 	Errors expvar.Int
-	// StreamHits / StreamMisses count materialized-workload-stream lookups
-	// answered from (respectively missing) the stream LRU.
-	StreamHits   expvar.Int
-	StreamMisses expvar.Int
 	// EvaluateRequests / SweepRequests count requests entering the two
 	// simulation endpoints, and EvaluateNs / SweepNs accumulate their
 	// wall-clock handler time (including memo hits and error paths), so the
-	// stream-LRU hit rates can be read against time actually spent.
+	// memo hit rate can be read against time actually spent.
 	EvaluateRequests expvar.Int
 	SweepRequests    expvar.Int
 	EvaluateNs       expvar.Int
@@ -59,21 +55,23 @@ type MetricsSnapshot struct {
 	SimSeconds       float64 `json:"sim_seconds"`
 	Timeouts         int64   `json:"timeouts"`
 	Errors           int64   `json:"errors"`
-	StreamHits       int64   `json:"stream_hits"`
-	StreamMisses     int64   `json:"stream_misses"`
 	EvaluateRequests int64   `json:"evaluate_requests"`
 	SweepRequests    int64   `json:"sweep_requests"`
 	EvaluateNsTotal  int64   `json:"evaluate_ns_total"`
 	SweepNsTotal     int64   `json:"sweep_ns_total"`
 	JobRequests      int64   `json:"job_requests"`
 	MemoEntries      int     `json:"memo_entries"`
-	StreamEntries    int     `json:"stream_entries"`
 
 	MemoHitRatio       float64 `json:"memo_hit_ratio"`
-	StreamHitRatio     float64 `json:"stream_hit_ratio"`
 	SimSecondsAvg      float64 `json:"sim_seconds_avg"`
 	EvaluateSecondsAvg float64 `json:"evaluate_seconds_avg"`
 	SweepSecondsAvg    float64 `json:"sweep_seconds_avg"`
+
+	// StreamHits and StreamMisses are always 0 and never serialized: the
+	// server no longer caches workload streams.
+	//
+	// Deprecated: kept only so existing readers still compile.
+	StreamHits, StreamMisses int64 `json:"-"`
 }
 
 // hitRatio returns hits/(hits+misses), or 0 for an empty history.
@@ -105,8 +103,6 @@ func (m *Metrics) Snapshot() MetricsSnapshot {
 		SimSeconds:       m.SimSeconds.Value(),
 		Timeouts:         m.Timeouts.Value(),
 		Errors:           m.Errors.Value(),
-		StreamHits:       m.StreamHits.Value(),
-		StreamMisses:     m.StreamMisses.Value(),
 		EvaluateRequests: m.EvaluateRequests.Value(),
 		SweepRequests:    m.SweepRequests.Value(),
 		EvaluateNsTotal:  m.EvaluateNs.Value(),
@@ -114,7 +110,6 @@ func (m *Metrics) Snapshot() MetricsSnapshot {
 		JobRequests:      m.JobRequests.Value(),
 	}
 	snap.MemoHitRatio = hitRatio(snap.MemoHits, snap.MemoMisses)
-	snap.StreamHitRatio = hitRatio(snap.StreamHits, snap.StreamMisses)
 	snap.SimSecondsAvg = perRun(snap.SimSeconds, snap.SimRuns)
 	snap.EvaluateSecondsAvg = perRun(float64(snap.EvaluateNsTotal)/1e9, snap.EvaluateRequests)
 	snap.SweepSecondsAvg = perRun(float64(snap.SweepNsTotal)/1e9, snap.SweepRequests)
@@ -126,7 +121,6 @@ func (s *Server) snapshot() MetricsSnapshot {
 	snap := s.metrics.Snapshot()
 	s.mu.Lock()
 	snap.MemoEntries = s.memo.len()
-	snap.StreamEntries = s.streams.len()
 	s.mu.Unlock()
 	return snap
 }

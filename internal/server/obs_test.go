@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"log/slog"
 	"net/http"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -69,7 +70,6 @@ func TestMetricsPrometheus(t *testing.T) {
 		"cacheeval_sim_seconds_total",
 		"cacheeval_memo_hits_total",
 		"cacheeval_memo_hit_ratio",
-		"cacheeval_stream_hit_ratio",
 		"cacheeval_worker_pool_capacity",
 		"cacheeval_evaluate_duration_seconds",
 		"cacheeval_sweep_duration_seconds",
@@ -91,6 +91,9 @@ func TestMetricsPrometheus(t *testing.T) {
 			t.Errorf("family %s missing from exposition", family)
 		}
 	}
+	if strings.Contains(text, "cacheeval_stream_") {
+		t.Error("exposition still carries the deleted cacheeval_stream_* series")
+	}
 	// The simulation above must have landed in the engine metrics via the
 	// server's sink and in the request latency histogram.
 	for _, line := range []string{
@@ -111,9 +114,8 @@ func TestMetricsRatiosBounded(t *testing.T) {
 	s, hs := newTestServer(t, Config{})
 	// Zero-traffic snapshot: every ratio/average must be 0, not NaN.
 	for name, v := range map[string]float64{
-		"memo_hit_ratio":   s.snapshot().MemoHitRatio,
-		"stream_hit_ratio": s.snapshot().StreamHitRatio,
-		"sim_seconds_avg":  s.snapshot().SimSecondsAvg,
+		"memo_hit_ratio":  s.snapshot().MemoHitRatio,
+		"sim_seconds_avg": s.snapshot().SimSecondsAvg,
 	} {
 		if v != 0 {
 			t.Errorf("idle %s = %v, want 0", name, v)
@@ -126,13 +128,8 @@ func TestMetricsRatiosBounded(t *testing.T) {
 		}
 	}
 	snap := s.snapshot()
-	for name, v := range map[string]float64{
-		"memo_hit_ratio":   snap.MemoHitRatio,
-		"stream_hit_ratio": snap.StreamHitRatio,
-	} {
-		if v < 0 || v > 1 {
-			t.Errorf("%s = %v, want within [0,1]", name, v)
-		}
+	if v := snap.MemoHitRatio; v < 0 || v > 1 {
+		t.Errorf("memo_hit_ratio = %v, want within [0,1]", v)
 	}
 	if snap.MemoHitRatio == 0 {
 		t.Error("memo hit ratio 0 after repeated identical requests")
@@ -146,10 +143,15 @@ func TestMetricsRatiosBounded(t *testing.T) {
 	if err := json.Unmarshal(b, &m); err != nil {
 		t.Fatal(err)
 	}
-	for _, k := range []string{"memo_hit_ratio", "stream_hit_ratio", "sim_seconds_avg",
+	for _, k := range []string{"memo_hit_ratio", "sim_seconds_avg",
 		"evaluate_seconds_avg", "sweep_seconds_avg"} {
 		if _, ok := m[k]; !ok {
 			t.Errorf("JSON metrics missing %q", k)
+		}
+	}
+	for k := range m {
+		if strings.HasPrefix(k, "stream_") {
+			t.Errorf("JSON metrics still carry the deleted %q", k)
 		}
 	}
 }
@@ -227,44 +229,41 @@ func TestRequestIDPropagation(t *testing.T) {
 	}
 }
 
-// TestEvaluateTrace exercises the opt-in per-stage timing breakdown: the
-// span list covers materialization and simulation, a memoized answer
-// returns the producing run's spans, and requests that do not opt in get
-// no trace even when the memo holds one.
+// TestEvaluateTrace exercises the opt-in per-stage timing breakdown: an
+// exact evaluate reads the generator inside its one simulation span (no
+// materialize span), a sampled evaluate materializes its stream first, a
+// memoized answer returns the producing run's spans, and requests that do
+// not opt in get no trace even when the memo holds one.
 func TestEvaluateTrace(t *testing.T) {
 	t.Parallel()
 	_, hs := newTestServer(t, Config{})
 
-	code, b := post(t, hs.URL+"/v1/evaluate", `{"mix":"FGO1","ref_limit":20000,"trace":true}`)
-	if code != http.StatusOK {
-		t.Fatalf("status %d: %s", code, b)
-	}
-	var first EvaluateResponse
-	if err := json.Unmarshal(b, &first); err != nil {
-		t.Fatal(err)
-	}
-	names := map[string]obs.SpanSummary{}
-	for _, sp := range first.Trace {
-		names[sp.Name] = sp
-	}
-	for _, want := range []string{"materialize:FGO1", "simulate:FGO1"} {
-		if _, ok := names[want]; !ok {
-			t.Errorf("trace missing span %q: %+v", want, first.Trace)
+	eval := func(body string) EvaluateResponse {
+		t.Helper()
+		code, b := post(t, hs.URL+"/v1/evaluate", body)
+		if code != http.StatusOK {
+			t.Fatalf("status %d: %s", code, b)
 		}
+		var resp EvaluateResponse
+		if err := json.Unmarshal(b, &resp); err != nil {
+			t.Fatal(err)
+		}
+		return resp
 	}
-	if sp := names["simulate:FGO1"]; sp.Refs != 20000 || sp.DurationMS <= 0 {
+	first := eval(`{"mix":"FGO1","ref_limit":20000,"trace":true}`).Trace
+	if len(first) != 1 || first[0].Name != "simulate:FGO1" {
+		t.Fatalf("exact evaluate spans %+v, want exactly simulate:FGO1", first)
+	}
+	if sp := first[0]; sp.Refs != 20000 || sp.DurationMS <= 0 {
 		t.Errorf("simulate span refs=%d duration=%vms, want 20000 refs and positive duration", sp.Refs, sp.DurationMS)
+	}
+	sampled := eval(`{"mix":"FGO1","ref_limit":60000,"mode":"sampled","error_budget":0.05,"trace":true}`).Trace
+	if len(sampled) == 0 || sampled[0].Name != "materialize:FGO1" || sampled[0].Refs != 60000 {
+		t.Errorf("sampled evaluate spans %+v, want materialize:FGO1 over 60000 refs first", sampled)
 	}
 
 	// Same request without trace: memo hit, no trace in the response.
-	code, b = post(t, hs.URL+"/v1/evaluate", `{"mix":"FGO1","ref_limit":20000}`)
-	if code != http.StatusOK {
-		t.Fatalf("status %d: %s", code, b)
-	}
-	var second EvaluateResponse
-	if err := json.Unmarshal(b, &second); err != nil {
-		t.Fatal(err)
-	}
+	second := eval(`{"mix":"FGO1","ref_limit":20000}`)
 	if !second.Cached {
 		t.Error("trace flag changed the memo key: identical request not cached")
 	}
@@ -273,52 +272,48 @@ func TestEvaluateTrace(t *testing.T) {
 	}
 
 	// Opting in on a memo hit returns the original run's spans.
-	code, b = post(t, hs.URL+"/v1/evaluate", `{"mix":"FGO1","ref_limit":20000,"trace":true}`)
-	if code != http.StatusOK {
-		t.Fatalf("status %d: %s", code, b)
-	}
-	var third EvaluateResponse
-	if err := json.Unmarshal(b, &third); err != nil {
-		t.Fatal(err)
-	}
+	third := eval(`{"mix":"FGO1","ref_limit":20000,"trace":true}`)
 	if !third.Cached || len(third.Trace) == 0 {
 		t.Errorf("memoized trace request: cached=%v spans=%d, want cached with spans", third.Cached, len(third.Trace))
 	}
 }
 
+// TestSweepTrace pins a sweep's spans on both paths: an LRU sweep streams
+// from the generator (one job span, then assembly, no materialize span);
+// an ARC sweep runs the per-size engine over one materialized stream.
 func TestSweepTrace(t *testing.T) {
 	t.Parallel()
 	_, hs := newTestServer(t, Config{})
-	code, b := post(t, hs.URL+"/v1/sweep",
-		`{"mixes":["FGO1"],"sizes":[1024,4096],"ref_limit":20000,"trace":true}`)
-	if code != http.StatusOK {
-		t.Fatalf("status %d: %s", code, b)
+	names := func(body string) []string {
+		t.Helper()
+		code, b := post(t, hs.URL+"/v1/sweep", body)
+		if code != http.StatusOK {
+			t.Fatalf("status %d: %s", code, b)
+		}
+		var res SweepResponse
+		if err := json.Unmarshal(b, &res); err != nil {
+			t.Fatal(err)
+		}
+		var got []string
+		for _, sp := range res.Trace {
+			got = append(got, sp.Name)
+		}
+		return got
 	}
-	var res SweepResponse
-	if err := json.Unmarshal(b, &res); err != nil {
-		t.Fatal(err)
+	got := names(`{"mixes":["FGO1"],"sizes":[1024,4096],"ref_limit":20000,"trace":true}`)
+	if want := []string{"sweep:FGO1", "assemble"}; !slices.Equal(got, want) {
+		t.Errorf("LRU sweep spans %v, want %v", got, want)
 	}
-	var got []string
-	for _, sp := range res.Trace {
-		got = append(got, sp.Name)
-	}
-	for _, want := range []string{
+	got = names(`{"mixes":["FGO1"],"sizes":[1024,4096],"ref_limit":20000,"policy":"arc","trace":true}`)
+	want := []string{
 		"materialize:FGO1",
 		"sweep:FGO1:demand:split",
 		"sweep:FGO1:demand:unified",
 		"sweep:FGO1:prefetch:split",
 		"sweep:FGO1:prefetch:unified",
 		"assemble",
-	} {
-		found := false
-		for _, name := range got {
-			if name == want {
-				found = true
-				break
-			}
-		}
-		if !found {
-			t.Errorf("sweep trace missing span %q: %v", want, got)
-		}
+	}
+	if !slices.Equal(got, want) {
+		t.Errorf("ARC sweep spans %v, want %v", got, want)
 	}
 }

@@ -110,19 +110,31 @@ func TestSweepDisconnectSettles(t *testing.T) {
 		}
 		errc <- err
 	}()
-	deadline := time.Now().Add(5 * time.Second)
-	for s.snapshot().InFlight == 0 {
-		if time.Now().After(deadline) {
-			t.Fatal("sweep never started")
-		}
-		time.Sleep(time.Millisecond)
-	}
+	waitInFlight(t, s)
 	cancel()
 	if err := <-errc; !errors.Is(err, context.Canceled) {
 		t.Fatalf("client error = %v, want context.Canceled", err)
 	}
+	waitSettled(t, s, before, "after disconnect")
+}
 
-	deadline = time.Now().Add(5 * time.Second)
+// waitInFlight waits until a simulation holds one of s's worker slots.
+func waitInFlight(t *testing.T, s *Server) {
+	t.Helper()
+	deadline := time.Now().Add(5 * time.Second)
+	for s.snapshot().InFlight == 0 {
+		if time.Now().After(deadline) {
+			t.Fatal("simulation never started")
+		}
+		time.Sleep(time.Millisecond)
+	}
+}
+
+// waitSettled waits up to 5 s for the goroutine count to return to before
+// and s's in_flight to 0, failing with every goroutine's stack otherwise.
+func waitSettled(t *testing.T, s *Server, before int, when string) {
+	t.Helper()
+	deadline := time.Now().Add(5 * time.Second)
 	for {
 		// Drop keep-alive connection goroutines so only simulation leaks
 		// would remain.
@@ -133,8 +145,8 @@ func TestSweepDisconnectSettles(t *testing.T) {
 		}
 		if time.Now().After(deadline) {
 			buf := make([]byte, 1<<16)
-			t.Fatalf("after disconnect: goroutines before=%d now=%d, in_flight=%d\n%s",
-				before, n, inFlight, buf[:runtime.Stack(buf, true)])
+			t.Fatalf("%s: goroutines before=%d now=%d, in_flight=%d\n%s",
+				when, before, n, inFlight, buf[:runtime.Stack(buf, true)])
 		}
 		time.Sleep(20 * time.Millisecond)
 	}

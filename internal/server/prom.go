@@ -38,19 +38,12 @@ func (s *Server) buildProm() {
 		"Simulation requests answered from the LRU result cache.", m.MemoHits.Value)
 	intCounter("cacheeval_memo_misses_total",
 		"Simulation requests that missed the LRU result cache.", m.MemoMisses.Value)
-	intCounter("cacheeval_stream_hits_total",
-		"Workload-stream lookups answered from the stream LRU.", m.StreamHits.Value)
-	intCounter("cacheeval_stream_misses_total",
-		"Workload-stream lookups that materialized a new stream.", m.StreamMisses.Value)
 	intCounter("cacheeval_flight_joins_total",
 		"Requests that joined an identical in-progress computation.", m.FlightJoins.Value)
 
 	reg.NewGaugeFunc("cacheeval_memo_hit_ratio",
 		"Fraction of simulation requests answered from the result cache, in [0,1].",
 		func() float64 { return hitRatio(m.MemoHits.Value(), m.MemoMisses.Value()) })
-	reg.NewGaugeFunc("cacheeval_stream_hit_ratio",
-		"Fraction of stream lookups answered from the stream LRU, in [0,1].",
-		func() float64 { return hitRatio(m.StreamHits.Value(), m.StreamMisses.Value()) })
 	reg.NewGaugeFunc("cacheeval_sim_seconds_avg",
 		"Mean wall-clock seconds per executed simulation.",
 		func() float64 { return perRun(m.SimSeconds.Value(), m.SimRuns.Value()) })
@@ -76,9 +69,6 @@ func (s *Server) buildProm() {
 	reg.NewGaugeFunc("cacheeval_memo_entries",
 		"Entries in the LRU result cache.",
 		func() float64 { s.mu.Lock(); defer s.mu.Unlock(); return float64(s.memo.len()) })
-	reg.NewGaugeFunc("cacheeval_stream_entries",
-		"Materialized workload streams held in the stream LRU.",
-		func() float64 { s.mu.Lock(); defer s.mu.Unlock(); return float64(s.streams.len()) })
 
 	s.evalHist = reg.NewHistogram("cacheeval_evaluate_duration_seconds",
 		"POST /v1/evaluate handler latency, memo hits and errors included.",

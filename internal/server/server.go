@@ -52,10 +52,10 @@ type Config struct {
 	// MemoEntries bounds the LRU result cache; default 256 entries.
 	// Negative disables memoization (singleflight dedup still applies).
 	MemoEntries int
-	// StreamEntries bounds the LRU cache of materialized workload reference
-	// streams shared across sweep/evaluate requests; default 8 entries
-	// (streams are large — megabytes per mix at paper run lengths).
-	// Negative disables stream caching.
+	// StreamEntries is ignored: simulations read the workload generator
+	// directly and no stream is cached.
+	//
+	// Deprecated: kept only so existing configurations still compile.
 	StreamEntries int
 	// MaxConcurrent bounds simultaneously running simulations; default
 	// GOMAXPROCS. Queued work still honours its deadline while waiting.
@@ -89,9 +89,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.MemoEntries == 0 {
 		c.MemoEntries = 256
-	}
-	if c.StreamEntries == 0 {
-		c.StreamEntries = 8
 	}
 	if c.MaxConcurrent <= 0 {
 		c.MaxConcurrent = runtime.GOMAXPROCS(0)
@@ -138,7 +135,6 @@ type Server struct {
 
 	mu      sync.Mutex
 	memo    *memoLRU
-	streams *memoLRU
 	flights map[string]*flight
 
 	workers chan struct{}
@@ -175,7 +171,6 @@ func New(cfg Config) *Server {
 			MaxJobs: cfg.MaxJobs, TTL: cfg.JobTTL, EventBuffer: cfg.JobEventBuffer,
 		}),
 		memo:      newMemoLRU(cfg.MemoEntries),
-		streams:   newMemoLRU(cfg.StreamEntries),
 		flights:   make(map[string]*flight),
 		workers:   make(chan struct{}, cfg.MaxConcurrent),
 		baseCtx:   base,
@@ -648,44 +643,59 @@ func evalRequestKey(req *EvaluateRequest, design cache.SystemConfig, mixName str
 // evalFlight returns the flight body shared by the synchronous handler and
 // the async job runner: everything from trace setup to the mode dispatch.
 // The caller decorates the flight context first (request identity and
-// sink — flightCtx for synchronous requests, jobFlightCtx for jobs).
+// sink — flightCtx for synchronous requests, jobFlightCtx for jobs). Exact
+// evaluations read the mix's generator directly; only the sampled engine
+// needs the stream in memory.
 func (s *Server) evalFlight(req *EvaluateRequest, design cache.SystemConfig, mix workload.Mix, l2cfg *cache.Config) func(context.Context) (any, error) {
 	return func(fctx context.Context) (any, error) {
 		fctx, tr := obs.NewTrace(fctx)
 		return s.timedSim(func() (any, error) {
 			obs.Logger(fctx).Info("evaluate: simulation start",
 				"mix", mix.Name, "ref_limit", req.RefLimit)
-			sp := obs.StartSpan(fctx, "materialize:"+mix.Name)
-			refs, err := s.mixStreamTotal(fctx, mix, req.RefLimit)
-			if err != nil {
-				sp.End()
-				return nil, err
+			var p evalPayload
+			var err error
+			switch {
+			case req.Mode == "sampled":
+				p, err = evalSampled(fctx, req, design, mix)
+			case l2cfg != nil:
+				p.Report, err = core.EvaluateHierarchyContext(fctx,
+					cache.HierarchyConfig{L1: design, L2: *l2cfg}, mix, req.RefLimit)
+			default:
+				p.Report, err = core.EvaluateContext(fctx, design, mix, req.RefLimit)
 			}
-			sp.AddRefs(int64(len(refs)))
-			sp.End()
-			if req.Mode == "sampled" {
-				rep, ci, info, err := core.EvaluateSampledRefsContext(fctx, design, mix.Name, refs,
-					&core.SampledOptions{ErrorBudget: req.ErrorBudget})
-				if err != nil {
-					return nil, err
-				}
-				return evalMemo{Payload: evalPayload{Report: rep, MissRatioCI: missCIOut(ci), Sampled: sampledOut(info)}, Trace: tr.Summary()}, nil
-			}
-			if l2cfg != nil {
-				rep, err := core.EvaluateHierarchyRefsContext(fctx,
-					cache.HierarchyConfig{L1: design, L2: *l2cfg}, mix.Name, refs)
-				if err != nil {
-					return nil, err
-				}
-				return evalMemo{Payload: evalPayload{Report: rep}, Trace: tr.Summary()}, nil
-			}
-			rep, err := core.EvaluateRefsContext(fctx, design, mix.Name, refs)
 			if err != nil {
 				return nil, err
 			}
-			return evalMemo{Payload: evalPayload{Report: rep}, Trace: tr.Summary()}, nil
+			return evalMemo{Payload: p, Trace: tr.Summary()}, nil
 		})
 	}
+}
+
+// evalSampled runs a sampled evaluation. The sampled engine may read its
+// stream twice (an exact fallback re-runs it), so the request materializes
+// the mix, ref_limit capping the total interleaved stream, and drops it
+// when the run ends.
+func evalSampled(ctx context.Context, req *EvaluateRequest, design cache.SystemConfig, mix workload.Mix) (evalPayload, error) {
+	sp := obs.StartSpan(ctx, "materialize:"+mix.Name)
+	rd, err := mix.Open()
+	if err != nil {
+		sp.End()
+		return evalPayload{}, err
+	}
+	hint := mix.TotalRefs()
+	if req.RefLimit > 0 {
+		rd = trace.NewLimitReader(rd, req.RefLimit)
+		hint = min(hint, req.RefLimit)
+	}
+	refs, err := trace.Collect(trace.NewContextReader(ctx, rd), 0, hint)
+	sp.AddRefs(int64(len(refs)))
+	sp.End()
+	if err != nil {
+		return evalPayload{}, err
+	}
+	rep, ci, info, err := core.EvaluateSampledRefsContext(ctx, design, mix.Name, refs,
+		&core.SampledOptions{ErrorBudget: req.ErrorBudget})
+	return evalPayload{Report: rep, MissRatioCI: missCIOut(ci), Sampled: sampledOut(info)}, err
 }
 
 // flightCtx grafts the requesting caller's observability identity — request
@@ -954,9 +964,6 @@ func (s *Server) sweepOptions(req *SweepRequest, repl cache.Replacement) experim
 		Sizes: req.Sizes, LineSize: req.LineSize,
 		RefLimit: req.RefLimit, Workers: s.cfg.SimWorkers,
 		Repl: repl, Victim: req.Victim, L2: req.L2.spec(),
-		StreamSource: func(ctx context.Context, m workload.Mix) ([]trace.Ref, error) {
-			return s.mixStreamPerMember(ctx, m, req.RefLimit)
-		},
 	}
 	if req.Mode == "sampled" {
 		opts.Sampled = &core.SampledOptions{ErrorBudget: req.ErrorBudget}

@@ -538,10 +538,10 @@ func benchPost(tb testing.TB, url, body string) (int, []byte) {
 // TestEvaluateMatchesReferenceModel cross-checks the evaluate endpoint
 // against the conformance harness's naive reference simulator: the report
 // the server returns must be derivable, figure by figure, from a
-// simcheck.RefSystem run over the identically materialized stream. This
-// pins the whole service path — catalog lookup, stream materialization
-// under evaluate (total-limit) semantics, simulation, and report assembly —
-// to the independently written model.
+// simcheck.RefSystem run over the same stream. This pins the whole service
+// path — catalog lookup, the generator under evaluate (total-limit)
+// semantics, simulation, and report assembly — to the independently
+// written model.
 func TestEvaluateMatchesReferenceModel(t *testing.T) {
 	t.Parallel()
 	s, hs := newTestServer(t, Config{})
@@ -570,7 +570,7 @@ func TestEvaluateMatchesReferenceModel(t *testing.T) {
 			t.Fatal(err)
 		}
 
-		refs, err := s.mixStreamTotal(context.Background(), s.catalog[mixName], refLimit)
+		rd, err := s.catalog[mixName].Open()
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -578,7 +578,7 @@ func TestEvaluateMatchesReferenceModel(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if _, err := ref.Run(trace.NewSliceReader(refs), 0); err != nil {
+		if _, err := ref.Run(trace.NewLimitReader(rd, refLimit), 0); err != nil {
 			t.Fatal(err)
 		}
 		rs := ref.RefStats()
@@ -606,6 +606,44 @@ func TestEvaluateMatchesReferenceModel(t *testing.T) {
 			t.Errorf("design %+v: report diverges from reference model\n   got %+v\n  want %+v",
 				design, resp.Report, want)
 		}
+	}
+}
+
+// TestEvaluatesRegenerateStream sends two evaluates of one mix with
+// distinct designs: no stream is shared between them, so each runs its own
+// simulation to completion (cached:false) and reports exactly what
+// core.EvaluateContext does on the mix's generator.
+func TestEvaluatesRegenerateStream(t *testing.T) {
+	t.Parallel()
+	s, hs := newTestServer(t, Config{})
+	mix := s.catalog["FGO1"]
+	for _, size := range []int{4096, 16384} {
+		design := cache.SystemConfig{Unified: cache.Config{Size: size, LineSize: 16}, PurgeInterval: mix.Quantum}
+		body, err := json.Marshal(EvaluateRequest{Design: design, Mix: mix.Name, RefLimit: 20000})
+		if err != nil {
+			t.Fatal(err)
+		}
+		code, b := post(t, hs.URL+"/v1/evaluate", string(body))
+		if code != http.StatusOK {
+			t.Fatalf("size %d: status %d: %s", size, code, b)
+		}
+		var resp EvaluateResponse
+		if err := json.Unmarshal(b, &resp); err != nil {
+			t.Fatal(err)
+		}
+		if resp.Cached || resp.Shared {
+			t.Errorf("size %d: cached=%v shared=%v, want a run of its own", size, resp.Cached, resp.Shared)
+		}
+		want, err := core.EvaluateContext(context.Background(), design, mix, 20000)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if resp.Report != want {
+			t.Errorf("size %d: report differs from core.EvaluateContext\n got %+v\nwant %+v", size, resp.Report, want)
+		}
+	}
+	if n := s.snapshot().SimRuns; n != 2 {
+		t.Errorf("sim_runs = %d, want 2", n)
 	}
 }
 

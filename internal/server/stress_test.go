@@ -1,12 +1,12 @@
 package server
 
 // Race-stress coverage: many goroutines hammer the evaluate and sweep
-// endpoints over a handful of distinct keys against a server whose memo and
-// stream LRUs are deliberately tiny, so memoization, singleflight joining,
-// eviction churn and the stream cache's total/member key modes all contend
-// at once. Run under `go test -race` this is the service's data-race gate;
-// the correctness bar is that every request succeeds and every response for
-// a given request body carries an identical payload.
+// endpoints over a handful of distinct keys against a server whose memo is
+// deliberately tiny, so memoization, singleflight joining and eviction
+// churn all contend at once. Run under `go test -race` this is the
+// service's data-race gate; the correctness bar is that every request
+// succeeds and every response for a given request body carries an
+// identical payload.
 
 import (
 	"encoding/json"
@@ -41,13 +41,13 @@ func stablePayload(path string, body []byte) (string, error) {
 
 func TestConcurrentStress(t *testing.T) {
 	t.Parallel()
-	s, hs := newTestServer(t, Config{MemoEntries: 4, StreamEntries: 2, MaxConcurrent: 4})
+	s, hs := newTestServer(t, Config{MemoEntries: 4, MaxConcurrent: 4})
 	goroutines, iters := 12, 15
 	if testing.Short() {
 		goroutines, iters = 8, 6
 	}
-	// Six distinct keys over a 4-entry memo and a 2-entry stream cache:
-	// every mechanism (hit, miss, join, evict) is exercised continuously.
+	// Six distinct keys over a 4-entry memo: every mechanism (hit, miss,
+	// join, evict) is exercised continuously.
 	reqs := []struct {
 		path, body string
 	}{

@@ -69,7 +69,7 @@ grep -qE 'cacheeval_engine_refs_total 20000' "$prom" \
 # JSON format still serves the expvar snapshot with the derived ratios.
 json="$workdir/metrics.json"
 $CURL -fsS "http://$addr/metrics?format=json" >"$json" || fail "/metrics?format=json unreachable"
-for key in memo_hit_ratio stream_hit_ratio sim_seconds_avg; do
+for key in memo_hit_ratio sim_seconds_avg; do
     grep -qF "\"$key\"" "$json" || fail "JSON metrics missing $key"
 done
 
