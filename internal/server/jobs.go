@@ -102,69 +102,19 @@ func (s *Server) handleJobCreate(w http.ResponseWriter, r *http.Request) {
 
 	// Validate and prepare the run up front so a bad request fails with the
 	// same 400 the synchronous endpoint gives, not an async "failed" event.
-	var kind string
-	var timeoutMS int
-	var run func(jctx context.Context, job *jobs.Job)
+	var call *simCall
+	var verr *requestError
 	if req.Evaluate != nil {
-		kind, timeoutMS = "evaluate", req.Evaluate.TimeoutMS
-		design, mix, verr := s.validateEvaluate(req.Evaluate)
-		if verr != nil {
-			s.error(w, verr.code, verr.msg)
-			return
-		}
-		key, l2cfg, err := evalRequestKey(req.Evaluate, design, mix.Name)
-		if err != nil {
-			s.error(w, http.StatusInternalServerError, err.Error())
-			return
-		}
-		run = func(jctx context.Context, job *jobs.Job) {
-			s.runJob(jctx, job, key, func(sink obs.Sink) func(context.Context) (any, error) {
-				body := s.evalFlight(req.Evaluate, design, mix, l2cfg)
-				return func(fctx context.Context) (any, error) {
-					job.Start(jobStartedData{})
-					return body(s.jobFlightCtx(fctx, jctx, sink))
-				}
-			}, func(val any) any {
-				return val.(evalMemo).Payload
-			})
-		}
+		call, verr = s.evaluateCall(req.Evaluate)
 	} else {
-		kind, timeoutMS = "sweep", req.Sweep.TimeoutMS
-		mixes, repl, verr := s.validateSweep(req.Sweep)
-		if verr != nil {
-			s.error(w, verr.code, verr.msg)
-			return
-		}
-		key, err := sweepRequestKey(req.Sweep, repl)
-		if err != nil {
-			s.error(w, http.StatusInternalServerError, err.Error())
-			return
-		}
-		opts := s.sweepOptions(req.Sweep, repl)
-		run = func(jctx context.Context, job *jobs.Job) {
-			s.runJob(jctx, job, key, func(sink obs.Sink) func(context.Context) (any, error) {
-				o := opts
-				o.Sink = sink
-				o.OnPass = func(p experiments.PassResult) {
-					for si, out := range p.Results {
-						job.Publish("cell", JobCellOut{
-							Mix: p.Mix, Split: p.Split, Prefetch: p.Prefetch,
-							Size: p.Sizes[si], Result: variantOut(out, p.Split),
-						})
-					}
-				}
-				body := s.sweepFlight(req.Sweep, mixes, o)
-				return func(fctx context.Context) (any, error) {
-					job.Start(jobStartedData{})
-					return body(s.jobFlightCtx(fctx, jctx, sink))
-				}
-			}, func(val any) any {
-				return val.(sweepMemo).Payload
-			})
-		}
+		call, verr = s.sweepCall(req.Sweep)
+	}
+	if verr != nil {
+		s.error(w, verr.code, verr.msg)
+		return
 	}
 
-	job, err := s.jobs.Create(kind, rid)
+	job, err := s.jobs.Create(call.kind, rid)
 	if err != nil {
 		if errors.Is(err, jobs.ErrRegistryFull) {
 			s.error(w, http.StatusServiceUnavailable,
@@ -178,45 +128,22 @@ func (s *Server) handleJobCreate(w http.ResponseWriter, r *http.Request) {
 	// base context, bounded by the request's (or the server's default)
 	// timeout, and carries the creating request's observability identity so
 	// engine log lines and events correlate with the accepted request.
-	jctx, jcancel := s.jobCtx(timeoutMS)
+	jctx, jcancel := s.deadline(s.baseCtx, call.timeoutMS)
 	jctx = obs.WithRequestID(jctx, rid)
 	jctx = obs.WithLogger(jctx, obs.Logger(r.Context()).With("job_id", job.ID))
 	job.SetCancel(jcancel)
 	job.Publish(jobs.EventAccepted, JobAccepted{
-		ID: job.ID, Kind: kind, State: jobs.StateQueued, RequestID: rid,
+		ID: job.ID, Kind: call.kind, State: jobs.StateQueued, RequestID: rid,
 		StatusURL: "/v1/jobs/" + job.ID, EventsURL: "/v1/jobs/" + job.ID + "/events",
 	})
 	go func() {
 		defer jcancel()
-		run(jctx, job)
+		s.runJob(jctx, job, call)
 	}()
 	writeJSON(w, http.StatusAccepted, JobAccepted{
-		ID: job.ID, Kind: kind, State: job.State(), RequestID: rid,
+		ID: job.ID, Kind: call.kind, State: job.State(), RequestID: rid,
 		StatusURL: "/v1/jobs/" + job.ID, EventsURL: "/v1/jobs/" + job.ID + "/events",
 	})
-}
-
-// jobCtx derives a job's working context from the server's base context
-// (jobs must survive the creating HTTP request) plus the requested or
-// default deadline.
-func (s *Server) jobCtx(timeoutMS int) (context.Context, context.CancelFunc) {
-	d := s.cfg.DefaultTimeout
-	if timeoutMS > 0 {
-		d = time.Duration(timeoutMS) * time.Millisecond
-	}
-	if d > 0 {
-		return context.WithTimeout(s.baseCtx, d)
-	}
-	return context.WithCancel(s.baseCtx)
-}
-
-// jobFlightCtx is flightCtx for async jobs: the flight inherits the job's
-// observability identity and the job's sink (event publishing teed with
-// the metrics) instead of the server's bare metrics sink.
-func (s *Server) jobFlightCtx(fctx, jctx context.Context, sink obs.Sink) context.Context {
-	fctx = obs.WithRequestID(fctx, obs.RequestID(jctx))
-	fctx = obs.WithLogger(fctx, obs.Logger(jctx))
-	return obs.WithSink(fctx, sink)
 }
 
 // jobSink returns the sink that publishes a job's engine events to its
@@ -231,18 +158,24 @@ func jobSink(jctx context.Context, job *jobs.Job) *obs.EventProbe {
 	}
 }
 
-// runJob executes one job to its terminal state: it tees the job's
-// event-publishing sink with the metrics sink, runs the flight through the
-// same singleflight/memo machinery as the synchronous handlers, and
-// publishes the terminal summary (the memoized payload a synchronous call
-// would return) before marking the job done. buildFn receives the sink and
-// returns the flight function; summarize converts the memoized value to
-// the summary payload.
-func (s *Server) runJob(jctx context.Context, job *jobs.Job, key string,
-	buildFn func(sink obs.Sink) func(context.Context) (any, error),
-	summarize func(val any) any) {
-	fn := buildFn(obs.Tee(jobSink(jctx, job), simSink{s}))
-	val, hit, shared, err := s.do(jctx, key, fn)
+// runJob executes one job to its terminal state: it runs the call's flight
+// through the same singleflight/memo machinery as the synchronous handlers,
+// with the job's event-publishing sink teed with the metrics sink, "started"
+// published when the flight takes a worker slot and each completed grid pass
+// published as cell events. It then publishes the terminal summary (the
+// memoized payload a synchronous call would return) and marks the job done.
+func (s *Server) runJob(jctx context.Context, job *jobs.Job, call *simCall) {
+	sink := obs.Tee(jobSink(jctx, job), simSink{s})
+	onStart := func() { job.Start(jobStartedData{}) }
+	onPass := func(p experiments.PassResult) {
+		for si, out := range p.Results {
+			job.Publish("cell", JobCellOut{
+				Mix: p.Mix, Split: p.Split, Prefetch: p.Prefetch,
+				Size: p.Sizes[si], Result: variantOut(out, p.Split),
+			})
+		}
+	}
+	val, hit, shared, err := s.do(jctx, call.key, s.flight(jctx, call, sink, onStart, onPass))
 	if err != nil {
 		job.Finish(err)
 		if job.State() == jobs.StateFailed {
@@ -252,11 +185,12 @@ func (s *Server) runJob(jctx context.Context, job *jobs.Job, key string,
 		}
 		return
 	}
-	// A memo hit or a joined flight never ran fn, so the job may still be
-	// queued; Start is a no-op when the flight already started it.
+	// A memo hit or a joined flight never ran this job's flight, so the job
+	// may still be queued; Start is a no-op when the flight already started
+	// it.
 	job.Start(jobStartedData{Cached: hit, Shared: shared})
 	s.countOutcome(hit, shared)
-	job.Publish(jobs.EventSummary, summarize(val))
+	job.Publish(jobs.EventSummary, val.(simResult).Payload)
 	job.Finish(nil)
 	obs.Logger(jctx).Info("job: done", "cached", hit, "shared", shared)
 }

@@ -6,6 +6,7 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"io"
 	"net/http"
 	"runtime"
 	"strings"
@@ -268,6 +269,150 @@ func TestJobMemoHit(t *testing.T) {
 	}
 	if types["summary"] != 1 {
 		t.Fatalf("memo-hit job missing summary: %v", types)
+	}
+}
+
+// TestJobAndSyncShareFlights pins that the two front ends run one pipeline:
+// whichever side spawns a flight, an identical request from the other side
+// joins it. The server's single worker slot is held for the whole setup —
+// standing in for an unrelated long simulation — so the spawning flight
+// stays queued until both sides are waiting on it.
+func TestJobAndSyncShareFlights(t *testing.T) {
+	t.Parallel()
+	const sweep = `{"mixes":["FGO1"],"sizes":[1024,4096],"ref_limit":20000}`
+
+	// run holds the slot, starts the first front end, waits for its flight,
+	// starts the second, waits for it to join, then releases the slot. It
+	// returns the sync reply and the job's event stream.
+	run := func(t *testing.T, jobFirst bool) (SweepResponse, []byte, []jobs.Event) {
+		s, hs := newTestServer(t, Config{MaxConcurrent: 1})
+		s.workers <- struct{}{}
+		release := sync.OnceFunc(func() { <-s.workers })
+		t.Cleanup(release) // before the server's teardown, which waits on the flight
+		type reply struct {
+			code int
+			body []byte
+			err  error
+		}
+		syncDone := make(chan reply, 1)
+		postSync := func() {
+			go func() {
+				resp, err := http.Post(hs.URL+"/v1/sweep", "application/json", strings.NewReader(sweep))
+				if err != nil {
+					syncDone <- reply{err: err}
+					return
+				}
+				defer resp.Body.Close()
+				b, err := io.ReadAll(resp.Body)
+				syncDone <- reply{resp.StatusCode, b, err}
+			}()
+		}
+		var id string
+		if jobFirst {
+			id = createJob(t, hs.URL, `{"sweep":`+sweep+`}`)
+			waitFlightWaiters(t, s, 1)
+			postSync()
+		} else {
+			postSync()
+			waitFlightWaiters(t, s, 1)
+			id = createJob(t, hs.URL, `{"sweep":`+sweep+`}`)
+		}
+		waitFlightWaiters(t, s, 2)
+		release()
+		got := <-syncDone
+		if got.err != nil {
+			t.Fatal(got.err)
+		}
+		if got.code != http.StatusOK {
+			t.Fatalf("sync sweep status %d: %s", got.code, got.body)
+		}
+		var resp SweepResponse
+		if err := json.Unmarshal(got.body, &resp); err != nil {
+			t.Fatal(err)
+		}
+		if snap := s.snapshot(); snap.SimRuns != 1 || snap.FlightJoins != 1 {
+			t.Fatalf("sim runs %d, flight joins %d; want 1 and 1", snap.SimRuns, snap.FlightJoins)
+		}
+		return resp, got.body, streamEvents(t, hs.URL, id, "")
+	}
+
+	// check compares the job's started event and summary with the sync
+	// reply: the summary must be the sync payload byte for byte.
+	check := func(t *testing.T, syncBody []byte, evs []jobs.Event, shared bool) map[string]int {
+		var started jobStartedData
+		var summary json.RawMessage
+		for _, ev := range evs {
+			switch ev.Type {
+			case "started":
+				if err := json.Unmarshal(ev.Data, &started); err != nil {
+					t.Fatal(err)
+				}
+			case "summary":
+				summary = ev.Data
+			}
+		}
+		if started != (jobStartedData{Shared: shared}) {
+			t.Errorf("started event %+v, want shared=%v and not cached", started, shared)
+		}
+		var fromJob, fromSync sweepPayload
+		if err := json.Unmarshal(summary, &fromJob); err != nil {
+			t.Fatalf("decoding summary event: %v", err)
+		}
+		if err := json.Unmarshal(syncBody, &fromSync); err != nil {
+			t.Fatal(err)
+		}
+		jb, _ := json.Marshal(fromJob)
+		sb, _ := json.Marshal(fromSync)
+		if !bytes.Equal(jb, sb) {
+			t.Errorf("summary event and sync response differ:\njob:  %s\nsync: %s", jb, sb)
+		}
+		return eventTypes(evs)
+	}
+
+	t.Run("job joins sync", func(t *testing.T) {
+		t.Parallel()
+		resp, body, evs := run(t, false)
+		if resp.Cached || resp.Shared {
+			t.Errorf("spawning sync sweep reported cached=%v shared=%v", resp.Cached, resp.Shared)
+		}
+		// The flight is labelled by the sync request that spawned it, so
+		// the job's stream carries no engine or cell events.
+		if types := check(t, body, evs, true); types["run_start"] != 0 || types["cell"] != 0 {
+			t.Errorf("joining job streamed engine work: %v", types)
+		}
+	})
+	t.Run("sync joins job", func(t *testing.T) {
+		t.Parallel()
+		resp, body, evs := run(t, true)
+		if resp.Cached || !resp.Shared {
+			t.Errorf("joining sync sweep reported cached=%v shared=%v, want shared only",
+				resp.Cached, resp.Shared)
+		}
+		// 1 mix x 4 passes x 2 sizes cells, from the job's own flight.
+		if types := check(t, body, evs, false); types["run_start"] == 0 || types["cell"] != 8 {
+			t.Errorf("spawning job's stream lacks its engine or cell events: %v", types)
+		}
+	})
+}
+
+// waitFlightWaiters polls until the server's flights have n waiters in all.
+func waitFlightWaiters(t *testing.T, s *Server, n int) {
+	t.Helper()
+	deadline := time.Now().Add(10 * time.Second)
+	for {
+		s.mu.Lock()
+		got := 0
+		for _, f := range s.flights {
+			got += f.waiters
+		}
+		s.mu.Unlock()
+		if got == n {
+			return
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("flights have %d waiters, want %d", got, n)
+		}
+		time.Sleep(time.Millisecond)
 	}
 }
 

@@ -420,6 +420,12 @@ type evalPayload struct {
 // EvaluateResponse is the POST /v1/evaluate reply.
 type EvaluateResponse struct {
 	evalPayload
+	simReply
+}
+
+// simReply is the per-request envelope a synchronous reply carries around
+// its memoized payload.
+type simReply struct {
 	// Cached reports a memoization hit; Shared reports singleflight dedup
 	// against a concurrent identical request.
 	Cached    bool              `json:"cached"`
@@ -428,11 +434,28 @@ type EvaluateResponse struct {
 	Trace     []obs.SpanSummary `json:"trace,omitempty"`
 }
 
-// evalMemo is the memoized portion of an evaluate response plus the
-// producing run's spans.
-type evalMemo struct {
-	Payload evalPayload
+// simResult is a memo entry: a request's payload plus the spans of the run
+// that computed it.
+type simResult struct {
+	Payload any
 	Trace   []obs.SpanSummary
+}
+
+// simCall is one validated simulation request, prepared once and served by
+// either front end: the synchronous endpoints (serve) and async jobs
+// (runJob) run the same flight under the same memo key, so an async request
+// and its synchronous twin share one memo entry and one flight.
+type simCall struct {
+	kind      string // "evaluate" or "sweep"
+	key       string // memoization and singleflight key
+	timeoutMS int
+	trace     bool
+	// compute runs the simulation on a flight context that carries the
+	// caller's sink and trace, and returns the memoized payload. onPass,
+	// when non-nil, receives each completed sweep grid pass.
+	compute func(ctx context.Context, onPass func(experiments.PassResult)) (any, error)
+	// reply wraps a payload in the synchronous endpoint's response.
+	reply func(payload any, r simReply) any
 }
 
 // requestError is a validation failure plus the HTTP status it maps to.
@@ -564,7 +587,7 @@ func (s *Server) validateEvaluate(req *EvaluateRequest) (cache.SystemConfig, wor
 			return cache.SystemConfig{}, workload.Mix{}, &requestError{
 				http.StatusBadRequest, "invalid hierarchy: " + err.Error()}
 		}
-	} else if _, err := cache.NewSystem(design); err != nil {
+	} else if err := design.Validate(); err != nil {
 		return cache.SystemConfig{}, workload.Mix{}, &requestError{
 			http.StatusBadRequest, "invalid design: " + err.Error()}
 	}
@@ -583,47 +606,26 @@ func (s *Server) handleEvaluate(w http.ResponseWriter, r *http.Request) {
 	if !s.decode(w, r, &req) {
 		return
 	}
-	design, mix, verr := s.validateEvaluate(&req)
+	call, verr := s.evaluateCall(&req)
 	if verr != nil {
 		s.error(w, verr.code, verr.msg)
 		return
 	}
-	key, l2cfg, err := evalRequestKey(&req, design, mix.Name)
-	if err != nil {
-		s.error(w, http.StatusInternalServerError, err.Error())
-		return
-	}
-	ctx, cancel := s.requestCtx(r, req.TimeoutMS)
-	defer cancel()
-	start := time.Now()
-	val, hit, shared, err := s.do(ctx, key, func(fctx context.Context) (any, error) {
-		return s.evalFlight(&req, design, mix, l2cfg)(s.flightCtx(fctx, ctx))
-	})
-	if err != nil {
-		s.simError(w, err)
-		return
-	}
-	s.countOutcome(hit, shared)
-	memo := val.(evalMemo)
-	resp := EvaluateResponse{
-		evalPayload: memo.Payload, Cached: hit, Shared: shared,
-		ElapsedMS: float64(time.Since(start)) / float64(time.Millisecond),
-	}
-	if req.Trace {
-		resp.Trace = memo.Trace
-	}
-	writeJSON(w, http.StatusOK, resp)
+	s.serve(w, r, call)
 }
 
-// evalRequestKey computes an evaluate request's memoization key from its
-// validated, canonicalized form, plus the resolved L2 config (nil for
-// single-level). Async jobs (POST /v1/jobs) compute the same key, so an
-// async evaluate and its synchronous twin share one memo entry and one
-// flight. L2 keys by its resolved cache config, so an L2 block that spells
-// out the inherited line size memoizes with one that omits it — and a
-// hierarchy request can never share an entry with a single-level request
-// for the same L1 design.
-func evalRequestKey(req *EvaluateRequest, design cache.SystemConfig, mixName string) (string, *cache.Config, error) {
+// evaluateCall validates an evaluate request and prepares its run. The key
+// is computed from the validated, canonicalized form. L2 keys by its
+// resolved cache config, so an L2 block that spells out the inherited line
+// size memoizes with one that omits it — and a hierarchy request can never
+// share an entry with a single-level request for the same L1 design. Exact
+// evaluations read the mix's generator directly; only the sampled engine
+// needs the stream in memory.
+func (s *Server) evaluateCall(req *EvaluateRequest) (*simCall, *requestError) {
+	design, mix, verr := s.validateEvaluate(req)
+	if verr != nil {
+		return nil, verr
+	}
 	var l2cfg *cache.Config
 	if req.L2 != nil {
 		c := req.L2.config(design)
@@ -636,39 +638,30 @@ func evalRequestKey(req *EvaluateRequest, design cache.SystemConfig, mixName str
 		Mode        string
 		ErrorBudget float64
 		L2          *cache.Config
-	}{design, mixName, req.RefLimit, req.Mode, req.ErrorBudget, l2cfg})
-	return key, l2cfg, err
-}
-
-// evalFlight returns the flight body shared by the synchronous handler and
-// the async job runner: everything from trace setup to the mode dispatch.
-// The caller decorates the flight context first (request identity and
-// sink — flightCtx for synchronous requests, jobFlightCtx for jobs). Exact
-// evaluations read the mix's generator directly; only the sampled engine
-// needs the stream in memory.
-func (s *Server) evalFlight(req *EvaluateRequest, design cache.SystemConfig, mix workload.Mix, l2cfg *cache.Config) func(context.Context) (any, error) {
-	return func(fctx context.Context) (any, error) {
-		fctx, tr := obs.NewTrace(fctx)
-		return s.timedSim(func() (any, error) {
-			obs.Logger(fctx).Info("evaluate: simulation start",
+	}{design, mix.Name, req.RefLimit, req.Mode, req.ErrorBudget, l2cfg})
+	if err != nil {
+		return nil, &requestError{http.StatusInternalServerError, err.Error()}
+	}
+	return &simCall{
+		kind: "evaluate", key: key, timeoutMS: req.TimeoutMS, trace: req.Trace,
+		compute: func(ctx context.Context, _ func(experiments.PassResult)) (any, error) {
+			obs.Logger(ctx).Info("evaluate: simulation start",
 				"mix", mix.Name, "ref_limit", req.RefLimit)
 			var p evalPayload
 			var err error
 			switch {
 			case req.Mode == "sampled":
-				p, err = evalSampled(fctx, req, design, mix)
+				p, err = evalSampled(ctx, req, design, mix)
 			case l2cfg != nil:
-				p.Report, err = core.EvaluateHierarchyContext(fctx,
+				p.Report, err = core.EvaluateHierarchyContext(ctx,
 					cache.HierarchyConfig{L1: design, L2: *l2cfg}, mix, req.RefLimit)
 			default:
-				p.Report, err = core.EvaluateContext(fctx, design, mix, req.RefLimit)
+				p.Report, err = core.EvaluateContext(ctx, design, mix, req.RefLimit)
 			}
-			if err != nil {
-				return nil, err
-			}
-			return evalMemo{Payload: p, Trace: tr.Summary()}, nil
-		})
-	}
+			return p, err
+		},
+		reply: func(p any, r simReply) any { return EvaluateResponse{p.(evalPayload), r} },
+	}, nil
 }
 
 // evalSampled runs a sampled evaluation. The sampled engine may read its
@@ -696,18 +689,6 @@ func evalSampled(ctx context.Context, req *EvaluateRequest, design cache.SystemC
 	rep, ci, info, err := core.EvaluateSampledRefsContext(ctx, design, mix.Name, refs,
 		&core.SampledOptions{ErrorBudget: req.ErrorBudget})
 	return evalPayload{Report: rep, MissRatioCI: missCIOut(ci), Sampled: sampledOut(info)}, err
-}
-
-// flightCtx grafts the requesting caller's observability identity — request
-// ID, request-scoped logger — plus the server's engine sink onto a flight's
-// context. Flights descend from the server's base context (they must outlive
-// any one waiter), so the request-derived values do not come along for free;
-// when several requests share one flight the spawning caller's identity
-// labels the computation.
-func (s *Server) flightCtx(fctx, rctx context.Context) context.Context {
-	fctx = obs.WithRequestID(fctx, obs.RequestID(rctx))
-	fctx = obs.WithLogger(fctx, obs.Logger(rctx))
-	return obs.WithSink(fctx, simSink{s})
 }
 
 // SweepRequest is the POST /v1/sweep body. Empty mixes selects the paper's
@@ -811,17 +792,7 @@ type sweepPayload struct {
 // SweepResponse is the POST /v1/sweep reply; Cells is indexed [mix][size].
 type SweepResponse struct {
 	sweepPayload
-	Cached    bool              `json:"cached"`
-	Shared    bool              `json:"shared"`
-	ElapsedMS float64           `json:"elapsed_ms"`
-	Trace     []obs.SpanSummary `json:"trace,omitempty"`
-}
-
-// sweepMemo is the memoized portion of a sweep response plus the producing
-// run's spans.
-type sweepMemo struct {
-	Payload sweepPayload
-	Trace   []obs.SpanSummary
+	simReply
 }
 
 // validateSweep resolves a sweep request: every named mix must exist (an
@@ -922,65 +893,25 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 	if !s.decode(w, r, &req) {
 		return
 	}
-	mixes, repl, verr := s.validateSweep(&req)
+	call, verr := s.sweepCall(&req)
 	if verr != nil {
 		s.error(w, verr.code, verr.msg)
 		return
 	}
-	opts := s.sweepOptions(&req, repl)
-	opts.Sink = simSink{s}
-	key, err := sweepRequestKey(&req, repl)
-	if err != nil {
-		s.error(w, http.StatusInternalServerError, err.Error())
-		return
-	}
-	ctx, cancel := s.requestCtx(r, req.TimeoutMS)
-	defer cancel()
-	start := time.Now()
-	val, hit, shared, err := s.do(ctx, key, func(fctx context.Context) (any, error) {
-		return s.sweepFlight(&req, mixes, opts)(s.flightCtx(fctx, ctx))
-	})
-	if err != nil {
-		s.simError(w, err)
-		return
-	}
-	s.countOutcome(hit, shared)
-	memo := val.(sweepMemo)
-	resp := SweepResponse{
-		sweepPayload: memo.Payload, Cached: hit, Shared: shared,
-		ElapsedMS: float64(time.Since(start)) / float64(time.Millisecond),
-	}
-	if req.Trace {
-		resp.Trace = memo.Trace
-	}
-	writeJSON(w, http.StatusOK, resp)
+	s.serve(w, r, call)
 }
 
-// sweepOptions builds the experiment options a validated sweep request
-// implies, minus the observers (Sink, OnPass) which differ between the
-// synchronous handler and the async job runner.
-func (s *Server) sweepOptions(req *SweepRequest, repl cache.Replacement) experiments.Options {
-	opts := experiments.Options{
-		Sizes: req.Sizes, LineSize: req.LineSize,
-		RefLimit: req.RefLimit, Workers: s.cfg.SimWorkers,
-		Repl: repl, Victim: req.Victim, L2: req.L2.spec(),
+// sweepCall validates a sweep request and prepares its run. The key carries
+// the parsed policy's canonical name, so the "slru", "segmented-lru" and
+// "2q" spellings memoize as one entry; mode and budget isolate sampled
+// results from exact ones. The worker count ("parallel") is left out: it
+// cannot change the cells.
+func (s *Server) sweepCall(req *SweepRequest) (*simCall, *requestError) {
+	mixes, repl, verr := s.validateSweep(req)
+	if verr != nil {
+		return nil, verr
 	}
-	if req.Mode == "sampled" {
-		opts.Sampled = &core.SampledOptions{ErrorBudget: req.ErrorBudget}
-	}
-	opts.Workers = max(opts.Workers, req.Parallel)
-	return opts
-}
-
-// sweepRequestKey computes a sweep request's memoization key from its
-// validated, canonicalized form. The key carries the parsed policy's
-// canonical name, so the "slru", "segmented-lru" and "2q" spellings memoize
-// as one entry. Mode and budget isolate sampled results from exact ones.
-// The worker count ("parallel") is left out: it cannot change the cells.
-// Async jobs compute the same key, so an async sweep and its synchronous
-// twin share one memo entry and one flight.
-func sweepRequestKey(req *SweepRequest, repl cache.Replacement) (string, error) {
-	return requestKey("sweep", struct {
+	key, err := requestKey("sweep", struct {
 		Mixes       []string
 		Sizes       []int
 		LineSize    int
@@ -992,26 +923,33 @@ func sweepRequestKey(req *SweepRequest, repl cache.Replacement) (string, error) 
 		L2          *core.L2Spec
 	}{req.Mixes, req.Sizes, req.LineSize, repl.String(), req.RefLimit, req.Mode, req.ErrorBudget,
 		req.Victim, req.L2.spec()})
-}
-
-// sweepFlight returns the flight body shared by the synchronous handler
-// and the async job runner; the caller decorates the flight context first.
-func (s *Server) sweepFlight(req *SweepRequest, mixes []workload.Mix, opts experiments.Options) func(context.Context) (any, error) {
-	return func(fctx context.Context) (any, error) {
-		fctx, tr := obs.NewTrace(fctx)
-		return s.timedSim(func() (any, error) {
-			obs.Logger(fctx).Info("sweep: simulation start",
+	if err != nil {
+		return nil, &requestError{http.StatusInternalServerError, err.Error()}
+	}
+	return &simCall{
+		kind: "sweep", key: key, timeoutMS: req.TimeoutMS, trace: req.Trace,
+		compute: func(ctx context.Context, onPass func(experiments.PassResult)) (any, error) {
+			opts := experiments.Options{
+				Sizes: req.Sizes, LineSize: req.LineSize, RefLimit: req.RefLimit,
+				Workers: max(s.cfg.SimWorkers, req.Parallel),
+				Repl:    repl, Victim: req.Victim, L2: req.L2.spec(),
+				Sink: obs.SinkFrom(ctx), OnPass: onPass,
+			}
+			if req.Mode == "sampled" {
+				opts.Sampled = &core.SampledOptions{ErrorBudget: req.ErrorBudget}
+			}
+			obs.Logger(ctx).Info("sweep: simulation start",
 				"mixes", len(mixes), "sizes", len(opts.Sizes), "ref_limit", req.RefLimit)
-			res, err := experiments.SweepMixesContext(fctx, opts, mixes)
+			res, err := experiments.SweepMixesContext(ctx, opts, mixes)
 			if err != nil {
 				return nil, err
 			}
-			sp := obs.StartSpan(fctx, "assemble")
-			payload := summarizeSweep(res, req.Mode)
-			sp.End()
-			return sweepMemo{Payload: payload, Trace: tr.Summary()}, nil
-		})
-	}
+			sp := obs.StartSpan(ctx, "assemble")
+			defer sp.End()
+			return summarizeSweep(res, req.Mode), nil
+		},
+		reply: func(p any, r simReply) any { return SweepResponse{p.(sweepPayload), r} },
+	}, nil
 }
 
 // summarizeSweep flattens a SweepResult into its JSON summary.
@@ -1135,25 +1073,67 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 	}{"ok", len(s.mixInfos)})
 }
 
-// requestCtx derives the request's working context: the client disconnect
-// context plus the request's (or server's default) deadline.
-func (s *Server) requestCtx(r *http.Request, timeoutMS int) (context.Context, context.CancelFunc) {
+// serve runs a prepared call for a synchronous endpoint under the request's
+// deadline and writes the reply.
+func (s *Server) serve(w http.ResponseWriter, r *http.Request, call *simCall) {
+	ctx, cancel := s.deadline(r.Context(), call.timeoutMS)
+	defer cancel()
+	start := time.Now()
+	val, hit, shared, err := s.do(ctx, call.key, s.flight(ctx, call, simSink{s}, nil, nil))
+	if err != nil {
+		s.simError(w, err)
+		return
+	}
+	s.countOutcome(hit, shared)
+	res := val.(simResult)
+	reply := simReply{Cached: hit, Shared: shared,
+		ElapsedMS: float64(time.Since(start)) / float64(time.Millisecond)}
+	if call.trace {
+		reply.Trace = res.Trace
+	}
+	writeJSON(w, http.StatusOK, call.reply(res.Payload, reply))
+}
+
+// flight returns the singleflight body that runs call for one caller.
+// Flights descend from the server's base context (they must outlive any one
+// waiter), so the caller's request ID and logger (from rctx) and its engine
+// sink are grafted on; when several callers share one flight the spawning
+// caller's identity and sink label the computation. onStart runs once the
+// flight holds a worker slot, before the simulation; onPass receives each
+// completed sweep grid pass. Either may be nil.
+func (s *Server) flight(rctx context.Context, call *simCall, sink obs.Sink,
+	onStart func(), onPass func(experiments.PassResult)) func(context.Context) (any, error) {
+	return func(fctx context.Context) (any, error) {
+		if onStart != nil {
+			onStart()
+		}
+		fctx = obs.WithRequestID(fctx, obs.RequestID(rctx))
+		fctx = obs.WithLogger(fctx, obs.Logger(rctx))
+		fctx, tr := obs.NewTrace(obs.WithSink(fctx, sink))
+		s.metrics.SimRuns.Add(1)
+		t0 := time.Now()
+		defer func() { s.metrics.SimSeconds.Add(time.Since(t0).Seconds()) }()
+		payload, err := call.compute(fctx, onPass)
+		if err != nil {
+			return nil, err
+		}
+		return simResult{Payload: payload, Trace: tr.Summary()}, nil
+	}
+}
+
+// deadline derives a run's working context from parent — the client's
+// request for synchronous calls, the server's base context for jobs, which
+// must outlive the creating request — plus the requested (or the server's
+// default) timeout.
+func (s *Server) deadline(parent context.Context, timeoutMS int) (context.Context, context.CancelFunc) {
 	d := s.cfg.DefaultTimeout
 	if timeoutMS > 0 {
 		d = time.Duration(timeoutMS) * time.Millisecond
 	}
 	if d > 0 {
-		return context.WithTimeout(r.Context(), d)
+		return context.WithTimeout(parent, d)
 	}
-	return context.WithCancel(r.Context())
-}
-
-// timedSim wraps one simulation execution with the run counters.
-func (s *Server) timedSim(fn func() (any, error)) (any, error) {
-	s.metrics.SimRuns.Add(1)
-	t0 := time.Now()
-	defer func() { s.metrics.SimSeconds.Add(time.Since(t0).Seconds()) }()
-	return fn()
+	return context.WithCancel(parent)
 }
 
 // countOutcome updates the memoization counters for a successful request.

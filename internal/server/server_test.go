@@ -507,6 +507,34 @@ func TestDefaultTimeout(t *testing.T) {
 	}
 }
 
+// TestValidateEvaluateBuildsNoSimulator bounds what validating an evaluate
+// request allocates. Validation runs on every evaluate — memo hits and job
+// submissions included — outside the worker pool, so it must check the
+// design without building its frame and tag arrays: a maximal split design
+// (two 16 MiB caches of 16-byte lines) would cost ~170 MB per request.
+func TestValidateEvaluateBuildsNoSimulator(t *testing.T) {
+	s := New(Config{})
+	defer s.Close()
+	design := cache.SystemConfig{
+		Split: true,
+		I:     cache.Config{Size: maxCacheBytes, LineSize: 16},
+		D:     cache.Config{Size: maxCacheBytes, LineSize: 16},
+	}
+	const runs = 4
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < runs; i++ {
+		req := EvaluateRequest{Mix: "FGO1", Design: design}
+		if _, _, verr := s.validateEvaluate(&req); verr != nil {
+			t.Fatalf("maximal split design rejected: %s", verr.msg)
+		}
+	}
+	runtime.ReadMemStats(&after)
+	if per := (after.TotalAlloc - before.TotalAlloc) / runs; per > 1<<20 {
+		t.Fatalf("validateEvaluate allocated %d bytes per call, want <= 1 MiB", per)
+	}
+}
+
 func BenchmarkEvaluateMemoized(b *testing.B) {
 	s := New(Config{})
 	defer s.Close()
