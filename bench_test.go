@@ -320,77 +320,37 @@ func BenchmarkCachePrefetch(b *testing.B) {
 	benchCacheAccess(b, benchSystemConfig(0, cacheeval.PrefetchAlways))
 }
 
-// BenchmarkMultiSystem measures the one-pass multi-size engine over the
-// paper's full 32B-64KB size grid — the pass that replaces twelve per-size
-// demand simulations in each sweep.
-func BenchmarkMultiSystem(b *testing.B) {
+// benchSweepEngine times one RunSweep over FGO1 across the paper's full
+// 32B-64KB size grid with obs.Discard installed, the path every sweep
+// takes to the one-pass engine the spec selects.
+func benchSweepEngine(b *testing.B, fetch cacheeval.FetchPolicy) {
 	refs := benchRefs(b, "FGO1", 100000)
 	sizes := make([]int, 0, 12)
 	for s := 32; s <= 65536; s *= 2 {
 		sizes = append(sizes, s)
 	}
+	spec := core.SweepSpec{Sizes: sizes, LineSize: 16, Quantum: 20000, Fetch: fetch}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		ms, err := cacheeval.NewMultiSystem(cacheeval.MultiConfig{
-			Sizes: sizes, LineSize: 16, PurgeInterval: 20000,
-		})
+		out, err := core.RunSweep(context.Background(), spec, trace.NewSliceReader(refs), obs.Discard, "bench", int64(len(refs)))
 		if err != nil {
 			b.Fatal(err)
 		}
-		ms.SetSink(obs.Discard, "bench", int64(len(refs)))
-		if _, err := ms.Run(trace.NewSliceReader(refs), 0); err != nil {
-			b.Fatal(err)
-		}
-		if ms.Results()[0].Ref.TotalRefs() == 0 {
+		if out.Results[0].Ref.TotalRefs() == 0 {
 			b.Fatal("empty results")
 		}
 	}
 	b.SetBytes(int64(len(refs)))
 }
 
-// BenchmarkFanoutSystem measures the one-pass multi-size prefetch engine
-// over the same 32B-64KB grid — the pass that replaces twelve per-size
-// prefetch-always simulations in each sweep.
-func BenchmarkFanoutSystem(b *testing.B) {
-	refs := benchRefs(b, "FGO1", 100000)
-	sizes := make([]int, 0, 12)
-	for s := 32; s <= 65536; s *= 2 {
-		sizes = append(sizes, s)
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		fs, err := cacheeval.NewFanoutSystem(cacheeval.FanoutConfig{
-			Sizes: sizes, LineSize: 16, PurgeInterval: 20000,
-		})
-		if err != nil {
-			b.Fatal(err)
-		}
-		fs.SetSink(obs.Discard, "bench", int64(len(refs)))
-		if _, err := fs.Run(trace.NewSliceReader(refs), 0); err != nil {
-			b.Fatal(err)
-		}
-		if fs.Results()[0].Ref.TotalRefs() == 0 {
-			b.Fatal("empty results")
-		}
-	}
-	b.SetBytes(int64(len(refs)))
-}
+// BenchmarkMultiSystem measures the one-pass stack engine — the pass that
+// replaces twelve per-size demand simulations in each sweep.
+func BenchmarkMultiSystem(b *testing.B) { benchSweepEngine(b, cacheeval.DemandFetch) }
 
-func BenchmarkStackSim(b *testing.B) {
-	refs := benchRefs(b, "FGO1", 100000)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		sim, err := cacheeval.NewStackSim(16)
-		if err != nil {
-			b.Fatal(err)
-		}
-		sim.SetSink(obs.Discard, "bench", int64(len(refs)))
-		if _, err := sim.Run(trace.NewSliceReader(refs), 0); err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.SetBytes(int64(len(refs)))
-}
+// BenchmarkFanoutSystem measures the one-pass multi-size prefetch engine —
+// the pass that replaces twelve per-size prefetch-always simulations in
+// each sweep.
+func BenchmarkFanoutSystem(b *testing.B) { benchSweepEngine(b, cacheeval.PrefetchAlways) }
 
 func BenchmarkGenerator(b *testing.B) {
 	spec, err := workload.ByName("VCCOM")

@@ -71,8 +71,6 @@ type (
 	Stats = cache.Stats
 	// RefStats are reference-level statistics per kind.
 	RefStats = cache.RefStats
-	// StackSim is the one-pass all-sizes LRU simulator.
-	StackSim = cache.StackSim
 	// MultiConfig configures the one-pass multi-size sweep engine.
 	MultiConfig = cache.MultiConfig
 	// MultiSystem simulates a demand-LRU system at every configured size in
@@ -192,9 +190,6 @@ func NewCache(cfg Config) (*Cache, error) { return cache.New(cfg) }
 
 // NewSystem builds a split or unified cache system.
 func NewSystem(sc SystemConfig) (*System, error) { return cache.NewSystem(sc) }
-
-// NewStackSim builds a one-pass all-sizes LRU simulator.
-func NewStackSim(lineSize int) (*StackSim, error) { return cache.NewStackSim(lineSize) }
 
 // NewMultiSystem builds the one-pass multi-size sweep engine.
 func NewMultiSystem(cfg MultiConfig) (*MultiSystem, error) { return cache.NewMultiSystem(cfg) }

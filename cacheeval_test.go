@@ -52,8 +52,8 @@ func TestEvaluateFacade(t *testing.T) {
 	}
 }
 
-func TestStackSimFacade(t *testing.T) {
-	sim, err := cacheeval.NewStackSim(16)
+func TestMultiSystemFacade(t *testing.T) {
+	sim, err := cacheeval.NewMultiSystem(cacheeval.MultiConfig{Sizes: []int{1024}, LineSize: 16})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -62,11 +62,15 @@ func TestStackSimFacade(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := sim.Run(rd, 5000); err != nil {
-		t.Fatal(err)
+	for i := 0; i < 5000; i++ {
+		ref, err := rd.Read()
+		if err != nil {
+			t.Fatal(err)
+		}
+		sim.Ref(ref)
 	}
-	if sim.MissRatio(1024) <= 0 {
-		t.Fatal("stack sim produced no misses")
+	if sim.Results()[0].Ref.MissRatio() <= 0 {
+		t.Fatal("stack engine produced no misses")
 	}
 }
 

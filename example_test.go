@@ -25,8 +25,8 @@ func ExampleEvaluate() {
 	// workload ZGREP: 50000 refs, miss ratio 0.013
 }
 
-// The one-pass stack simulator gives every cache size from a single run.
-func ExampleNewStackSim() {
+// The one-pass stack engine gives every cache size from a single run.
+func ExampleNewMultiSystem() {
 	spec, err := cacheeval.TraceByName("PLO")
 	if err != nil {
 		panic(err)
@@ -35,15 +35,21 @@ func ExampleNewStackSim() {
 	if err != nil {
 		panic(err)
 	}
-	sim, err := cacheeval.NewStackSim(16)
+	sim, err := cacheeval.NewMultiSystem(cacheeval.MultiConfig{
+		Sizes: []int{256, 1024, 4096}, LineSize: 16,
+	})
 	if err != nil {
 		panic(err)
 	}
-	if _, err := sim.Run(rd, 50000); err != nil {
-		panic(err)
+	for i := 0; i < 50000; i++ {
+		ref, err := rd.Read()
+		if err != nil {
+			panic(err)
+		}
+		sim.Ref(ref)
 	}
-	for _, size := range []int{256, 1024, 4096} {
-		fmt.Printf("%dB: %.3f\n", size, sim.MissRatio(size))
+	for _, r := range sim.Results() {
+		fmt.Printf("%dB: %.3f\n", r.Size, r.Ref.MissRatio())
 	}
 	// Output:
 	// 256B: 0.048

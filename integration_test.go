@@ -79,25 +79,26 @@ func TestCodecPreservesSimulation(t *testing.T) {
 	}
 }
 
-// TestStackSimMatchesSystemOnCorpus: the one-pass stack algorithm and the
+// TestMultiSystemMatchesSystemOnCorpus: the one-pass stack engine and the
 // explicit simulator must agree on real corpus traces (Table 1's
 // methodology), not just random streams.
-func TestStackSimMatchesSystemOnCorpus(t *testing.T) {
+func TestMultiSystemMatchesSystemOnCorpus(t *testing.T) {
+	sizes := []int{256, 1024, 8192}
 	for _, name := range []string{"ZPR", "VTOWERS", "PPAL"} {
 		refs := corpusRefs(t, name, 20000)
-		sim, err := cache.NewStackSim(16)
+		ms, err := cache.NewMultiSystem(cache.MultiConfig{Sizes: sizes, LineSize: 16})
 		if err != nil {
 			t.Fatal(err)
 		}
 		for _, r := range refs {
-			sim.Ref(r.Addr)
+			ms.Ref(r)
 		}
-		for _, size := range []int{256, 1024, 8192} {
+		for i, got := range ms.Results() {
 			sys := runSystem(t, cache.SystemConfig{
-				Unified: cache.Config{Size: size, LineSize: 16},
+				Unified: cache.Config{Size: sizes[i], LineSize: 16},
 			}, refs)
-			if got, want := sys.RefStats().TotalMisses(), sim.Misses(size); got != want {
-				t.Errorf("%s @%d: system %d misses, stack sim %d", name, size, got, want)
+			if want := sys.SizeResult(sizes[i]); got != want {
+				t.Errorf("%s @%d: multisystem %+v, system %+v", name, sizes[i], got, want)
 			}
 		}
 	}

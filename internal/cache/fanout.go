@@ -2,10 +2,8 @@ package cache
 
 import (
 	"fmt"
-	"io"
 	"sort"
 
-	"cacheeval/internal/obs"
 	"cacheeval/internal/trace"
 )
 
@@ -35,7 +33,6 @@ import (
 //
 // FanoutSystem is not safe for concurrent use.
 type FanoutSystem struct {
-	engineSink
 	cfg       FanoutConfig
 	lineShift uint
 	unit      uint64 // line size in bytes (the fetch granularity)
@@ -272,30 +269,6 @@ func (f *FanoutSystem) RefSnapshot(dst []RefStats) []RefStats {
 		dst[oi].Misses = f.misses[si]
 	}
 	return dst
-}
-
-// Run drives the engine from rd until io.EOF or max references (when
-// max > 0) and returns the number of references processed.
-func (f *FanoutSystem) Run(rd trace.Reader, max int) (int, error) {
-	t0 := f.runStart()
-	n := 0
-	for max <= 0 || n < max {
-		ref, err := rd.Read()
-		if err == io.EOF {
-			break
-		}
-		if err != nil {
-			f.runEnd(n, t0)
-			return n, err
-		}
-		f.Ref(ref)
-		n++
-		if f.sink != nil && n%obs.ProgressInterval == 0 {
-			f.progress(n)
-		}
-	}
-	f.runEnd(n, t0)
-	return n, nil
 }
 
 // Results returns the per-size outcomes, indexed as cfg.Sizes. Unlike

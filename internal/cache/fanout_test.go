@@ -7,7 +7,6 @@ import (
 
 	"cacheeval/internal/cache"
 	"cacheeval/internal/simcheck"
-	"cacheeval/internal/trace"
 )
 
 // prefetchGrid is a demand grid flipped to prefetch-always.
@@ -97,16 +96,16 @@ func TestFanoutResultsSnapshot(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := fs.Run(trace.NewSliceReader(refs[:1000]), 0); err != nil {
-		t.Fatal(err)
+	for _, r := range refs[:1000] {
+		fs.Ref(r)
 	}
 	mid := &simcheck.Outcome{Engine: "fanout", Grid: g,
 		Workload: simcheck.Workload{Refs: refs[:1000], Quantum: cfg.PurgeInterval},
 		Results:  fs.Results(), Purges: fs.Purges()}
 	mustCompare(t, "snapshot-mid", mid,
 		conform(t, simcheck.SystemEngine{}, g, simcheck.Workload{Name: "mid", Refs: refs[:1000], Quantum: cfg.PurgeInterval}))
-	if _, err := fs.Run(trace.NewSliceReader(refs[1000:]), 0); err != nil {
-		t.Fatal(err)
+	for _, r := range refs[1000:] {
+		fs.Ref(r)
 	}
 	end := &simcheck.Outcome{Engine: "fanout", Grid: g,
 		Workload: simcheck.Workload{Refs: refs, Quantum: cfg.PurgeInterval},

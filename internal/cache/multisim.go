@@ -2,10 +2,8 @@ package cache
 
 import (
 	"fmt"
-	"io"
 	"sort"
 
-	"cacheeval/internal/obs"
 	"cacheeval/internal/trace"
 )
 
@@ -14,8 +12,9 @@ import (
 // unified, with task-switch purging) at every size in Sizes simultaneously,
 // in a single pass over the reference stream.
 //
-// It generalizes the classic Mattson stack algorithm (StackSim) from "miss
-// counts at every size" to the full per-size accounting System produces:
+// It is the repository's one Mattson stack engine: it extends the classic
+// one-pass stack algorithm from "miss counts at every size" to the full
+// per-size accounting System produces:
 // per-kind reference misses, write misses, pushes, dirty pushes and purge
 // pushes. The inclusion property of fully-associative LRU makes this exact:
 // a cache of L lines always holds the L most recently used lines, so one
@@ -26,11 +25,11 @@ import (
 //
 // Results are bit-identical to running System once per size with
 // Config{Size: s, LineSize: LineSize} (fully associative, LRU, copy-back,
-// demand fetch); the equivalence is enforced by tests.
+// demand fetch); the equivalence is enforced by tests. core.RunSweep
+// drives it: it feeds the stream through Ref and emits the run's events.
 //
 // MultiSystem is not safe for concurrent use.
 type MultiSystem struct {
-	engineSink
 	cfg       MultiConfig
 	unified   *multiSim
 	icache    *multiSim
@@ -235,30 +234,6 @@ func (m *MultiSystem) RefSnapshot(dst []RefStats) []RefStats {
 		}
 	}
 	return dst
-}
-
-// Run drives the engine from rd until io.EOF or max references (when
-// max > 0) and returns the number of references processed.
-func (m *MultiSystem) Run(rd trace.Reader, max int) (int, error) {
-	t0 := m.runStart()
-	n := 0
-	for max <= 0 || n < max {
-		ref, err := rd.Read()
-		if err == io.EOF {
-			break
-		}
-		if err != nil {
-			m.runEnd(n, t0)
-			return n, err
-		}
-		m.Ref(ref)
-		n++
-		if m.sink != nil && n%obs.ProgressInterval == 0 {
-			m.progress(n)
-		}
-	}
-	m.runEnd(n, t0)
-	return n, nil
 }
 
 // Results settles outstanding replacement accounting and returns the

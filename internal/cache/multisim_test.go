@@ -2,6 +2,7 @@ package cache_test
 
 import (
 	"fmt"
+	"math/rand"
 	"testing"
 
 	"cacheeval/internal/cache"
@@ -130,4 +131,37 @@ func TestMultiSystemRefAfterResultsPanics(t *testing.T) {
 		}
 	}()
 	ms.Ref(trace.Ref{Addr: 16, Size: 4})
+}
+
+// TestMultiSystemMonotone: under stack inclusion misses never increase
+// with size, and a cache larger than the footprint misses only on first
+// touches.
+func TestMultiSystemMonotone(t *testing.T) {
+	var sizes []int
+	for size := 32; size <= 65536; size *= 2 {
+		sizes = append(sizes, size)
+	}
+	ms, err := cache.NewMultiSystem(cache.MultiConfig{Sizes: sizes, LineSize: 16})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(5))
+	lines := map[uint64]bool{}
+	for i := 0; i < 10000; i++ {
+		addr := uint64(rng.Intn(400)) * 8
+		lines[addr/16] = true
+		ms.Ref(trace.Ref{Addr: addr, Size: 1})
+	}
+	prev := ^uint64(0)
+	for _, r := range ms.Results() {
+		m := r.Ref.TotalMisses()
+		if m > prev {
+			t.Fatalf("misses increased with size at %d: %d > %d", r.Size, m, prev)
+		}
+		prev = m
+	}
+	// 400 8-byte slots span 200 lines, well inside 64 KB.
+	if prev != uint64(len(lines)) {
+		t.Fatalf("largest-cache misses = %d, want footprint %d", prev, len(lines))
+	}
 }

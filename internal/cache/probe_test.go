@@ -4,10 +4,10 @@ package cache_test
 // recording one — must leave every engine's results bit-identical to an
 // uninstrumented run. The sink's only interaction with an engine is
 // observing its progress; any divergence means instrumentation leaked into
-// simulation state.
+// simulation state. The one-pass sweep engines take no sink: their events
+// come from core.RunSweep, whose tests pin them.
 
 import (
-	"reflect"
 	"sync/atomic"
 	"testing"
 
@@ -81,78 +81,15 @@ func TestProbeLeavesSystemBitIdentical(t *testing.T) {
 	}
 }
 
-func TestProbeLeavesSweepEnginesBitIdentical(t *testing.T) {
-	refs := probeStream(t)
-	sizes := []int{256, 1024, 8192}
-
-	runMulti := func(p obs.Sink) []cache.SizeResult {
-		ms, err := cache.NewMultiSystem(cache.MultiConfig{
-			Sizes: sizes, LineSize: 16, Split: true, PurgeInterval: 20000,
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if p != nil {
-			ms.SetSink(p, "multi", int64(len(refs)))
-		}
-		if _, err := ms.Run(trace.NewSliceReader(refs), 0); err != nil {
-			t.Fatal(err)
-		}
-		return ms.Results()
-	}
-	runFanout := func(p obs.Sink) []cache.SizeResult {
-		fs, err := cache.NewFanoutSystem(cache.FanoutConfig{
-			Sizes: sizes, LineSize: 16, PurgeInterval: 15000,
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if p != nil {
-			fs.SetSink(p, "fanout", int64(len(refs)))
-		}
-		if _, err := fs.Run(trace.NewSliceReader(refs), 0); err != nil {
-			t.Fatal(err)
-		}
-		return fs.Results()
-	}
-	runStack := func(p obs.Sink) []float64 {
-		sim, err := cache.NewStackSim(16)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if p != nil {
-			sim.SetSink(p, "stack", int64(len(refs)))
-		}
-		if _, err := sim.Run(trace.NewSliceReader(refs), 0); err != nil {
-			t.Fatal(err)
-		}
-		return sim.MissRatios(sizes)
-	}
-
-	for name, run := range map[string]func(obs.Sink) any{
-		"MultiSystem":  func(p obs.Sink) any { return runMulti(p) },
-		"FanoutSystem": func(p obs.Sink) any { return runFanout(p) },
-		"StackSim":     func(p obs.Sink) any { return runStack(p) },
-	} {
-		bare := run(nil)
-		if got := run(obs.Discard); !reflect.DeepEqual(got, bare) {
-			t.Errorf("%s: Discard changed results", name)
-		}
-		if got := run(&countingSink{}); !reflect.DeepEqual(got, bare) {
-			t.Errorf("%s: counting sink changed results", name)
-		}
-	}
-}
-
 func TestProbeCallbacks(t *testing.T) {
 	refs := probeStream(t)
 	p := &countingSink{}
-	ms, err := cache.NewMultiSystem(cache.MultiConfig{Sizes: []int{1024}, LineSize: 16})
+	sys, err := cache.NewSystem(cache.SystemConfig{Unified: cache.Config{Size: 1024, LineSize: 16}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	ms.SetSink(p, "multi", int64(len(refs)))
-	n, err := ms.Run(trace.NewSliceReader(refs), 0)
+	sys.SetSink(p, "system", int64(len(refs)))
+	n, err := sys.Run(trace.NewSliceReader(refs), 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -170,7 +107,7 @@ func TestProbeCallbacks(t *testing.T) {
 	}
 }
 
-// engine is the surface every simulation engine shares.
+// engine is the surface of the engines with a Run loop.
 type engine interface {
 	SetSink(s obs.Sink, stage string, totalRefs int64)
 	Run(rd trace.Reader, max int) (int, error)
@@ -199,30 +136,23 @@ type causeSink struct{}
 func (causeSink) Observe(obs.Event)     {}
 func (causeSink) Enabled(obs.Kind) bool { return true }
 
-// TestSinkAllocsPerRun pins the engines' allocation profile: a warmed Run
-// allocates the same at N and 4N references — nothing grows per reference
-// — whether no sink or obs.Discard is installed, and Discard allocates
-// exactly as much as no sink, so it leaves the 3C tracker off. A sink
-// Enabled for obs.KindMissCauses does switch the tracker on, and its
+// TestSinkAllocsPerRun pins the allocation profile of the engines with a
+// Run loop (core pins the one-pass sweep engines through RunSweep): a
+// warmed Run allocates the same at N and 4N references — nothing grows per
+// reference — whether no sink or obs.Discard is installed, and Discard
+// allocates exactly as much as no sink, so it leaves the 3C tracker off. A
+// sink Enabled for obs.KindMissCauses does switch the tracker on, and its
 // per-reference allocations show at 4N, which keeps the pin honest.
 func TestSinkAllocsPerRun(t *testing.T) {
 	n := obs.ProgressInterval + 5000
 	short, long := simcheck.Stream(7, n), simcheck.Stream(7, 4*n)
 	const purge = 20000
 	l1 := cache.SystemConfig{Unified: cache.Config{Size: 4096, LineSize: 16}, PurgeInterval: purge}
-	sizes := []int{1024, 4096}
 	engines := []struct {
 		name  string
 		build func() (engine, error)
 	}{
 		{"System", func() (engine, error) { return cache.NewSystem(l1) }},
-		{"MultiSystem", func() (engine, error) {
-			return cache.NewMultiSystem(cache.MultiConfig{Sizes: sizes, LineSize: 16, Split: true, PurgeInterval: purge})
-		}},
-		{"FanoutSystem", func() (engine, error) {
-			return cache.NewFanoutSystem(cache.FanoutConfig{Sizes: sizes, LineSize: 16, PurgeInterval: purge})
-		}},
-		{"StackSim", func() (engine, error) { return cache.NewStackSim(16) }},
 		{"Hierarchy", func() (engine, error) {
 			return cache.NewHierarchy(cache.HierarchyConfig{L1: l1, L2: cache.Config{Size: 16384, LineSize: 16}})
 		}},

@@ -6,13 +6,15 @@ import (
 	"cacheeval/internal/obs"
 )
 
-// engineSink is the instrumentation state embedded in every simulation
-// engine (System, MultiSystem, FanoutSystem, StackSim, Hierarchy). The
-// sink is nil unless a caller installs one, and each Run loop guards its
-// progress events behind that nil check, so the uninstrumented hot path
-// pays one predictable branch per reference and allocates nothing — the
-// engine benchmarks run with obs.Discard installed precisely so CI's
-// bench-smoke gate keeps the instrumented path honest too. See DESIGN.md §8.
+// engineSink is the instrumentation state embedded in the engines that
+// own a Run loop (System, Hierarchy). The one-pass sweep engines
+// (MultiSystem, FanoutSystem) have none: core.RunSweep feeds them and emits
+// their events. The sink is nil unless a caller installs one, and each Run
+// loop guards its progress events behind that nil check, so the
+// uninstrumented hot path pays one predictable branch per reference and
+// allocates nothing — the engine benchmarks run with obs.Discard installed
+// precisely so CI's bench-smoke gate keeps the instrumented path honest
+// too. See DESIGN.md §8.
 type engineSink struct {
 	sink  obs.Sink
 	stage string

@@ -249,8 +249,10 @@ type DesignTarget struct {
 
 // DesignTargets derives design-estimate miss ratios across the full corpus
 // at the given sizes using the §4.1 percentile rule (85th percentile of the
-// per-trace distribution, Table 1 configuration). A non-positive refLimit
-// uses each trace's paper run length.
+// per-trace distribution, Table 1 configuration). Each trace is one
+// RunSweep pass, which selects the one-pass stack engine; sizes must be
+// powers of two at least one line long. A non-positive refLimit uses each
+// trace's paper run length.
 func DesignTargets(sizes []int, lineSize, refLimit int) ([]DesignTarget, error) {
 	if len(sizes) == 0 {
 		sizes = model.CacheSizes
@@ -258,26 +260,22 @@ func DesignTargets(sizes []int, lineSize, refLimit int) ([]DesignTarget, error) 
 	if lineSize == 0 {
 		lineSize = 16
 	}
-	units := workload.Units()
+	spec := SweepSpec{Sizes: sizes, LineSize: lineSize}
 	perSize := make([][]float64, len(sizes))
-	for _, spec := range units {
-		rd, err := spec.Open()
+	for _, unit := range workload.Units() {
+		rd, err := unit.Open()
 		if err != nil {
 			return nil, err
 		}
-		var lim trace.Reader = rd
 		if refLimit > 0 {
-			lim = trace.NewLimitReader(rd, refLimit)
+			rd = trace.NewLimitReader(rd, refLimit)
 		}
-		sim, err := cache.NewStackSim(lineSize)
+		out, err := RunSweep(context.Background(), spec, rd, nil, "", 0)
 		if err != nil {
 			return nil, err
 		}
-		if _, err := sim.Run(lim, 0); err != nil {
-			return nil, err
-		}
-		for i, size := range sizes {
-			perSize[i] = append(perSize[i], sim.MissRatio(size))
+		for i, r := range out.Results {
+			perSize[i] = append(perSize[i], r.Ref.MissRatio())
 		}
 	}
 	out := make([]DesignTarget, len(sizes))

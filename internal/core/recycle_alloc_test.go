@@ -4,10 +4,14 @@ package core
 
 import (
 	"context"
+	"math"
 	"runtime"
+	"slices"
 	"testing"
 
 	"cacheeval/internal/cache"
+	"cacheeval/internal/obs"
+	"cacheeval/internal/simcheck"
 	"cacheeval/internal/trace"
 )
 
@@ -48,5 +52,51 @@ func TestSweepRecyclesCacheArrays(t *testing.T) {
 			t.Errorf("%s sweep: second call allocated %d bytes, want < %d (cache arrays recycled)",
 				SelectEngine(spec).Name, got[1], 64<<10)
 		}
+	}
+}
+
+// TestSinkAllocsPerRun pins the one-pass engines' allocation profile
+// through RunSweep (the fan-out engine's arrays come from the recycler,
+// hence the build tag): a warmed sweep allocates the same over N and 4N
+// references — nothing grows per reference or per progress event — and
+// obs.Discard allocates exactly as much as no sink. Each sweep builds a
+// fresh engine, so the streams must build the same footprint: the 4N
+// stream is the N stream four times over, with one purge per copy, and
+// addresses stay inside 4 KB, where the stack engine's line index never
+// grows (a growing map allocates a seed-dependent number of times). A
+// measurement is the least of three sweeps, each after a collection: a
+// cost per reference shows in every sweep, a runtime allocation that
+// happens to land in one sweep does not.
+func TestSinkAllocsPerRun(t *testing.T) {
+	n := obs.ProgressInterval + 5000
+	short := simcheck.Stream(7, n)
+	for i := range short {
+		short[i].Addr &= 1<<12 - 1
+	}
+	long := slices.Concat(short, short, short, short)
+	for name, spec := range sinkSpecs(n) {
+		t.Run(name, func(t *testing.T) {
+			allocs := func(sink obs.Sink, refs []trace.Ref) float64 {
+				least := math.Inf(1)
+				for range 3 {
+					runtime.GC()
+					least = min(least, testing.AllocsPerRun(1, func() {
+						if _, err := RunSweep(context.Background(), spec, trace.NewSliceReader(refs), sink, "allocs", int64(len(refs))); err != nil {
+							t.Fatal(err)
+						}
+					}))
+				}
+				return least
+			}
+			bareN, bare4N := allocs(nil, short), allocs(nil, long)
+			discN, disc4N := allocs(obs.Discard, short), allocs(obs.Discard, long)
+			t.Logf("allocs per sweep: nil %v/%v, Discard %v/%v (N/4N)", bareN, bare4N, discN, disc4N)
+			if bareN != bare4N || discN != disc4N {
+				t.Errorf("allocations grow with the stream: nil %v→%v, Discard %v→%v", bareN, bare4N, discN, disc4N)
+			}
+			if discN != bareN {
+				t.Errorf("Discard allocates %v per sweep, no sink %v", discN, bareN)
+			}
+		})
 	}
 }

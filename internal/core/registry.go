@@ -1,10 +1,12 @@
 package core
 
 // Engine capability registry: every multi-size sweep in the repository
-// (core.RecommendFetch, the experiments grid, the evaluation service's
+// (core.RecommendFetch, core.DesignTargets, Table 1, Figure 2, the
+// variance study, the experiments grid, the evaluation service's
 // /v1/sweep) routes through RunSweep, which selects the fastest engine
 // that is *sound* for the requested configuration instead of hard-wiring
-// the dispatch at each call site.
+// the dispatch at each call site. The one-pass engines have no driver loop
+// of their own: RunSweep feeds them (SweepStream) and emits their events.
 //
 // The soundness argument: the one-pass engines rely on Mattson stack
 // inclusion — at every instant, a larger fully-associative cache holds a

@@ -34,7 +34,7 @@ type readerOnly struct{ trace.Reader }
 
 // TestStreamEnginesFeedPaths runs both one-pass engines over one stream fed
 // as a shared slice and through a plain reader: the results must match
-// each other and the engine's own reader loop, and the events must be one
+// each other and per-size simulation, and the events must be one
 // run start, progress at every obs.ProgressInterval references, and one
 // run end.
 func TestStreamEnginesFeedPaths(t *testing.T) {

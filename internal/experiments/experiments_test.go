@@ -5,6 +5,7 @@ import (
 	"strings"
 	"testing"
 
+	"cacheeval/internal/cache"
 	"cacheeval/internal/workload"
 )
 
@@ -64,6 +65,32 @@ func TestTable1(t *testing.T) {
 	fig := res.RenderFigure1()
 	if !strings.Contains(fig, "Figure 1") {
 		t.Error("figure render missing title")
+	}
+	// A few rows, spread over the corpus, against one explicit
+	// fully-associative LRU System per size.
+	o := quickOpts().withDefaults()
+	for _, i := range []int{0, len(res.Rows) / 2, len(res.Rows) - 1} {
+		row := res.Rows[i]
+		spec, err := workload.ByName(row.Trace)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for si, size := range res.Sizes {
+			rd, err := o.openSpec(spec)
+			if err != nil {
+				t.Fatal(err)
+			}
+			sys, err := cache.NewSystem(cache.SystemConfig{Unified: cache.Config{Size: size, LineSize: o.LineSize}})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := sys.Run(rd, 0); err != nil {
+				t.Fatal(err)
+			}
+			if got, want := row.Miss[si], sys.RefStats().MissRatio(); got != want {
+				t.Errorf("%s @%d: table %v, system %v", row.Trace, size, got, want)
+			}
+		}
 	}
 }
 

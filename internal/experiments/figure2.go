@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"strings"
 
-	"cacheeval/internal/cache"
 	"cacheeval/internal/model"
 	"cacheeval/internal/textplot"
 	"cacheeval/internal/workload"
@@ -43,18 +42,11 @@ func Figure2(o Options) (*Figure2Result, error) {
 		if err != nil {
 			return nil, err
 		}
-		rd, err := o.openSpec(spec)
+		_, miss, err := o.lruCurve(spec, o.Sizes, nil, "")
 		if err != nil {
-			return nil, err
-		}
-		sim, err := cache.NewStackSim(o.LineSize)
-		if err != nil {
-			return nil, err
-		}
-		if _, err := sim.Run(rd, 0); err != nil {
 			return nil, fmt.Errorf("figure2 %s: %w", name, err)
 		}
-		res.MVS[name] = sim.MissRatios(o.Sizes)
+		res.MVS[name] = miss
 	}
 	return res, nil
 }

@@ -108,14 +108,23 @@ func SweepMixes(o Options, mixes []workload.Mix) (*SweepResult, error) {
 // the registry transparently falls back to one cache per size. All routes
 // are bit-identical to the per-size simulations they replace.
 //
-// When every pass selects an engine with an incremental form and no pass
-// is sampled, the sweep is streamed: no stream is materialized. Each job
-// opens one mix's generator and feeds a group of its passes from one
-// reusable chunk buffer (core.Feed), so workers split engines, not time.
+// Every pass spec is validated before any stream is generated or
+// materialized. When every pass selects an engine with an incremental form
+// and no pass is sampled, the sweep is streamed: no stream is
+// materialized. Each job opens one mix's generator and feeds a group of
+// its passes from one reusable chunk buffer (core.Feed), so workers split
+// engines, not time.
 // Otherwise every mix is materialized once and SweepRefsContext runs the
 // grid over the streams.
 func SweepMixesContext(ctx context.Context, o Options, mixes []workload.Mix) (*SweepResult, error) {
 	o = o.withDefaults()
+	for _, m := range mixes {
+		for _, p := range gridPasses {
+			if err := o.passSpec(m, p).Validate(); err != nil {
+				return nil, fmt.Errorf("sweep %s %s: %w", m.Name, fetchName(p.prefetch), err)
+			}
+		}
+	}
 	if o.streamed(mixes) {
 		res := newSweepResult(o, mixes)
 		if err := o.sweepStreamed(ctx, mixes, res.Cells); err != nil {
@@ -319,8 +328,7 @@ func (o Options) streamed(mixes []workload.Mix) bool {
 	}
 	for _, m := range mixes {
 		for _, p := range gridPasses {
-			spec := o.passSpec(m, p)
-			if spec.Validate() != nil || core.SelectEngine(spec).Open == nil {
+			if core.SelectEngine(o.passSpec(m, p)).Open == nil {
 				return false
 			}
 		}

@@ -1,12 +1,14 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 	"sort"
 	"strings"
 	"text/tabwriter"
 
-	"cacheeval/internal/cache"
+	"cacheeval/internal/core"
+	"cacheeval/internal/obs"
 	"cacheeval/internal/stats"
 	"cacheeval/internal/textplot"
 	"cacheeval/internal/workload"
@@ -33,25 +35,18 @@ type Table1Result struct {
 	GroupAvg map[string][]float64
 }
 
-// Table1 simulates all 57 trace units of the corpus with the one-pass LRU
-// stack algorithm, which yields every cache size simultaneously (the
-// configuration is exactly the inclusion-property case).
+// Table1 simulates all 57 trace units of the corpus in the Table 1
+// configuration, the inclusion-property case: core.RunSweep selects the
+// one-pass stack engine (cache.MultiSystem), which yields every cache size
+// simultaneously. Like every sweep, it rejects sizes that are not a power
+// of two at least one line long.
 func Table1(o Options) (*Table1Result, error) {
 	o = o.withDefaults()
 	units := workload.Units()
 	res := &Table1Result{Sizes: o.Sizes, Rows: make([]Table1Row, len(units))}
 	err := o.forEach(len(units), func(i int) error {
 		spec := units[i]
-		rd, err := o.openSpec(spec)
-		if err != nil {
-			return err
-		}
-		sim, err := cache.NewStackSim(o.LineSize)
-		if err != nil {
-			return err
-		}
-		sim.SetSink(o.Sink, "table1:"+spec.Name, int64(o.limit(spec.Refs)))
-		n, err := sim.Run(rd, 0)
+		n, miss, err := o.lruCurve(spec, o.Sizes, o.Sink, "table1:"+spec.Name)
 		if err != nil {
 			return fmt.Errorf("table1 %s: %w", spec.Name, err)
 		}
@@ -59,7 +54,7 @@ func Table1(o Options) (*Table1Result, error) {
 			Trace: spec.Name,
 			Group: workload.Group(spec),
 			Refs:  n,
-			Miss:  sim.MissRatios(o.Sizes),
+			Miss:  miss,
 		}
 		return nil
 	})
@@ -68,6 +63,27 @@ func Table1(o Options) (*Table1Result, error) {
 	}
 	res.aggregate()
 	return res, nil
+}
+
+// lruCurve runs a trace in the Table 1 configuration — unified, fully
+// associative, LRU, demand fetch, no purging — at every size in one
+// registry sweep and returns the references simulated and the overall miss
+// ratio at each size. sink and stage label the run's events.
+func (o Options) lruCurve(s workload.Spec, sizes []int, sink obs.Sink, stage string) (int, []float64, error) {
+	rd, err := o.openSpec(s)
+	if err != nil {
+		return 0, nil, err
+	}
+	out, err := core.RunSweep(context.Background(), core.SweepSpec{Sizes: sizes, LineSize: o.LineSize},
+		rd, sink, stage, int64(o.limit(s.Refs)))
+	if err != nil {
+		return 0, nil, err
+	}
+	miss := make([]float64, len(out.Results))
+	for i, r := range out.Results {
+		miss[i] = r.Ref.MissRatio()
+	}
+	return int(out.Results[0].Ref.TotalRefs()), miss, nil
 }
 
 func (r *Table1Result) aggregate() {

@@ -5,7 +5,6 @@ import (
 	"strings"
 	"text/tabwriter"
 
-	"cacheeval/internal/cache"
 	"cacheeval/internal/stats"
 	"cacheeval/internal/workload"
 )
@@ -53,18 +52,11 @@ func Variance(o Options) (*VarianceResult, error) {
 		for s := 0; s < varianceSeeds; s++ {
 			reseeded := spec
 			reseeded.Seed = spec.Seed + uint64(s)*0x9e3779b97f4a7c15
-			refs, err := o.collectSpec(reseeded)
+			_, miss, err := o.lruCurve(reseeded, []int{cacheSize}, nil, "")
 			if err != nil {
 				return err
 			}
-			sim, err := cache.NewStackSim(o.LineSize)
-			if err != nil {
-				return err
-			}
-			for _, r := range refs {
-				sim.Ref(r.Addr)
-			}
-			misses = append(misses, sim.MissRatio(cacheSize))
+			misses = append(misses, miss[0])
 		}
 		mean := stats.Mean(misses)
 		sd := stats.StdDev(misses)

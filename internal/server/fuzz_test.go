@@ -104,6 +104,9 @@ func FuzzSweepRequestDecode(f *testing.F) {
 	f.Add(`{"mixes":["FGO1"],"sizes":[256],"victim":2,"policy":"random"}`)
 	f.Add(`{"mixes":["FGO1"],"sizes":[256],"l2":{"size":16384},"mode":"sampled","error_budget":0.02}`)
 	f.Add(`{"mixes":["FGO1"],"sizes":[256],"victim":2,"parallel":4}`)
+	f.Add(`{"mixes":["FGO1"],"sizes":[48]}`)
+	f.Add(`{"mixes":["FGO1"],"line_size":3}`)
+	f.Add(`{"mixes":["FGO1","CGO1","FGO1"]}`)
 	f.Fuzz(func(t *testing.T, body string) {
 		req := httptest.NewRequest("POST", "/v1/sweep", strings.NewReader(body))
 		w := httptest.NewRecorder()

@@ -558,6 +558,10 @@ func TestJobValidation(t *testing.T) {
 		{"both", `{"evaluate":{"mix":"FGO1"},"sweep":{"mixes":["FGO1"]}}`, http.StatusBadRequest},
 		{"bad mix", `{"evaluate":{"mix":"nope"}}`, http.StatusBadRequest},
 		{"bad sweep", `{"sweep":{"sizes":[-1]}}`, http.StatusBadRequest},
+		{"non-power size", `{"sweep":{"mixes":["FGO1"],"sizes":[48]}}`, http.StatusBadRequest},
+		{"line above size", `{"sweep":{"mixes":["FGO1"],"sizes":[32],"line_size":64}}`, http.StatusBadRequest},
+		{"non-power line", `{"sweep":{"mixes":["FGO1"],"line_size":3}}`, http.StatusBadRequest},
+		{"duplicate mix", `{"sweep":{"mixes":["FGO1","FGO1"],"sizes":[1024],"ref_limit":1000}}`, http.StatusBadRequest},
 		{"unknown field", `{"sweeep":{}}`, http.StatusBadRequest},
 	} {
 		if code, b := post(t, hs.URL+"/v1/jobs", tc.body); code != tc.want {

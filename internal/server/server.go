@@ -29,6 +29,7 @@ import (
 	"math"
 	"net/http"
 	"runtime"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -795,10 +796,11 @@ type SweepResponse struct {
 	simReply
 }
 
-// validateSweep resolves a sweep request: every named mix must exist (an
-// empty list selects the paper's standard mixes and records their names back
-// into the request, which downstream keying relies on), the policy name must
-// parse, sizes must be positive, and the limits non-negative. Like
+// validateSweep resolves a sweep request: every named mix must exist and
+// appear once (an empty list selects the paper's standard mixes and
+// records their names back into the request, which downstream keying
+// relies on), the policy name must parse, the limits must be non-negative,
+// and every per-size configuration must pass core.SweepSpec.Validate. Like
 // validateEvaluate it is pure request validation, shared with the fuzz
 // targets.
 func (s *Server) validateSweep(req *SweepRequest) ([]workload.Mix, cache.Replacement, *requestError) {
@@ -818,11 +820,15 @@ func (s *Server) validateSweep(req *SweepRequest) ([]workload.Mix, cache.Replace
 			req.Mixes = append(req.Mixes, m.Name)
 		}
 	} else {
-		for _, name := range req.Mixes {
+		for i, name := range req.Mixes {
 			m, ok := s.catalog[name]
 			if !ok {
 				return nil, 0, &requestError{
 					http.StatusBadRequest, "unknown mix " + strconvQuote(name) + "; see GET /v1/mixes"}
+			}
+			if slices.Contains(req.Mixes[:i], name) {
+				return nil, 0, &requestError{
+					http.StatusBadRequest, "mix " + strconvQuote(name) + " is listed more than once"}
 			}
 			mixes = append(mixes, m)
 		}
@@ -857,26 +863,26 @@ func (s *Server) validateSweep(req *SweepRequest) ([]workload.Mix, cache.Replace
 		if req.L2 != nil && req.L2.Size > maxCacheBytes {
 			return nil, 0, errCacheTooLarge
 		}
-		// Validate the per-size configs the grid will actually build by
-		// running the core spec check on the split organization (the
-		// stricter one: the L2 must hold both caches), with the documented
-		// defaults filled in. This turns an inverted hierarchy or an
-		// out-of-range victim buffer into a structured 400 instead of a
-		// mid-simulation 500.
-		sizes := req.Sizes
-		if len(sizes) == 0 {
-			sizes = model.CacheSizes
-		}
-		line := req.LineSize
-		if line == 0 {
-			line = 16
-		}
-		spec := core.SweepSpec{Sizes: sizes, LineSize: line, Split: true,
-			Repl: repl, Victim: req.Victim, L2: req.L2.spec()}
-		if err := spec.Validate(); err != nil {
-			return nil, 0, &requestError{http.StatusBadRequest,
-				"invalid sweep: " + err.Error()}
-		}
+	}
+	// Validate the per-size configs the grid will actually build by running
+	// the core spec check on the split organization (the stricter one: the
+	// L2 must hold both caches), with the documented defaults filled in.
+	// This turns a size that is not a power of two, a line longer than a
+	// cache, an inverted hierarchy or an out-of-range victim buffer into a
+	// structured 400 before any stream is generated.
+	sizes := req.Sizes
+	if len(sizes) == 0 {
+		sizes = model.CacheSizes
+	}
+	line := req.LineSize
+	if line == 0 {
+		line = 16
+	}
+	spec := core.SweepSpec{Sizes: sizes, LineSize: line, Split: true,
+		Repl: repl, Victim: req.Victim, L2: req.L2.spec()}
+	if err := spec.Validate(); err != nil {
+		return nil, 0, &requestError{http.StatusBadRequest,
+			"invalid sweep: " + err.Error()}
 	}
 	return mixes, repl, nil
 }

@@ -87,6 +87,12 @@ func TestHandlerErrors(t *testing.T) {
 		{"out-of-range numeric repl", "POST", "/v1/evaluate",
 			`{"mix":"FGO1","design":{"Unified":{"Size":1024,"LineSize":16,"Repl":9}}}`, http.StatusBadRequest},
 		{"sweep unknown policy", "POST", "/v1/sweep", `{"mixes":["FGO1"],"policy":"belady"}`, http.StatusBadRequest},
+		{"sweep non-power size", "POST", "/v1/sweep", `{"mixes":["FGO1"],"sizes":[48]}`, http.StatusBadRequest},
+		{"sweep line above size", "POST", "/v1/sweep",
+			`{"mixes":["FGO1"],"sizes":[32],"line_size":64}`, http.StatusBadRequest},
+		{"sweep non-power line", "POST", "/v1/sweep", `{"mixes":["FGO1"],"line_size":3}`, http.StatusBadRequest},
+		{"sweep duplicate mix", "POST", "/v1/sweep",
+			`{"mixes":["FGO1","FGO1"],"sizes":[1024],"ref_limit":1000}`, http.StatusBadRequest},
 		{"parallel on evaluate", "POST", "/v1/evaluate", `{"mix":"FGO1","parallel":2}`, http.StatusBadRequest},
 		{"wrong method policies", "POST", "/v1/policies", "", http.StatusMethodNotAllowed},
 		{"wrong method evaluate", "GET", "/v1/evaluate", "", http.StatusMethodNotAllowed},
@@ -95,7 +101,10 @@ func TestHandlerErrors(t *testing.T) {
 	}
 	// The rejections whose error message must name what was wrong.
 	wantMsg := map[string]string{
-		"parallel on evaluate": `"parallel"`,
+		"parallel on evaluate":  `"parallel"`,
+		"sweep non-power size":  "48",
+		"sweep duplicate mix":   `"FGO1"`,
+		"sweep line above size": "line size 64",
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

@@ -241,8 +241,8 @@ func (MultiEngine) Simulate(g Grid, w Workload) (*Outcome, error) {
 	if err != nil {
 		return nil, err
 	}
-	if _, err := ms.Run(trace.NewSliceReader(w.Refs), 0); err != nil {
-		return nil, err
+	for _, r := range w.Refs {
+		ms.Ref(r)
 	}
 	return &Outcome{Engine: "multisystem", Grid: g, Workload: w,
 		Results: ms.Results(), Purges: ms.Purges()}, nil
@@ -270,8 +270,8 @@ func (FanoutEngine) Simulate(g Grid, w Workload) (*Outcome, error) {
 	if err != nil {
 		return nil, err
 	}
-	if _, err := fs.Run(trace.NewSliceReader(w.Refs), 0); err != nil {
-		return nil, err
+	for _, r := range w.Refs {
+		fs.Ref(r)
 	}
 	return &Outcome{Engine: "fanout", Grid: g, Workload: w,
 		Results: fs.Results(), Purges: fs.Purges()}, nil

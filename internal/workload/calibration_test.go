@@ -9,6 +9,7 @@ package workload_test
 // comparison) before updating these numbers.
 
 import (
+	"io"
 	"math"
 	"strings"
 	"testing"
@@ -62,13 +63,7 @@ func TestCorpusCalibration(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		sim, err := cache.NewStackSim(16)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, r := range refs {
-			sim.Ref(r.Addr)
-		}
+		miss1K := lruMissRatio(t, trace.NewSliceReader(refs), 1024)
 		g := workload.Group(spec)
 		a := aggs[g]
 		if a == nil {
@@ -79,7 +74,7 @@ func TestCorpusCalibration(t *testing.T) {
 		a.fi += ch.FracIFetch()
 		a.fb += ch.FracBranch()
 		a.as += float64(ch.ASpace())
-		a.miss1K += sim.MissRatio(1024)
+		a.miss1K += miss1K
 	}
 	for group, want := range calibTargets {
 		a := aggs[group]
@@ -124,14 +119,7 @@ func TestMVSWorstInCorpus(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		sim, err := cache.NewStackSim(16)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if _, err := sim.Run(trace.NewLimitReader(rd, calibRefs), 0); err != nil {
-			t.Fatal(err)
-		}
-		miss := sim.MissRatio(4096)
+		miss := lruMissRatio(t, trace.NewLimitReader(rd, calibRefs), 4096)
 		if strings.HasPrefix(spec.Name, "MVS") {
 			if miss < mvsBest {
 				mvsBest = miss
@@ -144,4 +132,25 @@ func TestMVSWorstInCorpus(t *testing.T) {
 		t.Errorf("MVS (%.4f) must be worse than every other trace (worst: %s %.4f)",
 			mvsBest, worstName, worstNonMVS)
 	}
+}
+
+// lruMissRatio runs rd through a fully-associative LRU demand cache of
+// the given size with 16-byte lines and returns the overall miss ratio.
+func lruMissRatio(t *testing.T, rd trace.Reader, size int) float64 {
+	t.Helper()
+	ms, err := cache.NewMultiSystem(cache.MultiConfig{Sizes: []int{size}, LineSize: 16})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for {
+		r, err := rd.Read()
+		if err == io.EOF {
+			break
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		ms.Ref(r)
+	}
+	return ms.Results()[0].Ref.MissRatio()
 }
