@@ -240,8 +240,8 @@ func New(cfg Config) (*Cache, error) {
 	assoc := cfg.EffectiveAssoc()
 	tlen := tableLen(assoc)
 	c.sets = make([]set, cfg.Sets())
-	c.frames = framePool.get(len(c.sets) * assoc)
-	c.slots = slotPool.get(len(c.sets) * tlen)
+	c.frames = framePool.Get(len(c.sets) * assoc)
+	c.slots = slotPool.Get(len(c.sets) * tlen)
 	for i := range c.sets {
 		f, t := i*assoc, i*tlen // a scanned cache's nil slots slice to a nil table
 		c.sets[i] = newSet(c.frames[f:f+assoc:f+assoc], c.slots[t:t+tlen:t+tlen])
@@ -256,7 +256,7 @@ func New(cfg Config) (*Cache, error) {
 		}
 	}
 	if n := cfg.VictimLines; n > 0 {
-		vb := newSet(framePool.get(n), slotPool.get(tableLen(n)))
+		vb := newSet(framePool.Get(n), slotPool.Get(tableLen(n)))
 		c.vbuf = &vb
 	}
 	return c, nil
@@ -267,11 +267,11 @@ func New(cfg Config) (*Cache, error) {
 // instead of touching arrays another cache may own. Call it only when
 // nothing else holds the cache; releasing twice is a no-op.
 func (c *Cache) Release() {
-	framePool.put(c.frames)
-	slotPool.put(c.slots)
+	framePool.Put(c.frames)
+	slotPool.Put(c.slots)
 	if c.vbuf != nil {
-		framePool.put(c.vbuf.nodes)
-		slotPool.put(c.vbuf.table)
+		framePool.Put(c.vbuf.nodes)
+		slotPool.Put(c.vbuf.table)
 	}
 	c.sets, c.frames, c.slots, c.vbuf = nil, nil, nil, nil
 }

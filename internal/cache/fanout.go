@@ -353,7 +353,7 @@ func newFanoutCaches(lines []int, lineBytes uint64) []fanoutCache {
 	out := make([]fanoutCache, len(lines))
 	for i, l := range lines {
 		c := fanoutCache{
-			nodes: fanFramePool.get(l), head: -1, tail: -1,
+			nodes: fanFramePool.Get(l), head: -1, tail: -1,
 			lineBytes: lineBytes,
 			lastNode:  [3]int32{-1, -1, -1},
 			probeNode: [3]int32{-1, -1, -1},
@@ -362,7 +362,7 @@ func newFanoutCaches(lines []int, lineBytes uint64) []fanoutCache {
 		// Same index strategy as set: scan small arenas directly, index
 		// larger ones with an open-addressed table at ≤50% load.
 		if m := tableLen(l); m > 0 {
-			c.table = slotPool.get(m)
+			c.table = slotPool.Get(m)
 			for j := range c.table {
 				c.table[j].ni = -1
 			}
@@ -377,8 +377,8 @@ func newFanoutCaches(lines []int, lineBytes uint64) []fanoutCache {
 // drops the cache's references to them.
 func releaseFanoutCaches(cs []fanoutCache) {
 	for i := range cs {
-		fanFramePool.put(cs[i].nodes)
-		slotPool.put(cs[i].table)
+		fanFramePool.Put(cs[i].nodes)
+		slotPool.Put(cs[i].table)
 		cs[i].nodes, cs[i].table = nil, nil
 	}
 }

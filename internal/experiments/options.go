@@ -128,14 +128,19 @@ func (o Options) collectMix(m workload.Mix) ([]trace.Ref, error) {
 // the round-robin structure at reduced scale. Synthesizing a long trace is
 // itself slow enough to need the context check.
 func (o Options) CollectMixContext(ctx context.Context, m workload.Mix) ([]trace.Ref, error) {
-	m = o.limitMix(m)
-	r, err := m.Open()
-	if err != nil {
-		return nil, err
-	}
 	// The (possibly limited) mix knows its exact interleaved length, so the
 	// stream materializes in one allocation instead of append-growth.
-	return trace.Collect(trace.NewContextReader(ctx, r), 0, m.TotalRefs())
+	return o.appendMix(ctx, make([]trace.Ref, 0, o.limitMix(m).TotalRefs()), m)
+}
+
+// appendMix appends a mix's interleaved reference stream, RefLimit
+// applied per member, to dst and returns the extended slice.
+func (o Options) appendMix(ctx context.Context, dst []trace.Ref, m workload.Mix) ([]trace.Ref, error) {
+	r, err := o.limitMix(m).Open()
+	if err != nil {
+		return dst, err
+	}
+	return trace.Append(dst, trace.NewContextReader(ctx, r), 0)
 }
 
 // limitMix applies RefLimit to every member of m, preserving the

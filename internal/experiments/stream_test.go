@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"reflect"
 	"runtime"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -90,67 +91,110 @@ func shortMixes(n, refs int) []workload.Mix {
 	return mixes
 }
 
-// TestStreamedMatchesMaterialized pins the streamed sweep to the
-// materialized one: the same sweep, once fed from the generator (streamed:
-// one job per mix and pass group) and once through SweepRefsContext over
-// the mixes' collected streams, must give identical cells and OnPass
-// results at every worker count, so one, two and four pass groups all run.
-// Every pass stage must open and close exactly once on the sink.
+// matchConfigs are the sweep configurations the job loop is pinned on: the
+// LRU sweep, whose jobs stream, and four whose mixes materialize: a
+// non-LRU policy, a victim buffer, an L2 and a sampled budget. Under
+// -short the materializing ones run at a quarter of the length (members
+// of 1500 refs, a limit of 1000), so the grid fits the race detector's
+// budget; the LRU one always runs at full length.
+var matchConfigs = []struct {
+	name    string
+	o       Options
+	shorten bool
+}{
+	{"lru", Options{}, false},
+	{"arc", Options{Repl: cache.ARC}, true},
+	{"victim", Options{Victim: 4}, true},
+	{"l2", Options{L2: &core.L2Spec{Size: 32 << 10}}, true},
+	{"sampled", Options{Sampled: &core.SampledOptions{ErrorBudget: 0.2}}, true},
+}
+
+// TestStreamedMatchesMaterialized pins SweepMixesContext's job loop to
+// SweepRefsContext over the mixes' collected streams. For every
+// configuration the two must give identical cells, OnPass results and
+// Sampled lists (in mix and pass order) at every worker count, so one, two
+// and four pass groups all run when the jobs stream, and one to four
+// pass jobs share each recycled buffer when they materialize. Every stage
+// must open and close once per run on the sink, the same stages as the
+// materialized run's.
 func TestStreamedMatchesMaterialized(t *testing.T) {
 	for _, n := range []int{1, 2, 6} {
 		for _, workers := range []int{1, 2, 4, 8} {
 			for _, limit := range []int{0, 4000} {
 				t.Run(fmt.Sprintf("mixes=%d/workers=%d/limit=%d", n, workers, limit), func(t *testing.T) {
-					mixes := shortMixes(n, 6000)
-					run := func(materialize bool) (*SweepResult, *stageSink, *passRecorder) {
-						sink, rec := newStageSink(), &passRecorder{passes: map[passKey][]SimOut{}}
-						o := Options{Sizes: []int{64, 512, 4096}, RefLimit: limit, Workers: workers, Sink: sink, OnPass: rec.on}
-						sweep := SweepMixes
-						if materialize {
-							sweep = func(o Options, mixes []workload.Mix) (*SweepResult, error) {
-								streams := make([][]trace.Ref, len(mixes))
-								for i, m := range mixes {
-									var err error
-									if streams[i], err = o.collectMix(m); err != nil {
-										return nil, err
-									}
-								}
-								return SweepRefsContext(context.Background(), o, mixes, streams)
+					for _, cfg := range matchConfigs {
+						t.Run(cfg.name, func(t *testing.T) {
+							refs, limit := 6000, limit
+							if cfg.shorten && testing.Short() {
+								refs, limit = refs/4, limit/4
 							}
-						}
-						res, err := sweep(o, mixes)
-						if err != nil {
-							t.Fatal(err)
-						}
-						return res, sink, rec
-					}
-					want, _, wantPasses := run(true)
-					got, sink, gotPasses := run(false)
-					if !reflect.DeepEqual(got.Cells, want.Cells) {
-						t.Error("streamed cells differ from materialized cells")
-					}
-					if len(got.Sampled) != 0 {
-						t.Errorf("streamed sweep recorded %d sampled passes, want none", len(got.Sampled))
-					}
-					if len(gotPasses.passes) != 4*n || gotPasses.dups != 0 {
-						t.Errorf("OnPass: %d passes (%d repeated), want %d once each", len(gotPasses.passes), gotPasses.dups, 4*n)
-					}
-					if !reflect.DeepEqual(gotPasses.passes, wantPasses.passes) {
-						t.Error("streamed OnPass results differ from materialized ones")
-					}
-					for _, m := range mixes {
-						for _, p := range gridPasses {
-							st := p.stage(m)
-							if sink.starts[st] != 1 || sink.ends[st] != 1 {
-								t.Errorf("stage %s: %d run starts, %d run ends, want 1 each", st, sink.starts[st], sink.ends[st])
-							}
-						}
-					}
-					if len(sink.starts) != 4*n || !reflect.DeepEqual(sink.starts, sink.ends) {
-						t.Errorf("unpaired stages: starts %v ends %v", sink.starts, sink.ends)
+							o := cfg.o
+							o.Sizes, o.RefLimit, o.Workers = []int{64, 512, 4096}, limit, workers
+							checkJobLoop(t, o, shortMixes(n, refs))
+						})
 					}
 				})
 			}
+		}
+	}
+}
+
+// checkJobLoop runs one sweep through SweepMixes and through
+// SweepRefsContext over the collected streams, and compares the two.
+func checkJobLoop(t *testing.T, o Options, mixes []workload.Mix) {
+	t.Helper()
+	run := func(materialize bool) (*SweepResult, *stageSink, *passRecorder) {
+		sink, rec := newStageSink(), &passRecorder{passes: map[passKey][]SimOut{}}
+		o := o
+		o.Sink, o.OnPass = sink, rec.on
+		var res *SweepResult
+		var err error
+		if materialize {
+			streams := make([][]trace.Ref, len(mixes))
+			for i, m := range mixes {
+				if streams[i], err = o.collectMix(m); err != nil {
+					t.Fatal(err)
+				}
+			}
+			res, err = SweepRefsContext(context.Background(), o, mixes, streams)
+		} else {
+			res, err = SweepMixes(o, mixes)
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res, sink, rec
+	}
+	want, wantSink, wantPasses := run(true)
+	got, sink, gotPasses := run(false)
+	if !reflect.DeepEqual(got.Cells, want.Cells) {
+		t.Error("job-loop cells differ from materialized cells")
+	}
+	if !reflect.DeepEqual(got.Sampled, want.Sampled) {
+		t.Errorf("Sampled %+v, want %+v", got.Sampled, want.Sampled)
+	}
+	wantSampled := 0
+	if o.Sampled != nil {
+		wantSampled = 4 * len(mixes)
+	}
+	if len(got.Sampled) != wantSampled {
+		t.Errorf("%d sampled passes recorded, want %d", len(got.Sampled), wantSampled)
+	}
+	if len(gotPasses.passes) != 4*len(mixes) || gotPasses.dups != 0 {
+		t.Errorf("OnPass: %d passes (%d repeated), want %d once each", len(gotPasses.passes), gotPasses.dups, 4*len(mixes))
+	}
+	if !reflect.DeepEqual(gotPasses.passes, wantPasses.passes) {
+		t.Error("job-loop OnPass results differ from materialized ones")
+	}
+	if len(sink.starts) < 4*len(mixes) || !reflect.DeepEqual(sink.starts, sink.ends) {
+		t.Errorf("unpaired stages: starts %v ends %v", sink.starts, sink.ends)
+	}
+	if !reflect.DeepEqual(sink.starts, wantSink.starts) {
+		t.Errorf("stages %v, materialized run %v", sink.starts, wantSink.starts)
+	}
+	for stage, c := range sink.starts {
+		if c != 1 {
+			t.Errorf("stage %s opened %d times, want once", stage, c)
 		}
 	}
 }
@@ -306,24 +350,107 @@ func TestStreamedSweepBoundedAlloc(t *testing.T) {
 	}
 }
 
-// TestStreamedPathSelection pins when a sweep streams: only exact sweeps
-// whose every pass selects a one-pass engine.
-func TestStreamedPathSelection(t *testing.T) {
-	mixes := shortMixes(1, 1000)
+// TestJobStreamRule pins when a mix's jobs stream: exactly when the
+// registry picks an engine with an incremental form for every pass. A
+// sampled pass, a victim buffer, an L2 or a non-LRU policy makes the mix
+// materialize; a zero sampled budget runs exact engines and streams.
+func TestJobStreamRule(t *testing.T) {
+	mix := shortMixes(1, 1000)[0]
 	for _, tc := range []struct {
 		name string
 		o    Options
 		want bool
 	}{
 		{"default", Options{}, true},
-		{"four workers", Options{Workers: 4}, true},
+		{"zero budget", Options{Sampled: &core.SampledOptions{}}, true},
 		{"sampled", Options{Sampled: &core.SampledOptions{ErrorBudget: 0.05}}, false},
 		{"victim", Options{Victim: 4}, false},
 		{"L2", Options{L2: &core.L2Spec{Size: 1 << 16}}, false},
 		{"non-LRU", Options{Repl: cache.FIFO}, false},
 	} {
-		if got := tc.o.withDefaults().streamed(mixes); got != tc.want {
-			t.Errorf("%s: streamed = %v, want %v", tc.name, got, tc.want)
+		if got := tc.o.withDefaults().canStream(mix); got != tc.want {
+			t.Errorf("%s: canStream = %v, want %v", tc.name, got, tc.want)
 		}
 	}
+}
+
+// TestMaterializedJobSpans checks the spans of mixes that materialize:
+// each mix records one materialize:<mix> span, carrying the stream's
+// length, however many workers share the stream, and after it one span per
+// pass, with no span around a job, so span time still tiles the sweep.
+func TestMaterializedJobSpans(t *testing.T) {
+	mixes := shortMixes(2, 3000)
+	want := map[string]int64{}
+	for _, m := range mixes {
+		want["materialize:"+m.Name] = int64(m.TotalRefs())
+		for _, p := range gridPasses {
+			want[p.stage(m)] = int64(m.TotalRefs())
+		}
+	}
+	for _, workers := range []int{1, 2, 4, 8} {
+		ctx, tr := obs.NewTrace(context.Background())
+		if _, err := SweepMixesContext(ctx, Options{Sizes: []int{256}, Workers: workers, Repl: cache.ARC}, mixes); err != nil {
+			t.Fatal(err)
+		}
+		got := map[string]int64{}
+		filled := map[string]bool{}
+		for _, s := range tr.Summary() {
+			if _, dup := got[s.Name]; dup {
+				t.Errorf("workers=%d: span %s recorded twice", workers, s.Name)
+			}
+			got[s.Name] = s.Refs
+			if mix, ok := strings.CutPrefix(s.Name, "materialize:"); ok {
+				filled[mix] = true
+			} else if mix := strings.Split(s.Name, ":")[1]; !filled[mix] {
+				t.Errorf("workers=%d: span %s starts before materialize:%s", workers, s.Name, mix)
+			}
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Errorf("workers=%d: spans (name: refs) %v, want %v", workers, got, want)
+		}
+	}
+}
+
+// TestRecycledSweepsConcurrentMixes runs per-size sweeps through
+// SweepMixesContext from four goroutines at once, each in its own order,
+// so their materialized mixes draw and return reference buffers (and
+// cache arrays) of the same classes concurrently. Every result must equal the
+// sweep's serial run: a buffer handed to two jobs at once shows up as a
+// diverged cell, and under -race as a data race.
+func TestRecycledSweepsConcurrentMixes(t *testing.T) {
+	mixes := shortMixes(3, 4000)
+	sizes := []int{256, 4096}
+	sweeps := []Options{
+		{Sizes: sizes, Workers: 2, Repl: cache.ARC},
+		{Sizes: sizes, Workers: 2, Victim: 4},
+		{Sizes: sizes, Workers: 4, L2: &core.L2Spec{Size: 32 << 10}, RefLimit: 3000},
+		{Sizes: sizes, Workers: 1, Sampled: &core.SampledOptions{ErrorBudget: 0.2}},
+	}
+	want := make([]*SweepResult, len(sweeps))
+	for i, o := range sweeps {
+		res, err := SweepMixes(o, mixes)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want[i] = res
+	}
+	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for k := range sweeps {
+				i := (k + g) % len(sweeps)
+				got, err := SweepMixesContext(context.Background(), sweeps[i], mixes)
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				if !reflect.DeepEqual(got.Cells, want[i].Cells) || !reflect.DeepEqual(got.Sampled, want[i].Sampled) {
+					t.Errorf("goroutine %d, sweep %d: concurrent run diverged from serial", g, i)
+				}
+			}
+		}(g)
+	}
+	wg.Wait()
 }

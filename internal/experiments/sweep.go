@@ -3,10 +3,14 @@ package experiments
 import (
 	"context"
 	"fmt"
+	"slices"
+	"sync"
+	"sync/atomic"
 
 	"cacheeval/internal/cache"
 	"cacheeval/internal/core"
 	"cacheeval/internal/obs"
+	"cacheeval/internal/recycle"
 	"cacheeval/internal/trace"
 	"cacheeval/internal/workload"
 )
@@ -108,14 +112,15 @@ func SweepMixes(o Options, mixes []workload.Mix) (*SweepResult, error) {
 // the registry transparently falls back to one cache per size. All routes
 // are bit-identical to the per-size simulations they replace.
 //
-// Every pass spec is validated before any stream is generated or
-// materialized. When every pass selects an engine with an incremental form
-// and no pass is sampled, the sweep is streamed: no stream is
-// materialized. Each job opens one mix's generator and feeds a group of
-// its passes from one reusable chunk buffer (core.Feed), so workers split
-// engines, not time.
-// Otherwise every mix is materialized once and SweepRefsContext runs the
-// grid over the streams.
+// Every pass spec is validated before any stream is generated. The grid
+// then runs as jobs in mix-major order on up to Workers goroutines, so
+// workers split engines, not time. A mix whose every pass selects an
+// engine with an incremental form streams: each of its jobs, one per pass
+// group (see passGroups), opens the mix's generator and feeds its passes
+// from one reusable chunk buffer (core.Feed). Any other mix runs one job
+// per pass over one shared, recycled buffer (mixStream), generated once,
+// so the sweep holds at most Workers streams at once, not one per mix.
+// A mix's buffer passes to the sweep's next mixes (sweepBuffers).
 func SweepMixesContext(ctx context.Context, o Options, mixes []workload.Mix) (*SweepResult, error) {
 	o = o.withDefaults()
 	for _, m := range mixes {
@@ -125,72 +130,82 @@ func SweepMixesContext(ctx context.Context, o Options, mixes []workload.Mix) (*S
 			}
 		}
 	}
-	if o.streamed(mixes) {
-		res := newSweepResult(o, mixes)
-		if err := o.sweepStreamed(ctx, mixes, res.Cells); err != nil {
-			return nil, err
+	bufs := &sweepBuffers{}
+	shared := make([]*mixStream, len(mixes))
+	for mi, m := range mixes {
+		if !o.canStream(m) {
+			shared[mi] = &mixStream{bufs: bufs}
+			shared[mi].left.Store(int32(len(singlePasses)))
 		}
-		return res, nil
 	}
-	streams := make([][]trace.Ref, len(mixes))
-	err := o.forEachCtx(ctx, len(mixes), func(i int) error {
-		sp := obs.StartSpan(ctx, "materialize:"+mixes[i].Name)
-		refs, err := o.CollectMixContext(ctx, mixes[i])
+	groups := func(mi int) [][]gridPass {
+		if shared[mi] == nil {
+			return o.passGroups(len(mixes))
+		}
+		return singlePasses
+	}
+	res, err := o.sweepJobs(ctx, mixes, groups, func(mi int, group []gridPass, row []SweepCell, sampled []*SampledPass) error {
+		s := shared[mi]
+		if s == nil {
+			return o.runStreamed(ctx, mixes[mi], group, row)
+		}
+		defer s.end(1)
+		refs, err := s.fill(ctx, o, mixes[mi])
 		if err != nil {
-			sp.End()
-			return fmt.Errorf("sweep %s: %w", mixes[i].Name, err)
+			return err
 		}
-		streams[i] = refs
-		sp.AddRefs(int64(len(refs)))
-		sp.End()
-		return nil
+		return o.runPasses(ctx, mixes[mi], refs, group, row, sampled)
 	})
-	if err != nil {
-		return nil, err
+	for _, s := range shared {
+		if s != nil {
+			s.end(s.left.Load()) // the jobs a failure kept from starting
+		}
 	}
-	return SweepRefsContext(ctx, o, mixes, streams)
+	bufs.release()
+	return res, err
 }
 
 // SweepRefsContext runs the sweep grid over already-materialized streams:
 // streams[i] is mixes[i]'s interleaved reference stream, which every pass
 // over the mix re-reads from memory. It never streams from the generator,
 // so callers that time the engines apart from workload synthesis (the
-// sweep benchmarks) materialize once and call it.
+// sweep benchmarks) materialize once and call it. Each pass is a job of
+// its own.
 func SweepRefsContext(ctx context.Context, o Options, mixes []workload.Mix, streams [][]trace.Ref) (*SweepResult, error) {
 	o = o.withDefaults()
-	res := newSweepResult(o, mixes)
-	// Job list: per mix, one all-sizes pass per (fetch policy,
-	// organization). Each job writes only its own cell fields, so results
-	// are bit-identical regardless of the worker count.
-	type job struct {
-		mi int
-		p  gridPass
+	groups := func(int) [][]gridPass { return singlePasses }
+	return o.sweepJobs(ctx, mixes, groups, func(mi int, group []gridPass, row []SweepCell, sampled []*SampledPass) error {
+		return o.runPasses(ctx, mixes[mi], streams[mi], group, row, sampled)
+	})
+}
+
+// sweepJobs runs job once per (mix, pass group), mix by mix in order, on
+// up to Workers goroutines; groups(mi) lists mix mi's pass groups. Each
+// job writes only its own mix's cell fields and sampled-pass slots (one
+// per gridPasses entry), so the result, including the order of Sampled,
+// is bit-identical regardless of the worker count and the grouping.
+func (o Options) sweepJobs(ctx context.Context, mixes []workload.Mix, groups func(mi int) [][]gridPass,
+	job func(mi int, group []gridPass, row []SweepCell, sampled []*SampledPass) error) (*SweepResult, error) {
+	type gridJob struct {
+		mi    int
+		group []gridPass
 	}
-	var jobs []job
+	var jobs []gridJob
 	for mi := range mixes {
-		for _, p := range gridPasses {
-			jobs = append(jobs, job{mi, p})
+		for _, g := range groups(mi) {
+			jobs = append(jobs, gridJob{mi, g})
 		}
 	}
-	// Each job writes only its own slot, so sampled-pass metadata stays
-	// deterministic (job order) regardless of the worker count.
-	passes := make([]*SampledPass, len(jobs))
+	res := newSweepResult(o, mixes)
+	sampled := make([]*SampledPass, len(mixes)*len(gridPasses))
 	err := o.forEachCtx(ctx, len(jobs), func(j int) error {
-		jb := jobs[j]
-		mix, refs := mixes[jb.mi], streams[jb.mi]
-		out, err := runPass(ctx, o, mix, refs, jb.p, res.Cells[jb.mi])
-		if err != nil {
-			return fmt.Errorf("sweep %s %s: %w", mix.Name, fetchName(jb.p.prefetch), err)
-		}
-		if out.Sampled != nil {
-			passes[j] = &SampledPass{Mix: mix.Name, Split: jb.p.split, Prefetch: jb.p.prefetch, Info: *out.Sampled}
-		}
-		return nil
+		mi := jobs[j].mi
+		return job(mi, jobs[j].group, res.Cells[mi], sampled[mi*len(gridPasses):(mi+1)*len(gridPasses)])
 	})
 	if err != nil {
 		return nil, err
 	}
-	for _, p := range passes {
+	for _, p := range sampled {
 		if p != nil {
 			res.Sampled = append(res.Sampled, *p)
 		}
@@ -215,6 +230,9 @@ type gridPass struct{ split, prefetch bool }
 // gridPasses lists a mix's passes in job order: the demand half, then the
 // prefetch half, split before unified in each.
 var gridPasses = []gridPass{{true, false}, {false, false}, {true, true}, {false, true}}
+
+// singlePasses groups gridPasses one pass per job.
+var singlePasses = [][]gridPass{gridPasses[0:1], gridPasses[1:2], gridPasses[2:3], gridPasses[3:4]}
 
 // stage names the pass in sink events and spans.
 func (p gridPass) stage(mix workload.Mix) string {
@@ -270,7 +288,109 @@ func (o Options) passSpec(mix workload.Mix, p gridPass) core.SweepSpec {
 	}
 }
 
-// runPass executes one materialized (organization, fetch policy) job at
+// refPool recycles the buffers sweeps fill with their mixes' streams.
+var refPool recycle.Pool[trace.Ref]
+
+// sweepBuffers holds the buffers of one sweep's materialized mixes that
+// no job is reading. A mix's buffer comes here when the mix's last job
+// ends and goes to the next mix it fits; the sweep hands them all to
+// refPool when it returns. Handed back one by one, a buffer stayed in the
+// ending worker's per-P pool cache, out of the next mix's reach, and
+// peak RSS grew (DESIGN.md §9).
+type sweepBuffers struct {
+	mu    sync.Mutex
+	spare [][]trace.Ref
+}
+
+// get returns a buffer of length n: the smallest spare that fits, else
+// one from refPool.
+func (b *sweepBuffers) get(n int) []trace.Ref {
+	b.mu.Lock()
+	best := -1
+	for i, buf := range b.spare {
+		if cap(buf) >= n && (best < 0 || cap(buf) < cap(b.spare[best])) {
+			best = i
+		}
+	}
+	if best < 0 {
+		b.mu.Unlock()
+		return refPool.Get(n)
+	}
+	buf := b.spare[best]
+	b.spare = slices.Delete(b.spare, best, best+1)
+	b.mu.Unlock()
+	return buf[:n]
+}
+
+// put takes back a buffer no job reads any more.
+func (b *sweepBuffers) put(buf []trace.Ref) {
+	if cap(buf) == 0 {
+		return
+	}
+	b.mu.Lock()
+	b.spare = append(b.spare, buf)
+	b.mu.Unlock()
+}
+
+// release hands every spare to refPool once the sweep's jobs have ended.
+func (b *sweepBuffers) release() {
+	for _, buf := range b.spare {
+		refPool.Put(buf)
+	}
+}
+
+// mixStream is one mix's materialized stream, shared by the mix's pass
+// jobs. Jobs start in mix order, so a sweep's live streams are those of
+// the mixes its workers are on.
+type mixStream struct {
+	bufs *sweepBuffers
+	once sync.Once
+	refs []trace.Ref
+	err  error
+	left atomic.Int32 // the mix's jobs that have not ended
+}
+
+// fill returns the mix's stream. The first job to ask fills a buffer
+// from the sweep's spares or refPool with the mix's generator, under a
+// materialize:<mix> span; the others wait for it.
+func (s *mixStream) fill(ctx context.Context, o Options, mix workload.Mix) ([]trace.Ref, error) {
+	s.once.Do(func() {
+		sp := obs.StartSpan(ctx, "materialize:"+mix.Name)
+		defer sp.End()
+		s.refs, s.err = o.appendMix(ctx, s.bufs.get(o.limitMix(mix).TotalRefs())[:0], mix)
+		if s.err != nil {
+			s.err = fmt.Errorf("sweep %s: %w", mix.Name, s.err)
+			return
+		}
+		sp.AddRefs(int64(len(s.refs)))
+	})
+	return s.refs, s.err
+}
+
+// end records that n more of the mix's jobs have ended, or will never
+// start, and hands the buffer to the sweep's spares after the last.
+func (s *mixStream) end(n int32) {
+	if n > 0 && s.left.Add(-n) == 0 {
+		s.bufs.put(s.refs)
+	}
+}
+
+// runPasses runs each pass of a group over the mix's materialized stream
+// and records each sampled pass in its gridPasses slot.
+func (o Options) runPasses(ctx context.Context, mix workload.Mix, refs []trace.Ref, group []gridPass, row []SweepCell, sampled []*SampledPass) error {
+	for _, p := range group {
+		out, err := runPass(ctx, o, mix, refs, p, row)
+		if err != nil {
+			return fmt.Errorf("sweep %s %s: %w", mix.Name, fetchName(p.prefetch), err)
+		}
+		if out.Sampled != nil {
+			sampled[slices.Index(gridPasses, p)] = &SampledPass{Mix: mix.Name, Split: p.split, Prefetch: p.prefetch, Info: *out.Sampled}
+		}
+	}
+	return nil
+}
+
+// runPass executes one materialized (organization, fetch policy) pass at
 // every size via the engine capability registry and scatters the per-size
 // results into the mix's cell row. The returned SweepOut carries the
 // sampling metadata when that engine ran (its Results are already
@@ -319,27 +439,22 @@ func (o Options) deliver(mix workload.Mix, p gridPass, results []cache.SizeResul
 	}
 }
 
-// streamed reports whether the sweep takes the streamed path: no pass is
-// sampled, and the registry picks an engine with an incremental form for
-// every pass.
-func (o Options) streamed(mixes []workload.Mix) bool {
-	if o.Sampled != nil {
-		return false
-	}
-	for _, m := range mixes {
-		for _, p := range gridPasses {
-			if core.SelectEngine(o.passSpec(m, p)).Open == nil {
-				return false
-			}
+// canStream reports whether a mix's jobs feed their passes from the
+// generator: the registry picks an engine with an incremental form for
+// every pass. A sampled or per-size pass has none.
+func (o Options) canStream(mix workload.Mix) bool {
+	for _, p := range gridPasses {
+		if core.SelectEngine(o.passSpec(mix, p)).Open == nil {
+			return false
 		}
 	}
 	return true
 }
 
-// passGroups splits a mix's passes into the streamed sweep's jobs: all
+// passGroups splits a streamed mix's passes into the sweep's jobs: all
 // four in one job when the mixes alone give every worker a job; else the
 // split and unified pairs (each one demand pass plus one prefetch pass);
-// else one pass per job. Each job regenerates its mix's stream.
+// else one pass per job. Each job generates its mix's stream itself.
 func (o Options) passGroups(mixes int) [][]gridPass {
 	switch {
 	case mixes >= o.Workers:
@@ -350,11 +465,7 @@ func (o Options) passGroups(mixes int) [][]gridPass {
 			{gridPasses[1], gridPasses[3]},
 		}
 	default:
-		groups := make([][]gridPass, len(gridPasses))
-		for i := range gridPasses {
-			groups[i] = gridPasses[i : i+1]
-		}
-		return groups
+		return singlePasses
 	}
 }
 
@@ -369,17 +480,6 @@ func groupSpan(mix workload.Mix, group []gridPass) string {
 	default:
 		return "sweep:" + mix.Name + ":" + orgName(group[0].split)
 	}
-}
-
-// sweepStreamed runs the streamed sweep: one job per (mix, pass group).
-// Each job writes only its own cell fields, so results are bit-identical
-// regardless of the worker count and the grouping.
-func (o Options) sweepStreamed(ctx context.Context, mixes []workload.Mix, cells [][]SweepCell) error {
-	groups := o.passGroups(len(mixes))
-	return o.forEachCtx(ctx, len(mixes)*len(groups), func(j int) error {
-		mi, group := j/len(groups), groups[j%len(groups)]
-		return o.runStreamed(ctx, mixes[mi], group, cells[mi])
-	})
 }
 
 // runStreamed is one streamed job: it opens the mix's generator once,

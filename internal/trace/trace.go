@@ -190,17 +190,25 @@ func Collect(r Reader, max, capHint int) ([]Ref, error) {
 		}
 		out = make([]Ref, 0, capHint)
 	}
-	for max <= 0 || len(out) < max {
+	return Append(out, r, max)
+}
+
+// Append is Collect into a caller's slice: it appends r's references to
+// dst, stopping at io.EOF or after max references when max > 0, and
+// returns the extended slice. A dst with room for the whole stream fills
+// without allocating.
+func Append(dst []Ref, r Reader, max int) ([]Ref, error) {
+	for n := 0; max <= 0 || n < max; n++ {
 		ref, err := r.Read()
 		if err == io.EOF {
-			return out, nil
+			return dst, nil
 		}
 		if err != nil {
-			return out, err
+			return dst, err
 		}
-		out = append(out, ref)
+		dst = append(dst, ref)
 	}
-	return out, nil
+	return dst, nil
 }
 
 // Borrow returns the rest of r's stream as a slice, leaving r at EOF. When
