@@ -163,30 +163,24 @@ func BenchmarkReplacementAblation(b *testing.B) {
 	}
 }
 
-// --- sampled-vs-exact sweep wall-clock ---
+// --- long-trace hierarchy sweep wall-clock ---
 
-// benchSampledOpts configures a Table 3 sweep at interval-sampling scale:
-// references per mix member an order of magnitude above the artifact
-// benchmarks, because sampling pays off on traces long enough that the
-// size-scaled windows are a small fraction of the whole. The stream is
-// materialized once outside the timed region (both modes would otherwise
-// repay the same synthesis cost, burying the simulation difference).
-func benchSampledOpts(b *testing.B) (experiments.Options, []workload.Mix, [][]trace.Ref) {
+// benchLongOpts configures a Table 3 sweep over long traces: references
+// per mix member far above the artifact benchmarks. The stream is
+// materialized once outside the timed region, so the benchmark prices the
+// engines alone, not workload synthesis.
+func benchLongOpts(b *testing.B) (experiments.Options, []workload.Mix, [][]trace.Ref) {
 	b.Helper()
 	refs := 15000000
 	if testing.Short() {
 		refs = 25000
 	}
-	// Workers pins the grid serial so Exact/Sampled stay stable baselines on
-	// any runner.
+	// Workers pins the grid serial so the benchmark stays a stable baseline
+	// on any runner.
 	o := experiments.Options{Sink: obs.Discard, Workers: 1}
 	// Two of Table 3's single-trace workload units (VCCOM, VSPICE), with
 	// their run lengths extended beyond the paper's 250,000 references
-	// (the generators are unbounded; Spec.Refs is the only cap). The
-	// multi-section assortments are deliberately non-stationary — the
-	// paper's §2 point — which makes their between-window variance, not
-	// simulation speed, the binding constraint; the stationary units are
-	// the regime the sampled engine is built for.
+	// (the generators are unbounded; Spec.Refs is the only cap).
 	base := workload.StandardMixes()[2:4]
 	mixes := make([]workload.Mix, len(base))
 	for i, m := range base {
@@ -208,50 +202,15 @@ func benchSampledOpts(b *testing.B) (experiments.Options, []workload.Mix, [][]tr
 	return o, mixes, streams
 }
 
-// BenchmarkSweepExact is the exact-mode baseline for BenchmarkSweepSampled:
-// the same grid, trace and engine registry, with sampling disabled.
-func BenchmarkSweepExact(b *testing.B) {
-	o, mixes, streams := benchSampledOpts(b)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := experiments.SweepRefsContext(context.Background(), o, mixes, streams); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkSweepSampled runs the same sweep under the sampled engine at a
-// ±5% error budget. The recorded BENCH_4.json pair (exact vs sampled) is
-// the wall-clock evidence for the sampled engine's speedup claim.
-func BenchmarkSweepSampled(b *testing.B) {
-	o, mixes, streams := benchSampledOpts(b)
-	o.Sampled = &core.SampledOptions{ErrorBudget: 0.05}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		res, err := experiments.SweepRefsContext(context.Background(), o, mixes, streams)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if !testing.Short() {
-			for _, p := range res.Sampled {
-				if p.Info.FellBack {
-					b.Fatalf("pass %s split=%v prefetch=%v fell back: %s",
-						p.Mix, p.Split, p.Prefetch, p.Info.FallbackReason)
-				}
-			}
-		}
-	}
-}
-
-// BenchmarkSweepHierarchy runs the same grid as BenchmarkSweepExact with a
+// BenchmarkSweepHierarchy runs a Table 3 grid over long traces with a
 // hierarchy behind every L1: a 4-line victim buffer plus a 256KB unified L2
 // (large enough to back the split grid's biggest 2×64KB pass). Neither
 // extension preserves stack inclusion, so the registry routes every pass to
 // the per-size engine; the recorded BENCH_6.json pair (exact vs
-// hierarchy) prices that routing against the one-pass stack engines the
+// hierarchy) priced that routing against the one-pass stack engines the
 // single-level sweep gets to use.
 func BenchmarkSweepHierarchy(b *testing.B) {
-	o, mixes, streams := benchSampledOpts(b)
+	o, mixes, streams := benchLongOpts(b)
 	o.Victim = 4
 	o.L2 = &core.L2Spec{Size: 262144, LineSize: 64}
 	b.ResetTimer()

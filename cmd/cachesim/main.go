@@ -10,7 +10,6 @@
 package main
 
 import (
-	"context"
 	"encoding/json"
 	"flag"
 	"fmt"
@@ -19,7 +18,6 @@ import (
 	"strings"
 
 	"cacheeval/internal/cache"
-	"cacheeval/internal/core"
 	"cacheeval/internal/trace"
 )
 
@@ -53,18 +51,11 @@ func run(args []string, stdin io.Reader, stdout io.Writer) error {
 	maxRefs := fs.Int("n", 0, "stop after N references (0 = whole trace)")
 	seed := fs.Uint64("seed", 1, "seed for random replacement")
 	jsonOut := fs.Bool("json", false, "emit machine-readable JSON instead of text")
-	sampleBudget := fs.Float64("sample-budget", 0,
-		"interval-sampled run targeting this relative CI half-width (e.g. 0.02 = ±2%); 0 = exact simulation")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
 	if *l2Size == 0 && (*l2Line != 0 || *l2Assoc != 0) {
 		return fmt.Errorf("-l2-line and -l2-assoc require -l2-size")
-	}
-	if (*victim > 0 || *l2Size > 0) && *sampleBudget > 0 {
-		// The sampled engine is not sound for victim buffers or
-		// hierarchies (see core.SweepSpec.Validate).
-		return fmt.Errorf("-victim/-l2-size and -sample-budget are mutually exclusive")
 	}
 
 	cfg := cache.Config{
@@ -123,9 +114,6 @@ func run(args []string, stdin io.Reader, stdout io.Writer) error {
 			l2cfg.LineSize = *line
 		}
 		return runHierarchy(stdout, cache.HierarchyConfig{L1: sc, L2: l2cfg}, cfg, rd, *maxRefs, *jsonOut)
-	}
-	if *sampleBudget > 0 {
-		return runSampled(stdout, sc, cfg, rd, *maxRefs, *sampleBudget, *jsonOut)
 	}
 	n, err := sys.Run(rd, *maxRefs)
 	if err != nil {
@@ -251,101 +239,6 @@ type hierJSONResult struct {
 	Purges          uint64      `json:"purges"`
 	L1Stats         cache.Stats `json:"l1_stats"`
 	L2Stats         cache.Stats `json:"l2_stats"`
-}
-
-// runSampled executes the trace under interval sampling with the given
-// error budget and prints the estimate with its confidence interval and the
-// sampling economics (fraction simulated, rounds, achieved error). When the
-// adaptive controller cannot meet the budget it falls back to exact
-// simulation and says so.
-func runSampled(stdout io.Writer, sc cache.SystemConfig, cfg cache.Config, rd trace.Reader, maxRefs int, budget float64, jsonOut bool) error {
-	var lim trace.Reader = rd
-	if maxRefs > 0 {
-		lim = trace.NewLimitReader(rd, maxRefs)
-	}
-	refs, err := trace.Collect(lim, 0, maxRefs)
-	if err != nil {
-		return err
-	}
-	rep, ci, info, err := core.EvaluateSampledRefsContext(
-		context.Background(), sc, "trace", refs, &core.SampledOptions{ErrorBudget: budget})
-	if err != nil {
-		return err
-	}
-	if jsonOut {
-		out := sampledJSONResult{
-			Configuration:    cfg.String(),
-			References:       rep.Refs,
-			MissRatio:        rep.MissRatio,
-			InstrMiss:        rep.InstrMiss,
-			DataMiss:         rep.DataMiss,
-			TrafficRatio:     rep.TrafficRatio,
-			ErrorBudget:      info.ErrorBudget,
-			AchievedRelError: info.AchievedRelError,
-			SampledFraction:  info.SampledFraction,
-			Rounds:           info.Rounds,
-			Windows:          info.Windows,
-			FellBack:         info.FellBack,
-			FallbackReason:   info.FallbackReason,
-		}
-		if ci != nil {
-			out.CI = &jsonCI{Level: ci.Level, Lo: ci.Lo, Hi: ci.Hi, Windows: ci.Windows}
-		}
-		enc := json.NewEncoder(stdout)
-		enc.SetIndent("", "  ")
-		return enc.Encode(out)
-	}
-	fmt.Fprintf(stdout, "configuration:    %s", cfg)
-	if sc.Split {
-		fmt.Fprintf(stdout, " (split I/D)")
-	}
-	if sc.PurgeInterval > 0 {
-		fmt.Fprintf(stdout, ", purge every %d refs", sc.PurgeInterval)
-	}
-	fmt.Fprintln(stdout)
-	fmt.Fprintf(stdout, "references:       %d\n", rep.Refs)
-	if ci != nil {
-		fmt.Fprintf(stdout, "miss ratio:       %.4f overall (%.0f%% CI [%.4f, %.4f]), %.4f instruction, %.4f data\n",
-			rep.MissRatio, 100*ci.Level, ci.Lo, ci.Hi, rep.InstrMiss, rep.DataMiss)
-	} else {
-		fmt.Fprintf(stdout, "miss ratio:       %.4f overall, %.4f instruction, %.4f data\n",
-			rep.MissRatio, rep.InstrMiss, rep.DataMiss)
-	}
-	if info.FellBack {
-		fmt.Fprintf(stdout, "sampling:         fell back to exact simulation: %s\n", info.FallbackReason)
-	} else {
-		fmt.Fprintf(stdout, "sampling:         %.1f%% of trace simulated, %d round(s), %d windows, achieved ±%.2f%% rel (budget ±%.2f%%)\n",
-			100*info.SampledFraction, info.Rounds, info.Windows,
-			100*info.AchievedRelError, 100*info.ErrorBudget)
-	}
-	fmt.Fprintf(stdout, "traffic ratio:    %.3f (vs cacheless, [Hil84])\n", rep.TrafficRatio)
-	return nil
-}
-
-// jsonCI is the machine-readable confidence interval of a sampled run.
-type jsonCI struct {
-	Level   float64 `json:"level"`
-	Lo      float64 `json:"lo"`
-	Hi      float64 `json:"hi"`
-	Windows int     `json:"windows"`
-}
-
-// sampledJSONResult is the -json output shape of a -sample-budget run.
-type sampledJSONResult struct {
-	Configuration    string  `json:"configuration"`
-	References       uint64  `json:"references"`
-	MissRatio        float64 `json:"miss_ratio"`
-	InstrMiss        float64 `json:"instruction_miss_ratio"`
-	DataMiss         float64 `json:"data_miss_ratio"`
-	TrafficRatio     float64 `json:"traffic_ratio"`
-	CI               *jsonCI `json:"miss_ratio_ci,omitempty"`
-	ErrorBudget      float64 `json:"error_budget"`
-	AchievedRelError float64 `json:"achieved_rel_error"`
-	SampledFraction  float64 `json:"sampled_fraction"`
-	Rounds           int     `json:"rounds"`
-	Windows          int     `json:"windows"`
-	FellBack         bool    `json:"fell_back"`
-	FallbackReason   string  `json:"fallback_reason,omitempty"`
 }
 
 // jsonResult is the machine-readable output shape of -json.

@@ -92,6 +92,7 @@ func TestRunRejectsBadFlags(t *testing.T) {
 		{"-format", "punchcards"},
 		{"-size", "1000"},
 		{"-i", "/definitely/not/a/file"},
+		{"-sample-budget", "0.05"}, // no sampled mode
 	} {
 		if err := run(args, strings.NewReader(""), &bytes.Buffer{}); err == nil {
 			t.Errorf("%v: expected an error", args)
@@ -128,82 +129,6 @@ func TestRunWriteCombining(t *testing.T) {
 	// Combining requires write-through.
 	if err := run([]string{"-combine", "8"}, strings.NewReader(testTrace(t)), &bytes.Buffer{}); err == nil {
 		t.Error("combining without write-through must be rejected")
-	}
-}
-
-// longTestTrace renders a trace long enough for interval sampling to find
-// full windows at its default plan (window 128, fraction 0.1 → 1280-ref
-// periods, at least 8 of them).
-func longTestTrace(t *testing.T) string {
-	t.Helper()
-	var b bytes.Buffer
-	w := trace.NewTextWriter(&b)
-	for i := 0; i < 30000; i++ {
-		w.Write(trace.Ref{Addr: uint64(i%900) * 16, Size: 4, Kind: trace.IFetch})
-		if i%3 == 0 {
-			w.Write(trace.Ref{Addr: 0x40000 + uint64(i%1697)*8, Size: 8, Kind: trace.Read})
-		}
-		if i%7 == 0 {
-			w.Write(trace.Ref{Addr: 0x80000 + uint64(i%113)*8, Size: 8, Kind: trace.Write})
-		}
-	}
-	if err := w.Flush(); err != nil {
-		t.Fatal(err)
-	}
-	return b.String()
-}
-
-func TestRunSampled(t *testing.T) {
-	var out bytes.Buffer
-	err := run([]string{"-size", "1024", "-sample-budget", "0.9"},
-		strings.NewReader(longTestTrace(t)), &out)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, want := range []string{"miss ratio:", "CI [", "sampling:", "% of trace simulated", "budget"} {
-		if !strings.Contains(out.String(), want) {
-			t.Errorf("output missing %q:\n%s", want, out.String())
-		}
-	}
-}
-
-func TestRunSampledFallback(t *testing.T) {
-	// The short trace cannot yield the minimum window count, so the run
-	// must fall back to exact simulation and say so.
-	var out bytes.Buffer
-	err := run([]string{"-size", "1024", "-sample-budget", "0.02"},
-		strings.NewReader(testTrace(t)), &out)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(out.String(), "fell back to exact simulation") {
-		t.Errorf("fallback not reported:\n%s", out.String())
-	}
-}
-
-func TestRunSampledJSON(t *testing.T) {
-	var out bytes.Buffer
-	err := run([]string{"-size", "1024", "-sample-budget", "0.9", "-json"},
-		strings.NewReader(longTestTrace(t)), &out)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var got map[string]any
-	if err := json.Unmarshal(out.Bytes(), &got); err != nil {
-		t.Fatalf("invalid JSON: %v\n%s", err, out.String())
-	}
-	for _, key := range []string{"miss_ratio", "miss_ratio_ci", "error_budget", "sampled_fraction", "rounds"} {
-		if _, ok := got[key]; !ok {
-			t.Errorf("JSON missing %q", key)
-		}
-	}
-	if got["fell_back"].(bool) {
-		t.Errorf("loose budget fell back: %v", got["fallback_reason"])
-	}
-	ci := got["miss_ratio_ci"].(map[string]any)
-	m := got["miss_ratio"].(float64)
-	if !(ci["lo"].(float64) <= m && m <= ci["hi"].(float64)) {
-		t.Errorf("CI [%v, %v] does not contain estimate %v", ci["lo"], ci["hi"], m)
 	}
 }
 
@@ -286,7 +211,7 @@ func TestRunHierarchy(t *testing.T) {
 }
 
 // TestRunHierarchyFlagValidation pins the CLI-level rejections for the new
-// flags: engines that cannot cross levels, orphaned -l2-* flags, and
+// flags: removed modes combined with them, orphaned -l2-* flags, and
 // inverted hierarchies.
 func TestRunHierarchyFlagValidation(t *testing.T) {
 	for _, args := range [][]string{

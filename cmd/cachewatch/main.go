@@ -7,7 +7,7 @@
 // Examples:
 //
 //	cachewatch -sweep '{"mixes":["FGO1","CGO1"],"sizes":[1024,4096]}'
-//	cachewatch -evaluate '{"mix":"VAXIMA","mode":"sampled"}'
+//	cachewatch -evaluate '{"mix":"VAXIMA","l2":{"size":65536}}'
 //	cachewatch -job 1f62a9c401b2d3e4            # attach to a running job
 //	cachewatch -job 1f62a9c401b2d3e4 -from 40   # resume after a disconnect
 package main
@@ -131,7 +131,7 @@ type monitor struct {
 	stages   map[string]*stageView
 	order    []string // stage insertion order, for stable rendering
 	cells    int
-	notes    []string // one-shot findings: sampled verdicts, gaps
+	notes    []string // one-shot findings: stream gaps
 	summary  json.RawMessage
 	rendered int // lines drawn by the last live frame, for cursor-up redraw
 }
@@ -225,21 +225,6 @@ func (m *monitor) apply(ev jobs.Event) {
 		}
 		json.Unmarshal(ev.Data, &d)
 		line = fmt.Sprintf("cell: %s size=%d split=%v prefetch=%v", d.Mix, d.Size, d.Split, d.Prefetch)
-	case obs.EventSampledRound:
-		var d obs.SampledRoundEvent
-		json.Unmarshal(ev.Data, &d)
-		line = fmt.Sprintf("%s: sampled round %d: rel err %.4f (budget %.4f) at %.0f%% of trace",
-			d.Stage, d.Round, d.Achieved, d.Budget, 100*d.Fraction)
-	case obs.EventSampledRun:
-		var d obs.SampledRunEvent
-		json.Unmarshal(ev.Data, &d)
-		note := fmt.Sprintf("%s: sampled verdict: rel err %.4f in %d rounds (%.0f%% of trace)",
-			d.Stage, d.Achieved, d.Rounds, 100*d.Fraction)
-		if d.FellBack {
-			note = fmt.Sprintf("%s: sampling fell back to the exact engine", d.Stage)
-		}
-		m.notes = append(m.notes, note)
-		line = note
 	case obs.EventHierarchyRun, obs.EventMissCauses:
 		line = ev.Type
 	case jobs.EventGap:

@@ -256,21 +256,6 @@ func (f *FanoutSystem) Purges() uint64 { return f.purges }
 // RefBytes returns the total bytes the processor requested, as System.RefBytes.
 func (f *FanoutSystem) RefBytes() uint64 { return f.refBytes }
 
-// RefSnapshot returns the per-size reference-level statistics accumulated
-// so far, indexed as cfg.Sizes. Like Results it is a pure snapshot; the
-// sampled sweep driver reads deltas of it at window boundaries. dst is
-// reused when it has the right length.
-func (f *FanoutSystem) RefSnapshot(dst []RefStats) []RefStats {
-	if len(dst) != len(f.cfg.Sizes) {
-		dst = make([]RefStats, len(f.cfg.Sizes))
-	}
-	for oi, si := range f.sortedPos {
-		dst[oi].Refs = f.refs
-		dst[oi].Misses = f.misses[si]
-	}
-	return dst
-}
-
 // Results returns the per-size outcomes, indexed as cfg.Sizes. Unlike
 // MultiSystem (whose lazy accounting must settle), Results is a snapshot:
 // it may be called at any time and the engine can keep processing

@@ -95,32 +95,6 @@ func (s Stats) PrefetchAccuracy() float64 {
 	return float64(s.PrefetchUsed) / float64(s.PrefetchFetches)
 }
 
-// Scaled returns a copy of s with every count multiplied by f and rounded
-// to the nearest integer. The sampled sweep engine uses it to extrapolate
-// line-level statistics measured over the simulated fraction of a trace to
-// the full trace length; the result is an estimate, not an exact count.
-func (s Stats) Scaled(f float64) Stats {
-	sc := func(v uint64) uint64 { return uint64(float64(v)*f + 0.5) }
-	return Stats{
-		Accesses:          sc(s.Accesses),
-		Misses:            sc(s.Misses),
-		WriteAccesses:     sc(s.WriteAccesses),
-		WriteMisses:       sc(s.WriteMisses),
-		DemandFetches:     sc(s.DemandFetches),
-		PrefetchFetches:   sc(s.PrefetchFetches),
-		PrefetchUsed:      sc(s.PrefetchUsed),
-		Pushes:            sc(s.Pushes),
-		DirtyPushes:       sc(s.DirtyPushes),
-		PurgePushes:       sc(s.PurgePushes),
-		BytesFromMemory:   sc(s.BytesFromMemory),
-		BytesToMemory:     sc(s.BytesToMemory),
-		WriteTransactions: sc(s.WriteTransactions),
-		CombinedWrites:    sc(s.CombinedWrites),
-		VictimHits:        sc(s.VictimHits),
-		VictimFills:       sc(s.VictimFills),
-	}
-}
-
 // Add accumulates o into s, for aggregating split caches or multiple runs.
 func (s *Stats) Add(o Stats) {
 	s.Accesses += o.Accesses

@@ -76,25 +76,26 @@ type SizeResult struct {
 	Size    int
 	Ref     RefStats
 	I, D, U Stats
-	// CI is the sampled-mode confidence interval on the overall miss
-	// ratio. Exact engines leave it nil, which keeps SizeResult directly
-	// comparable with == across exact engines — the equivalence and
-	// conformance tests rely on that.
+	// CI is always nil: every engine is exact. Nil keeps SizeResult
+	// comparable with ==, which the equivalence and conformance tests rely
+	// on.
+	//
+	// Deprecated: kept only so existing readers still compile.
 	CI *MissCI
 	// H carries the L2 side of a two-level simulation; the zero value
 	// (every field comparable) means single level.
 	H HierResult
 }
 
-// MissCI is an estimated confidence interval on a miss ratio, attached to
-// SizeResult by the sampled sweep engine.
+// MissCI is the element type of the always-nil SizeResult.CI.
+//
+// Deprecated: no engine produces one.
 type MissCI struct {
 	// Level is the confidence level, e.g. 0.95.
 	Level float64
 	// Lo and Hi bound the overall miss ratio, clamped to [0, 1].
 	Lo, Hi float64
-	// Windows is the number of full sampled windows (batches) behind the
-	// interval.
+	// Windows is the number of batches behind the interval.
 	Windows int
 }
 
@@ -206,35 +207,6 @@ func (m *MultiSystem) purge() {
 
 // Purges returns how many task-switch purges have occurred.
 func (m *MultiSystem) Purges() uint64 { return m.purges }
-
-// Purge empties every simulated cache at every size, accounting the purge
-// pushes. The sampled sweep driver uses it to schedule purges in trace
-// time (PurgeInterval counts only fed references, which a sampled run
-// would dilate by the inverse sampling fraction).
-func (m *MultiSystem) Purge() { m.purge() }
-
-// RefSnapshot returns the per-size reference-level statistics accumulated
-// so far, indexed as cfg.Sizes, without settling the engine: the counters
-// involved are monotone and independent of the push/dirty settling that
-// Results performs, so the sampled sweep driver can read exact deltas at
-// window boundaries while the pass keeps running. dst is reused when it
-// has the right length.
-func (m *MultiSystem) RefSnapshot(dst []RefStats) []RefStats {
-	if len(dst) != len(m.cfg.Sizes) {
-		dst = make([]RefStats, len(m.cfg.Sizes))
-	}
-	var refMiss [3][]uint64
-	for kind := range refMiss {
-		refMiss[kind] = suffixSums(m.refMissHist[kind], m.k)
-	}
-	for oi, si := range m.sortedPos {
-		dst[oi].Refs = m.refs
-		for kind := range refMiss {
-			dst[oi].Misses[kind] = refMiss[kind][si]
-		}
-	}
-	return dst
-}
 
 // Results settles outstanding replacement accounting and returns the
 // per-size outcomes, indexed as cfg.Sizes. The engine cannot process

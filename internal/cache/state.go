@@ -5,9 +5,9 @@ import "slices"
 // Logical state equality.
 //
 // Two simulators that must behave identically from here on — a cache built
-// from recycled arrays and a fresh one, an engine observed mid-run and an
-// unobserved twin — are compared by logical state: from a common state,
-// identical references produce identical transitions and statistics.
+// from recycled arrays and a fresh one, say — are compared by logical
+// state: from a common state, identical references produce identical
+// transitions and statistics.
 //
 // "State" here is everything that can influence a future access: resident
 // tags and their order within each replacement list, per-sub-block valid
@@ -145,39 +145,4 @@ func (c *fanoutCache) stateEqual(o *fanoutCache) bool {
 		bi = bn.next
 	}
 	return bi == -1
-}
-
-// ResultsSnapshot returns what Results would report right now, without
-// settling or consuming the engine: the bucket accounting is copied and
-// the outstanding push/dirty attribution applied to the copies, so the
-// engine keeps processing references afterwards.
-func (m *MultiSystem) ResultsSnapshot() []SizeResult {
-	lineBytes := uint64(m.cfg.LineSize)
-	var iStats, dStats, uStats []Stats
-	if m.cfg.Split {
-		iStats = m.icache.snapshotStats(lineBytes)
-		dStats = m.dcache.snapshotStats(lineBytes)
-	} else {
-		uStats = m.unified.snapshotStats(lineBytes)
-	}
-	return m.assemble(iStats, dStats, uStats)
-}
-
-// snapshotStats is finalize over cloned histograms with the outstanding
-// (non-purge) settle applied to the clones; the live stack and histograms
-// are read, never written.
-func (s *multiSim) snapshotStats(lineBytes uint64) []Stats {
-	t := multiSim{
-		lines: s.lines, k: s.k,
-		nodes: s.nodes, head: s.head, tail: s.tail,
-		accesses: s.accesses, writeAccesses: s.writeAccesses,
-		missHist:      slices.Clone(s.missHist),
-		writeMissHist: slices.Clone(s.writeMissHist),
-		pushHist:      slices.Clone(s.pushHist),
-		pushLoHist:    slices.Clone(s.pushLoHist),
-		purgeHist:     slices.Clone(s.purgeHist),
-		dirtyDiff:     slices.Clone(s.dirtyDiff),
-	}
-	t.settle(false)
-	return t.finalize(lineBytes)
 }

@@ -137,32 +137,15 @@ func evaluate(ctx context.Context, design cache.SystemConfig, l2 *cache.Config, 
 		return Report{}, fmt.Errorf("core: evaluating %s: %w", name, err)
 	}
 	r := sim.SizeResult(sizeOf(design))
-	return newReport(design, l2, name, r, tally{
-		refs: r.Ref.TotalRefs(), refBytes: sim.RefBytes(), scale: 1, victimHits: true,
-	}), nil
-}
-
-// tally is what a Report is measured against beyond one design's result:
-// where the paths that build Reports differ, they differ here.
-type tally struct {
-	// refs is the trace length the report states.
-	refs uint64
-	// refBytes is the processor-request bytes a cacheless system would
-	// move over the simulated references: the traffic ratio's denominator.
-	refBytes uint64
-	// scale extrapolates the memory byte counts to trace scale: trace
-	// references per simulated one, 1 for a run over the whole trace.
-	scale float64
-	// victimHits reports the victim-buffer hits; the sampled path leaves
-	// them out.
-	victimHits bool
+	return newReport(design, l2, name, r, sim.RefBytes()), nil
 }
 
 // newReport derives the figures of merit of design — in front of l2 when
 // l2 is non-nil — from its result r: the reference-level figures from r's
 // processor view, the traffic figures from the memory interface (the L2's
-// outer side in a hierarchy).
-func newReport(design cache.SystemConfig, l2 *cache.Config, name string, r cache.SizeResult, t tally) Report {
+// outer side in a hierarchy). refBytes is the processor-request bytes a
+// cacheless system would move: the traffic ratio's denominator.
+func newReport(design cache.SystemConfig, l2 *cache.Config, name string, r cache.SizeResult, refBytes uint64) Report {
 	all, data := r.U, r.U
 	if design.Split {
 		all = cache.Stats{}
@@ -175,31 +158,25 @@ func newReport(design cache.SystemConfig, l2 *cache.Config, name string, r cache
 		mem = r.H.U
 	}
 	traffic := 0.0
-	if t.refBytes > 0 {
-		traffic = float64(mem.MemoryTraffic()) / float64(t.refBytes)
-	}
-	bytes := mem
-	if t.scale != 1 {
-		bytes = mem.Scaled(t.scale)
+	if refBytes > 0 {
+		traffic = float64(mem.MemoryTraffic()) / float64(refBytes)
 	}
 	rs := r.Ref
 	rep := Report{
 		Design:            design,
 		Workload:          name,
-		Refs:              t.refs,
+		Refs:              rs.TotalRefs(),
 		MissRatio:         rs.MissRatio(),
 		InstrMiss:         rs.KindMissRatio(trace.IFetch),
 		DataMiss:          rs.DataMissRatio(),
 		ReadMiss:          rs.KindMissRatio(trace.Read),
 		WriteMiss:         rs.KindMissRatio(trace.Write),
-		BytesFromMemory:   bytes.BytesFromMemory,
-		BytesToMemory:     bytes.BytesToMemory,
+		BytesFromMemory:   mem.BytesFromMemory,
+		BytesToMemory:     mem.BytesToMemory,
 		TrafficRatio:      traffic,
 		DirtyPushFraction: data.FracPushesDirty(),
 		PrefetchAccuracy:  all.PrefetchAccuracy(),
-	}
-	if t.victimHits {
-		rep.VictimHits = all.VictimHits
+		VictimHits:        all.VictimHits,
 	}
 	if l2 != nil {
 		ev := r.H.Ev

@@ -28,7 +28,7 @@ import (
 func TestSweepRecyclesCacheArrays(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	const n = 200000
-	refs, mix := sampledTestRefs(t, n)
+	refs, mix := mixTestRefs(t, n)
 	var sizes []int
 	for size := 32; size <= 64<<10; size *= 2 {
 		sizes = append(sizes, size)

@@ -18,7 +18,7 @@ import (
 // as a diverged statistic (and, under -race, as a data race).
 func TestRecycledSweepsConcurrent(t *testing.T) {
 	const n = 40000
-	refs, mix := sampledTestRefs(t, n)
+	refs, mix := mixTestRefs(t, n)
 	sizes := []int{256, 1024, 4096}
 	specs := []SweepSpec{
 		{Sizes: sizes, LineSize: 16, Quantum: mix.Quantum, Repl: cache.ARC},

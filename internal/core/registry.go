@@ -48,9 +48,6 @@ type SweepSpec struct {
 	Quantum  int
 	Fetch    cache.FetchPolicy
 	Repl     cache.Replacement
-	// Sampled opts the sweep into interval-sampled simulation with the
-	// given error budget; nil (or a zero budget) means exact simulation.
-	Sampled *SampledOptions
 	// Victim adds a victim buffer of this many fully-associative lines
 	// behind every cache in the sweep (Jouppi's organization). Zero means
 	// no buffer. A buffer breaks stack inclusion — its contents depend on
@@ -100,10 +97,8 @@ func (s SweepSpec) fanoutSound() bool {
 }
 
 // Validate checks the spec by validating the per-size cache (or
-// hierarchy) configs it implies and the sampling options, when present.
-// Sampling does not compose with victim buffers or hierarchies; those
-// combinations are rejected here so every caller — the service's
-// validators in particular — fails them before an engine runs.
+// hierarchy) configs it implies, so every caller — the service's
+// validators in particular — fails a bad spec before an engine runs.
 func (s SweepSpec) Validate() error {
 	if len(s.Sizes) == 0 {
 		return fmt.Errorf("core: sweep has no sizes")
@@ -117,10 +112,7 @@ func (s SweepSpec) Validate() error {
 			return err
 		}
 	}
-	if s.Sampled != nil && s.Sampled.ErrorBudget > 0 && (s.Victim > 0 || s.L2 != nil) {
-		return fmt.Errorf("core: sampled sweeps do not support victim buffers or hierarchies")
-	}
-	return s.Sampled.Validate()
+	return nil
 }
 
 // systemConfig returns the per-size system configuration the spec implies.
@@ -144,25 +136,22 @@ func (s SweepSpec) hierarchyConfig(size int) cache.HierarchyConfig {
 }
 
 // SweepOut is what a sweep engine produces: the per-size results (in
-// Sizes order), the purge count, and — for the sampled engine — its run
-// metadata. Exact engines leave Sampled nil.
+// Sizes order) and the purge count.
 type SweepOut struct {
 	Results []cache.SizeResult
 	Purges  uint64
-	Sampled *SampledInfo
 }
 
 // SweepEngine is one registered way to execute a sweep. Supports declares
 // the capability (when the engine's results are bit-identical to per-size
-// simulation; the sampled engine instead guarantees budgeted estimates or
-// exact fallback); Run executes it. rd is already context-guarded; sink
+// simulation); Run executes it. rd is already context-guarded; sink
 // may be nil; total is the expected stream length when known. Open, when
 // non-nil, is the engine's incremental form (see SweepStream): the
 // one-pass engines, which need each reference once and in order, have
 // one, and their Run is that form fed from rd. An engine that must hold
-// the whole stream (per-size, sampled) leaves it nil, so a
-// caller can tell from SelectEngine alone whether a spec can be fed
-// without materializing its stream.
+// the whole stream (per-size) leaves it nil, so a caller can tell from
+// SelectEngine alone whether a spec can be fed without materializing its
+// stream.
 type SweepEngine struct {
 	Name     string
 	Supports func(s SweepSpec) bool
@@ -246,13 +235,10 @@ func newSizeSim(sc cache.SystemConfig, l2 *cache.Config) (sizeSim, error) {
 // Engines returns the registered sweep engines in selection order: fastest
 // first, universal fallback last. SelectEngine picks the first whose
 // Supports accepts the spec, so an engine earlier in this list must be
-// sound for every spec it claims. The sampled engine leads: a spec that
-// carries a positive error budget has opted into estimates, and the
-// engine's own exact-fallback escape hatch re-enters this list with the
-// budget stripped when sampling cannot meet it. Victim-buffer, L2 and
-// non-LRU specs reach only the per-size fallback.
+// sound for every spec it claims. Victim-buffer, L2 and non-LRU specs
+// reach only the per-size fallback.
 func Engines() []SweepEngine {
-	return []SweepEngine{sampledEngine, multiEngine, fanoutEngine, perSizeEngine}
+	return []SweepEngine{multiEngine, fanoutEngine, perSizeEngine}
 }
 
 // SelectEngine returns the fastest sound engine for the spec. The
@@ -270,8 +256,7 @@ func SelectEngine(s SweepSpec) SweepEngine {
 // executes the sweep over rd. sink may be nil; stage labels the run in
 // its events (the per-size fallback appends ":<size>"); total is the
 // expected stream length when known, 0 otherwise. It returns the per-size
-// results (in Sizes order), the purge count, and sampling metadata when
-// the sampled engine ran.
+// results (in Sizes order) and the purge count.
 func RunSweep(ctx context.Context, s SweepSpec, rd trace.Reader, sink obs.Sink, stage string, total int64) (SweepOut, error) {
 	if err := s.Validate(); err != nil {
 		return SweepOut{}, err

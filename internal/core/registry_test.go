@@ -2,7 +2,6 @@ package core
 
 import (
 	"context"
-	"math"
 	"runtime"
 	"slices"
 	"testing"
@@ -11,6 +10,26 @@ import (
 	"cacheeval/internal/trace"
 	"cacheeval/internal/workload"
 )
+
+// mixTestRefs materializes the first n references of one deterministic
+// single-program mix for the engine tests.
+func mixTestRefs(t *testing.T, n int) ([]trace.Ref, workload.Mix) {
+	t.Helper()
+	spec1, err := workload.ByName("VTEKOFF")
+	if err != nil {
+		t.Fatal(err)
+	}
+	mix := workload.Mix{Name: "VTEKOFF", Specs: []workload.Spec{spec1}, Quantum: 3000}
+	rd, err := mix.Open()
+	if err != nil {
+		t.Fatal(err)
+	}
+	refs, err := trace.Collect(trace.NewLimitReader(rd, n), 0, n)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return refs, mix
+}
 
 // TestSelectEngineTable pins the engine chosen for every (fetch,
 // replacement) pair. Changing this table means changing which engine runs
@@ -36,22 +55,9 @@ func TestSelectEngineTable(t *testing.T) {
 			if w := want(fetch, repl); got != w {
 				t.Errorf("SelectEngine(%v, %v) = %q, want %q", fetch, repl, got, w)
 			}
-			// A positive error budget opts any spec into the sampled
-			// engine (which carries its own exact-fallback escape hatch);
-			// a zero budget is the exact-degrade contract and must not
-			// change the selection.
-			spec.Sampled = &SampledOptions{ErrorBudget: 0.02}
-			if got := SelectEngine(spec).Name; got != "sampled" {
-				t.Errorf("SelectEngine(%v, %v, budget 0.02) = %q, want sampled", fetch, repl, got)
-			}
-			spec.Sampled = &SampledOptions{}
-			if got := SelectEngine(spec).Name; got != want(fetch, repl) {
-				t.Errorf("SelectEngine(%v, %v, budget 0) = %q, want %q", fetch, repl, got, want(fetch, repl))
-			}
 			// A victim buffer breaks stack inclusion (the buffer's contents
 			// depend on the size-varying eviction stream), so victim sweeps
 			// must run per size — never on a stack engine.
-			spec.Sampled = nil
 			spec.Victim = 4
 			if got := SelectEngine(spec).Name; got != "persize" {
 				t.Errorf("SelectEngine(%v, %v, victim 4) = %q, want persize", fetch, repl, got)
@@ -99,7 +105,7 @@ func TestInclusionBreakingNeverStackSimulated(t *testing.T) {
 	for _, e := range engines {
 		names = append(names, e.Name)
 	}
-	if want := []string{"sampled", "multisystem", "fanout", "persize"}; !slices.Equal(names, want) {
+	if want := []string{"multisystem", "fanout", "persize"}; !slices.Equal(names, want) {
 		t.Fatalf("Engines() = %v, want %v", names, want)
 	}
 	broken := SweepSpec{Sizes: []int{512}, LineSize: 16, Fetch: cache.DemandFetch, Repl: cache.ARC}
@@ -170,9 +176,6 @@ func TestRunSweepMatchesPerSize(t *testing.T) {
 			got, want := gotOut.Results, wantOut.Results
 			if gotOut.Purges != wantOut.Purges {
 				t.Errorf("purges: selected=%d persize=%d", gotOut.Purges, wantOut.Purges)
-			}
-			if gotOut.Sampled != nil || wantOut.Sampled != nil {
-				t.Error("exact engines must not report sampling metadata")
 			}
 			if len(got) != len(want) {
 				t.Fatalf("result lengths differ: %d vs %d", len(got), len(want))
@@ -284,7 +287,7 @@ func TestEvaluateHierarchyContext(t *testing.T) {
 // an independent cache.Hierarchy built fresh for that size, so the L2 the
 // engine builds once and resets between sizes carries nothing over.
 func TestPerSizeEngineHierarchyMatchesFresh(t *testing.T) {
-	refs, mix := sampledTestRefs(t, 12000)
+	refs, mix := mixTestRefs(t, 12000)
 	for _, spec := range []SweepSpec{
 		{Sizes: []int{256, 1024, 4096}, LineSize: 16, Quantum: mix.Quantum, L2: &L2Spec{Size: 16384, LineSize: 32}},
 		{Sizes: []int{512, 2048}, LineSize: 16, Split: true, Quantum: mix.Quantum, Repl: cache.ARC, Victim: 2,
@@ -320,7 +323,7 @@ func TestPerSizeEngineHierarchyMatchesFresh(t *testing.T) {
 // 16-byte-per-reference copy of its input.
 func TestPerSizeEngineBorrowsStream(t *testing.T) {
 	const n = 200000
-	refs, mix := sampledTestRefs(t, n)
+	refs, mix := mixTestRefs(t, n)
 	for _, spec := range []SweepSpec{
 		{Sizes: []int{256, 512, 1024, 2048}, LineSize: 16, Quantum: mix.Quantum, Repl: cache.ARC},
 		{Sizes: []int{256, 512, 1024, 2048}, LineSize: 16, Quantum: mix.Quantum, Victim: 4,
@@ -345,19 +348,13 @@ func TestRunSweepValidates(t *testing.T) {
 	bad := []SweepSpec{
 		{},                               // no sizes
 		{Sizes: []int{128}, LineSize: 3}, // non-power-of-two line
-		{Sizes: []int{128}, LineSize: 16, Repl: 9}, // out-of-range policy
-		{Sizes: []int{128}, LineSize: 16, Sampled: &SampledOptions{ErrorBudget: -0.1}},
-		{Sizes: []int{128}, LineSize: 16, Sampled: &SampledOptions{ErrorBudget: math.NaN()}},
-		{Sizes: []int{128}, LineSize: 16, Sampled: &SampledOptions{ErrorBudget: 1}},
-		{Sizes: []int{128}, LineSize: 16, Sampled: &SampledOptions{ErrorBudget: 0.02, Confidence: 1.5}},
+		{Sizes: []int{128}, LineSize: 16, Repl: 9},                          // out-of-range policy
 		{Sizes: []int{128}, LineSize: 16, Victim: -1},                       // negative buffer
 		{Sizes: []int{128}, LineSize: 16, Victim: 1 << 20},                  // absurd buffer
 		{Sizes: []int{4096}, LineSize: 16, L2: &L2Spec{Size: 512}},          // inverted hierarchy: L2 < L1
 		{Sizes: []int{128}, LineSize: 16, L2: &L2Spec{Size: 0}},             // empty L2
 		{Sizes: []int{128}, LineSize: 16, L2: &L2Spec{Size: 515}},           // non-power-of-two L2
 		{Sizes: []int{128}, LineSize: 16, L2: &L2Spec{Size: 512, Assoc: 3}}, // bad associativity
-		{Sizes: []int{128}, LineSize: 16, Victim: 2, Sampled: &SampledOptions{ErrorBudget: 0.02}},
-		{Sizes: []int{128}, LineSize: 16, L2: &L2Spec{Size: 512}, Sampled: &SampledOptions{ErrorBudget: 0.02}},
 	}
 	for i, spec := range bad {
 		if _, err := RunSweep(context.Background(), spec, trace.NewSliceReader(nil), nil, "test", 0); err == nil {

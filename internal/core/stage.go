@@ -6,7 +6,7 @@ import (
 	"cacheeval/internal/obs"
 )
 
-// stageRun brackets one sampled pass with a KindRunStart/KindRunEnd pair
+// stageRun brackets one streamed pass with a KindRunStart/KindRunEnd pair
 // on a sink. Every method is a no-op on a nil sink, and end emits once, so
 // a deferred end pairs the start on every error return while the success
 // path ends explicitly.

@@ -38,31 +38,31 @@ func (s *cancelingSink) Observe(e obs.Event) {
 	}
 }
 
-// TestSinkStagesPairedOnCancel cancels each sampled run (sweep and
-// single-design) the moment its stage opens: the
-// run must fail with the cancellation and still close every stage it
-// opened, so a consumer's per-stage state is never left dangling.
+// TestSinkStagesPairedOnCancel cancels each run (a streamed sweep, a
+// per-size sweep and a single-design evaluation) the moment its stage
+// opens: the run must fail with the cancellation and still close every
+// stage it opened, so a consumer's per-stage state is never left dangling.
 func TestSinkStagesPairedOnCancel(t *testing.T) {
-	sampRefs, mix := sampledTestRefs(t, 60000)
+	refs, mix := mixTestRefs(t, 60000)
 	design := cache.SystemConfig{
 		Unified:       cache.Config{Size: 2048, LineSize: 16},
 		PurgeInterval: 2500,
 	}
-	sampSpec := SweepSpec{
-		Sizes: []int{256, 1024, 4096}, LineSize: 16, Quantum: mix.Quantum,
-		Fetch: cache.DemandFetch, Repl: cache.LRU, Sampled: &SampledOptions{ErrorBudget: 0.9},
+	sweep := func(repl cache.Replacement) func(ctx context.Context, sink obs.Sink) error {
+		spec := SweepSpec{Sizes: []int{256, 1024, 4096}, LineSize: 16, Quantum: mix.Quantum, Repl: repl}
+		return func(ctx context.Context, sink obs.Sink) error {
+			_, err := RunSweep(ctx, spec, trace.NewSliceReader(refs), sink, "test", int64(len(refs)))
+			return err
+		}
 	}
 	for _, tc := range []struct {
 		name, suffix string
 		run          func(ctx context.Context, sink obs.Sink) error
 	}{
-		{"sampled-sweep", ":sampled", func(ctx context.Context, sink obs.Sink) error {
-			_, err := RunSweep(ctx, sampSpec, trace.NewSliceReader(sampRefs), sink, "test", int64(len(sampRefs)))
-			return err
-		}},
-		{"sampled-evaluate", ":sampled", func(ctx context.Context, sink obs.Sink) error {
-			_, _, _, err := EvaluateSampledRefsContext(obs.WithSink(ctx, sink), design, "w", sampRefs,
-				&SampledOptions{ErrorBudget: 0.9})
+		{"streamed-sweep", "test", sweep(cache.LRU)},
+		{"persize-sweep", "test:256", sweep(cache.ARC)},
+		{"evaluate", "simulate:w", func(ctx context.Context, sink obs.Sink) error {
+			_, err := EvaluateRefsContext(obs.WithSink(ctx, sink), design, "w", refs)
 			return err
 		}},
 	} {

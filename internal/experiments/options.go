@@ -45,10 +45,6 @@ type Options struct {
 	// inclusion, so sweeps over them fall back (via the core engine
 	// registry) from the one-pass engines to one cache per size.
 	Repl cache.Replacement
-	// Sampled opts every sweep pass into interval-sampled simulation with
-	// the given error budget (see core.SampledOptions); nil runs exact
-	// simulation, and a zero budget degrades to exact bit-identically.
-	Sampled *core.SampledOptions
 	// Victim adds a fully-associative victim buffer of this many lines
 	// behind every simulated cache (see core.SweepSpec.Victim); zero means
 	// no buffer. A buffer breaks stack inclusion, so such sweeps run one

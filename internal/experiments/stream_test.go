@@ -92,8 +92,8 @@ func shortMixes(n, refs int) []workload.Mix {
 }
 
 // matchConfigs are the sweep configurations the job loop is pinned on: the
-// LRU sweep, whose jobs stream, and four whose mixes materialize: a
-// non-LRU policy, a victim buffer, an L2 and a sampled budget. Under
+// LRU sweep, whose jobs stream, and three whose mixes materialize: a
+// non-LRU policy, a victim buffer and an L2. Under
 // -short the materializing ones run at a quarter of the length (members
 // of 1500 refs, a limit of 1000), so the grid fits the race detector's
 // budget; the LRU one always runs at full length.
@@ -106,13 +106,12 @@ var matchConfigs = []struct {
 	{"arc", Options{Repl: cache.ARC}, true},
 	{"victim", Options{Victim: 4}, true},
 	{"l2", Options{L2: &core.L2Spec{Size: 32 << 10}}, true},
-	{"sampled", Options{Sampled: &core.SampledOptions{ErrorBudget: 0.2}}, true},
 }
 
 // TestStreamedMatchesMaterialized pins SweepMixesContext's job loop to
 // SweepRefsContext over the mixes' collected streams. For every
-// configuration the two must give identical cells, OnPass results and
-// Sampled lists (in mix and pass order) at every worker count, so one, two
+// configuration the two must give identical cells and OnPass results at
+// every worker count, so one, two
 // and four pass groups all run when the jobs stream, and one to four
 // pass jobs share each recycled buffer when they materialize. Every stage
 // must open and close once per run on the sink, the same stages as the
@@ -169,16 +168,6 @@ func checkJobLoop(t *testing.T, o Options, mixes []workload.Mix) {
 	got, sink, gotPasses := run(false)
 	if !reflect.DeepEqual(got.Cells, want.Cells) {
 		t.Error("job-loop cells differ from materialized cells")
-	}
-	if !reflect.DeepEqual(got.Sampled, want.Sampled) {
-		t.Errorf("Sampled %+v, want %+v", got.Sampled, want.Sampled)
-	}
-	wantSampled := 0
-	if o.Sampled != nil {
-		wantSampled = 4 * len(mixes)
-	}
-	if len(got.Sampled) != wantSampled {
-		t.Errorf("%d sampled passes recorded, want %d", len(got.Sampled), wantSampled)
 	}
 	if len(gotPasses.passes) != 4*len(mixes) || gotPasses.dups != 0 {
 		t.Errorf("OnPass: %d passes (%d repeated), want %d once each", len(gotPasses.passes), gotPasses.dups, 4*len(mixes))
@@ -352,8 +341,7 @@ func TestStreamedSweepBoundedAlloc(t *testing.T) {
 
 // TestJobStreamRule pins when a mix's jobs stream: exactly when the
 // registry picks an engine with an incremental form for every pass. A
-// sampled pass, a victim buffer, an L2 or a non-LRU policy makes the mix
-// materialize; a zero sampled budget runs exact engines and streams.
+// victim buffer, an L2 or a non-LRU policy makes the mix materialize.
 func TestJobStreamRule(t *testing.T) {
 	mix := shortMixes(1, 1000)[0]
 	for _, tc := range []struct {
@@ -362,8 +350,6 @@ func TestJobStreamRule(t *testing.T) {
 		want bool
 	}{
 		{"default", Options{}, true},
-		{"zero budget", Options{Sampled: &core.SampledOptions{}}, true},
-		{"sampled", Options{Sampled: &core.SampledOptions{ErrorBudget: 0.05}}, false},
 		{"victim", Options{Victim: 4}, false},
 		{"L2", Options{L2: &core.L2Spec{Size: 1 << 16}}, false},
 		{"non-LRU", Options{Repl: cache.FIFO}, false},
@@ -424,7 +410,7 @@ func TestRecycledSweepsConcurrentMixes(t *testing.T) {
 		{Sizes: sizes, Workers: 2, Repl: cache.ARC},
 		{Sizes: sizes, Workers: 2, Victim: 4},
 		{Sizes: sizes, Workers: 4, L2: &core.L2Spec{Size: 32 << 10}, RefLimit: 3000},
-		{Sizes: sizes, Workers: 1, Sampled: &core.SampledOptions{ErrorBudget: 0.2}},
+		{Sizes: sizes, Workers: 1, Repl: cache.SegmentedLRU},
 	}
 	want := make([]*SweepResult, len(sweeps))
 	for i, o := range sweeps {
@@ -446,7 +432,7 @@ func TestRecycledSweepsConcurrentMixes(t *testing.T) {
 					t.Error(err)
 					return
 				}
-				if !reflect.DeepEqual(got.Cells, want[i].Cells) || !reflect.DeepEqual(got.Sampled, want[i].Sampled) {
+				if !reflect.DeepEqual(got.Cells, want[i].Cells) {
 					t.Errorf("goroutine %d, sweep %d: concurrent run diverged from serial", g, i)
 				}
 			}

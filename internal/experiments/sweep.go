@@ -17,15 +17,16 @@ import (
 
 // SimOut captures one simulation's results: reference-level statistics plus
 // per-cache line-level statistics (I and D for split organizations, U for
-// unified). CI is the miss-ratio confidence interval when the pass ran
-// under the sampled engine; exact passes leave it nil. H carries the L2
-// side of a two-level sweep (Options.L2); single-level passes leave it
-// zero.
+// unified). H carries the L2 side of a two-level sweep (Options.L2);
+// single-level passes leave it zero.
 type SimOut struct {
 	Ref     cache.RefStats
 	I, D, U cache.Stats
-	CI      *cache.MissCI
-	H       cache.HierResult
+	// CI is always nil: every engine is exact.
+	//
+	// Deprecated: kept only so existing readers still compile.
+	CI *cache.MissCI
+	H  cache.HierResult
 }
 
 // SweepCell holds the four §3.3-§3.5 simulations of one workload at one
@@ -46,25 +47,12 @@ type SweepResult struct {
 	Sizes []int
 	Mixes []workload.Mix
 	Cells [][]SweepCell // [mix][size]
-	// Sampled records per-pass sampling metadata (one entry per grid job
-	// that ran under the sampled engine); empty for exact sweeps.
-	Sampled []SampledPass
 	// Parallel is always empty: sweeps no longer split a pass's stream
 	// into time segments.
 	//
 	// Deprecated: kept only so existing readers still compile.
 	Parallel []ParallelPass
 	opts     Options
-}
-
-// SampledPass identifies one sampled grid pass and its outcome: which
-// (mix, organization, fetch policy) job it was and what the adaptive
-// controller achieved (or why it fell back to exact simulation).
-type SampledPass struct {
-	Mix      string
-	Split    bool
-	Prefetch bool
-	Info     core.SampledInfo
 }
 
 // ParallelPass is the element type of the always-empty
@@ -144,7 +132,7 @@ func SweepMixesContext(ctx context.Context, o Options, mixes []workload.Mix) (*S
 		}
 		return singlePasses
 	}
-	res, err := o.sweepJobs(ctx, mixes, groups, func(mi int, group []gridPass, row []SweepCell, sampled []*SampledPass) error {
+	res, err := o.sweepJobs(ctx, mixes, groups, func(mi int, group []gridPass, row []SweepCell) error {
 		s := shared[mi]
 		if s == nil {
 			return o.runStreamed(ctx, mixes[mi], group, row)
@@ -154,7 +142,7 @@ func SweepMixesContext(ctx context.Context, o Options, mixes []workload.Mix) (*S
 		if err != nil {
 			return err
 		}
-		return o.runPasses(ctx, mixes[mi], refs, group, row, sampled)
+		return o.runPasses(ctx, mixes[mi], refs, group, row)
 	})
 	for _, s := range shared {
 		if s != nil {
@@ -174,18 +162,17 @@ func SweepMixesContext(ctx context.Context, o Options, mixes []workload.Mix) (*S
 func SweepRefsContext(ctx context.Context, o Options, mixes []workload.Mix, streams [][]trace.Ref) (*SweepResult, error) {
 	o = o.withDefaults()
 	groups := func(int) [][]gridPass { return singlePasses }
-	return o.sweepJobs(ctx, mixes, groups, func(mi int, group []gridPass, row []SweepCell, sampled []*SampledPass) error {
-		return o.runPasses(ctx, mixes[mi], streams[mi], group, row, sampled)
+	return o.sweepJobs(ctx, mixes, groups, func(mi int, group []gridPass, row []SweepCell) error {
+		return o.runPasses(ctx, mixes[mi], streams[mi], group, row)
 	})
 }
 
 // sweepJobs runs job once per (mix, pass group), mix by mix in order, on
 // up to Workers goroutines; groups(mi) lists mix mi's pass groups. Each
-// job writes only its own mix's cell fields and sampled-pass slots (one
-// per gridPasses entry), so the result, including the order of Sampled,
-// is bit-identical regardless of the worker count and the grouping.
+// job writes only its own mix's cell fields, so the result is
+// bit-identical regardless of the worker count and the grouping.
 func (o Options) sweepJobs(ctx context.Context, mixes []workload.Mix, groups func(mi int) [][]gridPass,
-	job func(mi int, group []gridPass, row []SweepCell, sampled []*SampledPass) error) (*SweepResult, error) {
+	job func(mi int, group []gridPass, row []SweepCell) error) (*SweepResult, error) {
 	type gridJob struct {
 		mi    int
 		group []gridPass
@@ -197,18 +184,11 @@ func (o Options) sweepJobs(ctx context.Context, mixes []workload.Mix, groups fun
 		}
 	}
 	res := newSweepResult(o, mixes)
-	sampled := make([]*SampledPass, len(mixes)*len(gridPasses))
 	err := o.forEachCtx(ctx, len(jobs), func(j int) error {
-		mi := jobs[j].mi
-		return job(mi, jobs[j].group, res.Cells[mi], sampled[mi*len(gridPasses):(mi+1)*len(gridPasses)])
+		return job(jobs[j].mi, jobs[j].group, res.Cells[jobs[j].mi])
 	})
 	if err != nil {
 		return nil, err
-	}
-	for _, p := range sampled {
-		if p != nil {
-			res.Sampled = append(res.Sampled, *p)
-		}
 	}
 	return res, nil
 }
@@ -272,19 +252,10 @@ func (o Options) passSpec(mix workload.Mix, p gridPass) core.SweepSpec {
 	if p.prefetch {
 		fetch = cache.PrefetchAlways
 	}
-	sampled := o.Sampled
-	if sampled != nil && sampled.CycleRefs == 0 && mix.Quantum > 0 {
-		// The mix's natural cycle is one full round-robin round: every
-		// member's quantum once. Handing it to the engine lets sampling
-		// windows align to purge boundaries (see core.SampledOptions).
-		derived := *sampled
-		derived.CycleRefs = len(mix.Specs) * mix.Quantum
-		sampled = &derived
-	}
 	return core.SweepSpec{
 		Sizes: o.Sizes, LineSize: o.LineSize, Split: p.split,
 		Quantum: mix.Quantum, Fetch: fetch, Repl: o.Repl,
-		Victim: o.Victim, L2: o.L2, Sampled: sampled,
+		Victim: o.Victim, L2: o.L2,
 	}
 }
 
@@ -375,16 +346,11 @@ func (s *mixStream) end(n int32) {
 	}
 }
 
-// runPasses runs each pass of a group over the mix's materialized stream
-// and records each sampled pass in its gridPasses slot.
-func (o Options) runPasses(ctx context.Context, mix workload.Mix, refs []trace.Ref, group []gridPass, row []SweepCell, sampled []*SampledPass) error {
+// runPasses runs each pass of a group over the mix's materialized stream.
+func (o Options) runPasses(ctx context.Context, mix workload.Mix, refs []trace.Ref, group []gridPass, row []SweepCell) error {
 	for _, p := range group {
-		out, err := runPass(ctx, o, mix, refs, p, row)
-		if err != nil {
+		if err := runPass(ctx, o, mix, refs, p, row); err != nil {
 			return fmt.Errorf("sweep %s %s: %w", mix.Name, fetchName(p.prefetch), err)
-		}
-		if out.Sampled != nil {
-			sampled[slices.Index(gridPasses, p)] = &SampledPass{Mix: mix.Name, Split: p.split, Prefetch: p.prefetch, Info: *out.Sampled}
 		}
 	}
 	return nil
@@ -392,20 +358,18 @@ func (o Options) runPasses(ctx context.Context, mix workload.Mix, refs []trace.R
 
 // runPass executes one materialized (organization, fetch policy) pass at
 // every size via the engine capability registry and scatters the per-size
-// results into the mix's cell row. The returned SweepOut carries the
-// sampling metadata when that engine ran (its Results are already
-// scattered).
-func runPass(ctx context.Context, o Options, mix workload.Mix, refs []trace.Ref, p gridPass, row []SweepCell) (core.SweepOut, error) {
+// results into the mix's cell row.
+func runPass(ctx context.Context, o Options, mix workload.Mix, refs []trace.Ref, p gridPass, row []SweepCell) error {
 	stage := p.stage(mix)
 	sp := obs.StartSpan(ctx, stage)
 	defer sp.End()
 	out, err := core.RunSweep(ctx, o.passSpec(mix, p), trace.NewSliceReader(refs), o.Sink, stage, int64(len(refs)))
 	if err != nil {
-		return core.SweepOut{}, err
+		return err
 	}
 	sp.AddRefs(int64(len(refs)))
 	o.deliver(mix, p, out.Results, row)
-	return out, nil
+	return nil
 }
 
 // deliver scatters one pass's per-size results into the mix's cell row
@@ -416,7 +380,7 @@ func (o Options) deliver(mix workload.Mix, p gridPass, results []cache.SizeResul
 		outs = make([]SimOut, len(results))
 	}
 	for si, r := range results {
-		cell := SimOut{Ref: r.Ref, I: r.I, D: r.D, U: r.U, CI: r.CI, H: r.H}
+		cell := SimOut{Ref: r.Ref, I: r.I, D: r.D, U: r.U, H: r.H}
 		if outs != nil {
 			outs[si] = cell
 		}
@@ -441,7 +405,7 @@ func (o Options) deliver(mix workload.Mix, p gridPass, results []cache.SizeResul
 
 // canStream reports whether a mix's jobs feed their passes from the
 // generator: the registry picks an engine with an incremental form for
-// every pass. A sampled or per-size pass has none.
+// every pass. A per-size pass has none.
 func (o Options) canStream(mix workload.Mix) bool {
 	for _, p := range gridPasses {
 		if core.SelectEngine(o.passSpec(mix, p)).Open == nil {

@@ -2,7 +2,7 @@
 // bounded registry of simulation jobs, each with a replayable event buffer
 // and broadcast fan-out to any number of stream subscribers.
 //
-// Design (see DESIGN.md §12):
+// Design (see DESIGN.md §11):
 //
 //   - Publishing never blocks. Events append to the job's bounded buffer
 //     under its lock and a broadcast channel is closed; the engine
@@ -64,7 +64,7 @@ type Event struct {
 }
 
 // Event types owned by the job lifecycle itself. Engine-originated types
-// (run_start, progress, cell, sampled_round, ...) are chosen by the
+// (run_start, progress, cell, hierarchy, ...) are chosen by the
 // publisher; see obs.EventProbe and the server's jobs handler.
 const (
 	EventAccepted = "accepted"

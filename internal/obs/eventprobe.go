@@ -2,7 +2,6 @@ package obs
 
 import (
 	"log/slog"
-	"math"
 	"time"
 )
 
@@ -14,8 +13,6 @@ const (
 	EventRunStart     = "run_start"
 	EventProgress     = "progress"
 	EventRunEnd       = "run_end"
-	EventSampledRound = "sampled_round"
-	EventSampledRun   = "sampled"
 	EventHierarchyRun = "hierarchy"
 	EventMissCauses   = "miss_causes"
 )
@@ -41,29 +38,6 @@ type RunEndEvent struct {
 	Refs       int64   `json:"refs"`
 	ElapsedMS  float64 `json:"elapsed_ms"`
 	RefsPerSec float64 `json:"refs_per_sec"`
-}
-
-// SampledRoundEvent is the payload of an EventSampledRound event: one
-// adaptive-controller round's achieved CI half-width against its budget.
-// Achieved is rendered as -1 when the round was unusable (+Inf half-width:
-// too few windows or misses), since JSON has no Inf.
-type SampledRoundEvent struct {
-	Stage    string  `json:"stage"`
-	Round    int     `json:"round"`
-	Achieved float64 `json:"achieved_rel_error"`
-	Budget   float64 `json:"error_budget"`
-	Fraction float64 `json:"sampled_fraction"`
-}
-
-// SampledRunEvent is the payload of an EventSampledRun event: a sampled
-// pass's final verdict (see KindSampledRun).
-type SampledRunEvent struct {
-	Stage       string  `json:"stage"`
-	ErrorBudget float64 `json:"error_budget"`
-	Achieved    float64 `json:"achieved_rel_error"`
-	Fraction    float64 `json:"sampled_fraction"`
-	Rounds      int     `json:"rounds"`
-	FellBack    bool    `json:"fell_back"`
 }
 
 // HierarchyRunEvent is the payload of an EventHierarchyRun event (see
@@ -107,20 +81,6 @@ func payload(e Event) (string, any) {
 	case KindMissCauses:
 		return EventMissCauses, MissCausesEvent{
 			Stage: e.Stage, Compulsory: e.Compulsory, Capacity: e.Capacity, Conflict: e.Conflict,
-		}
-	case KindSampledRound:
-		ev := SampledRoundEvent{
-			Stage: e.Stage, Round: e.Round, Achieved: e.Achieved,
-			Budget: e.Budget, Fraction: e.Fraction,
-		}
-		if math.IsInf(ev.Achieved, 1) { // unusable round: JSON has no Inf
-			ev.Achieved = -1
-		}
-		return EventSampledRound, ev
-	case KindSampledRun:
-		return EventSampledRun, SampledRunEvent{
-			Stage: e.Stage, ErrorBudget: e.Budget, Achieved: e.Achieved,
-			Fraction: e.Fraction, Rounds: e.Rounds, FellBack: e.FellBack,
 		}
 	case KindHierarchyRun:
 		return EventHierarchyRun, HierarchyRunEvent{

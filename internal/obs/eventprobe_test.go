@@ -3,7 +3,6 @@ package obs
 import (
 	"bytes"
 	"log/slog"
-	"math"
 	"reflect"
 	"strings"
 	"sync"
@@ -110,38 +109,25 @@ func TestEventProbeProgressThrottle(t *testing.T) {
 
 func TestEventProbeExtensions(t *testing.T) {
 	rec := newRecorder()
-	next := &countingSink{want: map[Kind]bool{KindMissCauses: true, KindSampledRound: true}}
+	next := &countingSink{want: map[Kind]bool{KindMissCauses: true, KindHierarchyRun: true}}
 	s := Tee(&EventProbe{OnEvent: rec.on}, next)
 
+	s.Observe(Event{Kind: KindRunStart, Stage: "s", Total: 100})
 	s.Observe(Event{Kind: KindMissCauses, Stage: "s", Compulsory: 1, Capacity: 2, Conflict: 3})
-	s.Observe(Event{Kind: KindSampledRound, Stage: "s", Round: 2, Achieved: 0.04, Budget: 0.05, Fraction: 0.3})
-	s.Observe(Event{Kind: KindSampledRound, Stage: "s", Achieved: math.Inf(1), Budget: 0.05, Fraction: 0.1})
-	s.Observe(Event{Kind: KindSampledRun, Stage: "s", Budget: 0.05, Achieved: 0.04, Fraction: 0.3, Rounds: 3})
 	s.Observe(Event{Kind: KindHierarchyRun, Stage: "s", L2Fetches: 10, L2FetchMisses: 2, L2Writes: 5, L2WriteMisses: 1, VictimHits: 7})
 
 	mc := rec.byType[EventMissCauses][0].(MissCausesEvent)
 	if mc.Compulsory != 1 || mc.Capacity != 2 || mc.Conflict != 3 {
 		t.Fatalf("miss_causes payload = %+v", mc)
 	}
-	r0 := rec.byType[EventSampledRound][0].(SampledRoundEvent)
-	if r0.Round != 2 || r0.Achieved != 0.04 || r0.Budget != 0.05 {
-		t.Fatalf("sampled_round payload = %+v", r0)
+	hr := rec.byType[EventHierarchyRun][0].(HierarchyRunEvent)
+	if hr.L2Fetches != 10 || hr.L2FetchMisses != 2 || hr.L2Writes != 5 || hr.L2WriteMisses != 1 || hr.VictimHits != 7 {
+		t.Fatalf("hierarchy payload = %+v", hr)
 	}
-	// +Inf achieved (unusable round) is rendered as -1 for JSON.
-	r1 := rec.byType[EventSampledRound][1].(SampledRoundEvent)
-	if r1.Achieved != -1 {
-		t.Fatalf("infinite achieved rendered as %v, want -1", r1.Achieved)
-	}
-	if sr := rec.byType[EventSampledRun][0].(SampledRunEvent); sr.Rounds != 3 || sr.ErrorBudget != 0.05 {
-		t.Fatalf("sampled payload = %+v", sr)
-	}
-	if len(rec.byType[EventHierarchyRun]) != 1 {
-		t.Fatalf("extension events missing: %v", rec.types)
-	}
-	// The teed sink is Enabled for miss causes and sampled rounds only;
+	// The teed sink is Enabled for miss causes and hierarchy runs only;
 	// only those kinds reach it.
-	if len(next.seen) != 2 || next.seen[KindMissCauses] != 1 || next.seen[KindSampledRound] != 2 {
-		t.Fatalf("teed sink saw %v, want 1 miss_causes and 2 sampled_round", next.seen)
+	if len(next.seen) != 2 || next.seen[KindMissCauses] != 1 || next.seen[KindHierarchyRun] != 1 {
+		t.Fatalf("teed sink saw %v, want 1 miss_causes and 1 hierarchy", next.seen)
 	}
 }
 

@@ -19,8 +19,6 @@ const (
 	KindProgress                     // Refs so far, every ProgressInterval refs
 	KindRunEnd                       // Refs, Elapsed
 	KindMissCauses                   // Compulsory, Capacity, Conflict; after KindRunEnd
-	KindSampledRound                 // Round, Achieved (+Inf: unusable), Budget, Fraction
-	KindSampledRun                   // Budget, Achieved, Fraction, Rounds, FellBack; after KindRunEnd
 	KindHierarchyRun                 // L2 event totals, VictimHits; after KindRunEnd
 )
 
@@ -39,13 +37,6 @@ type Event struct {
 	// 3C miss causes ([Hill]'s classification via a same-capacity
 	// fully-associative LRU shadow), from the per-size engine only.
 	Compulsory, Capacity, Conflict uint64
-
-	Round    int     // sampling round index
-	Rounds   int     // sampling rounds run
-	Achieved float64 // achieved worst-size relative CI half-width
-	Budget   float64 // requested relative error budget
-	Fraction float64 // share of the trace simulated
-	FellBack bool    // ran exact instead
 
 	L2Fetches, L2FetchMisses, L2Writes, L2WriteMisses, VictimHits uint64
 }

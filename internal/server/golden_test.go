@@ -9,19 +9,15 @@ import (
 )
 
 // serviceGoldenRequests are the requests TestServiceGolden pins: the
-// evaluate paths (exact, with LRU, ARC and Random designs; sampled,
-// meeting its budget or falling back; victim+L2) and one sweep per engine
-// family (the LRU grid runs the stack-inclusion and fan-out engines, ARC
-// the per-size engine, victim+L2 the per-size hierarchy path, and a
-// sampled sweep the sampled engine). The last request repeats the ARC
+// evaluate paths (LRU, ARC and Random designs; victim+L2) and one sweep per
+// engine family (the LRU grid runs the stack-inclusion and fan-out
+// engines, ARC the per-size engine, victim+L2 the per-size hierarchy
+// path). The last request repeats the ARC
 // sweep with "parallel":2, a worker count that must leave its cells, and
 // its memo entry, those of the serial ARC sweep.
 var serviceGoldenRequests = []struct{ path, body string }{
 	{"/v1/evaluate", `{"mix":"FGO1","ref_limit":60000}`},
 	{"/v1/evaluate", `{"mix":"FGO1","ref_limit":60000,"design":{"Split":true,"I":{"Size":4096,"LineSize":16},"D":{"Size":4096,"LineSize":16},"PurgeInterval":20000},"policy":"fifo","fetch":"always"}`},
-	{"/v1/evaluate", `{"mix":"FGO1","ref_limit":200000,"mode":"sampled","error_budget":0.2}`},
-	{"/v1/evaluate", `{"mix":"FGO1","ref_limit":200000,"mode":"sampled","error_budget":0.1,"design":{"Split":true,"I":{"Size":2048,"LineSize":16},"D":{"Size":2048,"LineSize":16}}}`},
-	{"/v1/evaluate", `{"mix":"FGO1","ref_limit":60000,"mode":"sampled","error_budget":0.05}`},
 	{"/v1/evaluate", `{"mix":"FGO1","ref_limit":150000}`},
 	{"/v1/evaluate", `{"mix":"FGO1","ref_limit":150000,"policy":"arc","design":{"Split":true,"I":{"Size":4096,"LineSize":16},"D":{"Size":4096,"LineSize":16}}}`},
 	{"/v1/evaluate", `{"mix":"FGO1","ref_limit":150000,"policy":"random"}`},
@@ -29,7 +25,6 @@ var serviceGoldenRequests = []struct{ path, body string }{
 	{"/v1/sweep", `{"mixes":["FGO1"],"sizes":[256,1024,4096],"ref_limit":20000}`},
 	{"/v1/sweep", `{"mixes":["FGO1"],"sizes":[256,1024,4096],"ref_limit":20000,"policy":"arc"}`},
 	{"/v1/sweep", `{"mixes":["FGO1"],"sizes":[256,1024],"ref_limit":20000,"victim":2,"l2":{"size":16384,"line_size":32}}`},
-	{"/v1/sweep", `{"mixes":["FGO1"],"sizes":[1024,4096],"ref_limit":200000,"mode":"sampled","error_budget":0.2}`},
 	{"/v1/sweep", `{"mixes":["FGO1"],"sizes":[256,1024,4096],"ref_limit":20000,"policy":"arc","parallel":2}`},
 }
 

@@ -10,9 +10,9 @@ import (
 
 // TestHierarchyValidation pins the structured 400s for malformed victim and
 // l2 request blocks on both endpoints: out-of-range buffers, inverted
-// hierarchies, the combinations with the sampled engine, which no
-// multi-level simulation supports, and /v1/evaluate's unknown "parallel"
-// field.
+// hierarchies, and fields neither endpoint has — the removed sampled
+// mode's "mode" and "error_budget", alone and with a hierarchy, and
+// /v1/evaluate's "parallel".
 func TestHierarchyValidation(t *testing.T) {
 	t.Parallel()
 	_, hs := newTestServer(t, Config{})
@@ -42,6 +42,12 @@ func TestHierarchyValidation(t *testing.T) {
 		{"sweep oversized l2", "/v1/sweep", `{"mixes":["FGO1"],"sizes":[512],"l2":{"size":33554432}}`},
 		{"sweep l2 with sampled", "/v1/sweep",
 			`{"mixes":["FGO1"],"sizes":[512],"l2":{"size":65536},"mode":"sampled","error_budget":0.02}`},
+		{"sampled mode", "/v1/evaluate", `{"mix":"FGO1","mode":"sampled"}`},
+		{"exact mode", "/v1/evaluate", `{"mix":"FGO1","mode":"exact"}`},
+		{"error budget", "/v1/evaluate", `{"mix":"FGO1","error_budget":0.02}`},
+		{"sweep sampled mode", "/v1/sweep", `{"mixes":["FGO1"],"mode":"sampled"}`},
+		{"sweep exact mode", "/v1/sweep", `{"mixes":["FGO1"],"mode":"exact"}`},
+		{"sweep error budget", "/v1/sweep", `{"mixes":["FGO1"],"error_budget":0.02}`},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

@@ -15,6 +15,7 @@ import (
 	"time"
 
 	"cacheeval/internal/jobs"
+	"cacheeval/internal/obs"
 )
 
 // createJob posts a job request and returns the accepted job's ID.
@@ -95,7 +96,7 @@ func TestJobSweepMatchesSync(t *testing.T) {
 		t.Fatalf("got %d cell events, want 16 (types %v)", types["cell"], types)
 	}
 	// Engine events flow through the job sink: one run_start/run_end pair
-	// per grid pass (8) plus the sampled/parallel stages' absence here.
+	// per grid pass (8).
 	if types["run_start"] == 0 || types["run_end"] == 0 {
 		t.Fatalf("no engine lifecycle events in stream: %v", types)
 	}
@@ -175,12 +176,12 @@ func TestJobSweepMatchesSync(t *testing.T) {
 }
 
 // TestJobEvaluateMatchesSync mirrors the sweep identity test for evaluate
-// jobs, in sampled mode so the stream also carries per-round controller
-// events.
+// jobs, with a victim buffer and an L2 so the stream also carries the
+// hierarchy engine event.
 func TestJobEvaluateMatchesSync(t *testing.T) {
 	t.Parallel()
 	_, hs := newTestServer(t, Config{})
-	eval := `{"mix":"FGO1","ref_limit":50000,"mode":"sampled","error_budget":0.05}`
+	eval := `{"mix":"FGO1","ref_limit":50000,"victim":4,"l2":{"size":16384}}`
 
 	id := createJob(t, hs.URL, `{"evaluate":`+eval+`}`)
 	evs := streamEvents(t, hs.URL, id, "")
@@ -188,25 +189,19 @@ func TestJobEvaluateMatchesSync(t *testing.T) {
 	if types["summary"] != 1 || types["done"] != 1 {
 		t.Fatalf("lifecycle events wrong: %v", types)
 	}
-	if types["sampled_round"] == 0 || types["sampled"] == 0 {
-		t.Fatalf("no sampled-controller events in stream: %v", types)
+	if types["hierarchy"] != 1 {
+		t.Fatalf("want one hierarchy engine event in stream: %v", types)
 	}
-	var round struct {
-		Stage    string  `json:"stage"`
-		Round    int     `json:"round"`
-		Budget   float64 `json:"error_budget"`
-		Fraction float64 `json:"sampled_fraction"`
-	}
+	var hier obs.HierarchyRunEvent
 	for _, ev := range evs {
-		if ev.Type == "sampled_round" {
-			if err := json.Unmarshal(ev.Data, &round); err != nil {
-				t.Fatalf("bad sampled_round payload: %v", err)
+		if ev.Type == obs.EventHierarchyRun {
+			if err := json.Unmarshal(ev.Data, &hier); err != nil {
+				t.Fatalf("bad hierarchy payload: %v", err)
 			}
-			break
 		}
 	}
-	if round.Budget != 0.05 || round.Round < 0 || round.Fraction <= 0 {
-		t.Fatalf("sampled_round payload wrong: %+v", round)
+	if hier.Stage != "simulate:FGO1" || hier.L2Fetches == 0 {
+		t.Fatalf("hierarchy payload wrong: %+v", hier)
 	}
 
 	var summary json.RawMessage
@@ -330,10 +325,14 @@ func TestJobAndSyncShareFlights(t *testing.T) {
 		if err := json.Unmarshal(got.body, &resp); err != nil {
 			t.Fatal(err)
 		}
+		// The job counts its outcome before it publishes done, so only
+		// once its stream has been read to the end do both sides' counts
+		// show.
+		evs := streamEvents(t, hs.URL, id, "")
 		if snap := s.snapshot(); snap.SimRuns != 1 || snap.FlightJoins != 1 {
 			t.Fatalf("sim runs %d, flight joins %d; want 1 and 1", snap.SimRuns, snap.FlightJoins)
 		}
-		return resp, got.body, streamEvents(t, hs.URL, id, "")
+		return resp, got.body, evs
 	}
 
 	// check compares the job's started event and summary with the sync

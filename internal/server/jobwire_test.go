@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
-	"math"
 	"os"
 	"path/filepath"
 	"regexp"
@@ -20,8 +19,8 @@ import (
 var progressRate = regexp.MustCompile(`"refs_per_sec":[^,}]+`)
 
 // TestJobEventWireGolden pins the job stream's engine-event vocabulary byte
-// for byte: one event of each of the seven engine kinds (plus the
-// omitempty and -1-for-+Inf edge cases) is published through the job sink
+// for byte: one event of each of the five engine kinds (plus the
+// omitempty edge case) is published through the job sink
 // and jobs.Job.Publish, and each resulting NDJSON line must match
 // testdata/job_events.golden.ndjson. The golden is the wire contract
 // cachewatch and other clients decode, so it is edited by hand, never
@@ -43,9 +42,6 @@ func TestJobEventWireGolden(t *testing.T) {
 		{Kind: obs.KindProgress, Stage: "simulate:FGO1", Refs: 65536},
 		{Kind: obs.KindRunEnd, Stage: "sweep:FGO1", Refs: 1000, Elapsed: 2 * time.Second},
 		{Kind: obs.KindMissCauses, Stage: "sweep:FGO1:1024", Compulsory: 11, Capacity: 22, Conflict: 33},
-		{Kind: obs.KindSampledRound, Stage: "sweep:FGO1", Round: 0, Achieved: math.Inf(1), Budget: 0.05, Fraction: 0.1}, // unusable: -1
-		{Kind: obs.KindSampledRound, Stage: "sweep:FGO1", Round: 1, Achieved: 0.04, Budget: 0.05, Fraction: 0.3},
-		{Kind: obs.KindSampledRun, Stage: "sweep:FGO1", Budget: 0.05, Achieved: 0.04, Fraction: 0.3, Rounds: 2},
 		{Kind: obs.KindHierarchyRun, Stage: "sweep:FGO1:1024", L2Fetches: 10, L2FetchMisses: 2, L2Writes: 5, L2WriteMisses: 1, VictimHits: 7},
 	} {
 		p.Observe(e)

@@ -88,22 +88,6 @@ func (s *Server) buildProm() {
 	s.causeConflict = reg.NewCounter("cacheeval_engine_conflict_misses_total",
 		"Demand misses caused by set-mapping conflicts, summed over per-size engine runs.")
 
-	s.sampledRuns = reg.NewCounter("cacheeval_sampled_runs_total",
-		"Sampled-mode engine runs completed (fallbacks included).")
-	s.sampledFallback = reg.NewCounter("cacheeval_sampled_fallbacks_total",
-		"Sampled-mode runs that fell back to exact simulation.")
-	s.sampledRounds = reg.NewCounter("cacheeval_sampled_rounds_total",
-		"Adaptive sampling rounds executed, summed over sampled runs.")
-	s.sampledRelErr = reg.NewHistogram("cacheeval_sampled_achieved_rel_error",
-		"Achieved relative CI half-width of sampled runs that met their budget.",
-		[]float64{0.001, 0.002, 0.005, 0.01, 0.02, 0.05, 0.1, 0.2, 0.5})
-	s.sampledVsBudget = reg.NewHistogram("cacheeval_sampled_achieved_vs_budget_ratio",
-		"Achieved relative error over requested budget for runs that met it (1 = exactly on budget).",
-		[]float64{0.05, 0.1, 0.25, 0.5, 0.75, 0.9, 1})
-	s.sampledFraction = reg.NewHistogram("cacheeval_sampled_fraction",
-		"Fraction of the trace simulated by sampled runs (above 1 means a fallback re-ran the trace exactly).",
-		[]float64{0.05, 0.1, 0.2, 0.3, 0.5, 0.75, 1, 1.5, 2})
-
 	s.hierL2Fetches = reg.NewCounter("cacheeval_hierarchy_l2_fetches_total",
 		"Fetch events the second-level cache served, summed over two-level engine runs.")
 	s.hierL2FetchMisses = reg.NewCounter("cacheeval_hierarchy_l2_fetch_misses_total",
@@ -155,15 +139,14 @@ type simSink struct{ s *Server }
 // Enabled reports the kinds Observe counts.
 func (p simSink) Enabled(k obs.Kind) bool {
 	switch k {
-	case obs.KindRunEnd, obs.KindMissCauses, obs.KindSampledRun, obs.KindHierarchyRun:
+	case obs.KindRunEnd, obs.KindMissCauses, obs.KindHierarchyRun:
 		return true
 	}
 	return false
 }
 
-// Observe updates the families an event feeds. The sampled verdict's
-// achieved-versus-requested error says whether the error-budget knob is
-// honest in production; victim-only hierarchy runs report zero L2 events.
+// Observe updates the families an event feeds; victim-only hierarchy runs
+// report zero L2 events.
 func (p simSink) Observe(e obs.Event) {
 	s := p.s
 	switch e.Kind {
@@ -176,18 +159,6 @@ func (p simSink) Observe(e obs.Event) {
 		s.causeCompulsory.Add(int64(e.Compulsory))
 		s.causeCapacity.Add(int64(e.Capacity))
 		s.causeConflict.Add(int64(e.Conflict))
-	case obs.KindSampledRun:
-		s.sampledRuns.Add(1)
-		s.sampledRounds.Add(int64(e.Rounds))
-		s.sampledFraction.Observe(e.Fraction)
-		if e.FellBack {
-			s.sampledFallback.Add(1)
-			return
-		}
-		s.sampledRelErr.Observe(e.Achieved)
-		if e.Budget > 0 {
-			s.sampledVsBudget.Observe(e.Achieved / e.Budget)
-		}
 	case obs.KindHierarchyRun:
 		s.hierL2Fetches.Add(int64(e.L2Fetches))
 		s.hierL2FetchMisses.Add(int64(e.L2FetchMisses))

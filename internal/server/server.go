@@ -26,7 +26,6 @@ import (
 	"encoding/json"
 	"errors"
 	"log/slog"
-	"math"
 	"net/http"
 	"runtime"
 	"slices"
@@ -119,12 +118,6 @@ type Server struct {
 	causeCompulsory   *obs.Counter
 	causeCapacity     *obs.Counter
 	causeConflict     *obs.Counter
-	sampledRuns       *obs.Counter
-	sampledFallback   *obs.Counter
-	sampledRounds     *obs.Counter
-	sampledRelErr     *obs.Histogram
-	sampledVsBudget   *obs.Histogram
-	sampledFraction   *obs.Histogram
 	hierL2Fetches     *obs.Counter
 	hierL2FetchMisses *obs.Counter
 	hierL2Writes      *obs.Counter
@@ -282,27 +275,15 @@ type EvaluateRequest struct {
 	Fetch     string `json:"fetch"`
 	RefLimit  int    `json:"ref_limit"`
 	TimeoutMS int    `json:"timeout_ms"`
-	// Mode selects exact simulation ("", "exact") or interval-sampled
-	// simulation with a confidence interval ("sampled"). Sampled mode
-	// requires ErrorBudget; results carry a miss-ratio CI and sampling
-	// metadata, and memoize separately from exact results.
-	Mode string `json:"mode"`
-	// ErrorBudget is the target relative CI half-width for sampled mode
-	// (0.02 = ±2%); it must be in (0, 1) and is rejected outside sampled
-	// mode. When sampling cannot meet it the server transparently falls
-	// back to exact simulation and says so in the response.
-	ErrorBudget float64 `json:"error_budget"`
 	// Victim adds a fully-associative victim buffer of this many lines
 	// behind every cache in the design (Jouppi's organization); 0 means no
 	// buffer. Folded into the design before keying, so "victim":4 and a
-	// design with VictimLines set directly memoize identically. Rejected
-	// when combined with "mode":"sampled".
+	// design with VictimLines set directly memoize identically.
 	Victim int `json:"victim"`
 	// L2 opts the evaluation into two-level simulation: the design becomes
 	// the first level and every L1 miss (and dirty push) feeds this unified
 	// second-level cache. The report then carries an L2 block with local
-	// and global miss ratios. Rejected when combined with "mode":"sampled":
-	// the sampled engine is not sound across levels.
+	// and global miss ratios.
 	L2 *L2In `json:"l2"`
 	// Trace opts into the per-stage timing breakdown. It cannot change the
 	// simulation's result, so it is excluded from the memoization key; a
@@ -341,45 +322,6 @@ func (l *L2In) spec() *core.L2Spec {
 	return &core.L2Spec{Size: l.Size, LineSize: l.LineSize, Assoc: l.Assoc}
 }
 
-// MissCIOut is a miss-ratio confidence interval in responses.
-type MissCIOut struct {
-	Level float64 `json:"level"`
-	Lo    float64 `json:"lo"`
-	Hi    float64 `json:"hi"`
-	// Windows is the number of full sampled windows behind the interval.
-	Windows int `json:"windows"`
-}
-
-// SampledOut reports how a sampled run went: what was asked, what was
-// achieved, and whether the server fell back to exact simulation.
-type SampledOut struct {
-	ErrorBudget      float64 `json:"error_budget"`
-	Confidence       float64 `json:"confidence"`
-	AchievedRelError float64 `json:"achieved_rel_error"`
-	SampledFraction  float64 `json:"sampled_fraction"`
-	Windows          int     `json:"windows"`
-	Rounds           int     `json:"rounds"`
-	FellBack         bool    `json:"fell_back"`
-	FallbackReason   string  `json:"fallback_reason,omitempty"`
-}
-
-// sampledOut converts the core metadata to its response form.
-func sampledOut(info *core.SampledInfo) *SampledOut {
-	if info == nil {
-		return nil
-	}
-	return &SampledOut{
-		ErrorBudget:      info.ErrorBudget,
-		Confidence:       info.Confidence,
-		AchievedRelError: info.AchievedRelError,
-		SampledFraction:  info.SampledFraction,
-		Windows:          info.Windows,
-		Rounds:           info.Rounds,
-		FellBack:         info.FellBack,
-		FallbackReason:   info.FallbackReason,
-	}
-}
-
 // maxParallelWorkers bounds a sweep's requested worker count. Each worker
 // runs one grid pass with its own tag stores, so letting a request name an
 // arbitrary worker count would multiply goroutines and memory without
@@ -398,24 +340,12 @@ func validateParallel(workers int) *requestError {
 	return nil
 }
 
-// missCIOut converts a cache-layer CI to its response form.
-func missCIOut(ci *cache.MissCI) *MissCIOut {
-	if ci == nil {
-		return nil
-	}
-	return &MissCIOut{Level: ci.Level, Lo: ci.Lo, Hi: ci.Hi, Windows: ci.Windows}
-}
-
 // evalPayload is the memoized portion of an evaluate response, and an
 // evaluate job's "summary" event payload, so the async answer matches the
 // synchronous one field for field (minus the per-request cached/shared/
-// elapsed_ms envelope). MissRatioCI and Sampled appear only for
-// sampled-mode requests (and the CI only when sampling succeeded — a
-// fallback's results are exact and need no interval).
+// elapsed_ms envelope).
 type evalPayload struct {
-	Report      core.Report `json:"report"`
-	MissRatioCI *MissCIOut  `json:"miss_ratio_ci,omitempty"`
-	Sampled     *SampledOut `json:"sampled,omitempty"`
+	Report core.Report `json:"report"`
 }
 
 // EvaluateResponse is the POST /v1/evaluate reply.
@@ -477,31 +407,6 @@ const maxCacheBytes = 16 << 20
 var errCacheTooLarge = &requestError{
 	http.StatusBadRequest, "cache size exceeds the 16 MiB service limit"}
 
-// validateMode checks the (mode, error_budget) pair shared by both
-// endpoints and returns the canonical mode name ("exact" or "sampled") for
-// memoization keying — sampled results must never be served from
-// exact-mode memo entries or vice versa, so the canonical mode and the
-// budget are part of every result key.
-func validateMode(mode string, budget float64) (string, *requestError) {
-	switch mode {
-	case "", "exact":
-		if budget != 0 {
-			return "", &requestError{http.StatusBadRequest,
-				`error_budget requires "mode":"sampled"`}
-		}
-		return "exact", nil
-	case "sampled":
-		if math.IsNaN(budget) || budget <= 0 || budget >= 1 {
-			return "", &requestError{http.StatusBadRequest,
-				`"mode":"sampled" requires error_budget in (0, 1), e.g. 0.02`}
-		}
-		return "sampled", nil
-	default:
-		return "", &requestError{http.StatusBadRequest,
-			"unknown mode " + strconvQuote(mode) + `; use "exact" or "sampled"`}
-	}
-}
-
 // validateEvaluate resolves an evaluate request against the catalog and
 // checks its parameters, returning the effective design (the documented
 // default when the request omits one) and the resolved mix. It does no
@@ -517,19 +422,9 @@ func (s *Server) validateEvaluate(req *EvaluateRequest) (cache.SystemConfig, wor
 		return cache.SystemConfig{}, workload.Mix{}, &requestError{
 			http.StatusBadRequest, "ref_limit must be >= 0"}
 	}
-	mode, verr := validateMode(req.Mode, req.ErrorBudget)
-	if verr != nil {
-		return cache.SystemConfig{}, workload.Mix{}, verr
-	}
-	req.Mode = mode // canonical spelling, relied on by downstream keying
 	if req.Victim < 0 {
 		return cache.SystemConfig{}, workload.Mix{}, &requestError{
 			http.StatusBadRequest, "victim must be >= 0"}
-	}
-	if (req.Victim > 0 || req.L2 != nil) && req.Mode == "sampled" {
-		return cache.SystemConfig{}, workload.Mix{}, &requestError{
-			http.StatusBadRequest,
-			`victim and l2 are mutually exclusive with "mode":"sampled"`}
 	}
 	design := req.Design
 	if design == (cache.SystemConfig{}) {
@@ -619,9 +514,9 @@ func (s *Server) handleEvaluate(w http.ResponseWriter, r *http.Request) {
 // is computed from the validated, canonicalized form. L2 keys by its
 // resolved cache config, so an L2 block that spells out the inherited line
 // size memoizes with one that omits it — and a hierarchy request can never
-// share an entry with a single-level request for the same L1 design. Exact
-// evaluations read the mix's generator directly; only the sampled engine
-// needs the stream in memory.
+// share an entry with a single-level request for the same L1 design.
+// Evaluations read the mix's generator directly; no stream is held in
+// memory.
 func (s *Server) evaluateCall(req *EvaluateRequest) (*simCall, *requestError) {
 	design, mix, verr := s.validateEvaluate(req)
 	if verr != nil {
@@ -633,13 +528,11 @@ func (s *Server) evaluateCall(req *EvaluateRequest) (*simCall, *requestError) {
 		l2cfg = &c
 	}
 	key, err := requestKey("evaluate", struct {
-		Design      cache.SystemConfig
-		Mix         string
-		RefLimit    int
-		Mode        string
-		ErrorBudget float64
-		L2          *cache.Config
-	}{design, mix.Name, req.RefLimit, req.Mode, req.ErrorBudget, l2cfg})
+		Design   cache.SystemConfig
+		Mix      string
+		RefLimit int
+		L2       *cache.Config
+	}{design, mix.Name, req.RefLimit, l2cfg})
 	if err != nil {
 		return nil, &requestError{http.StatusInternalServerError, err.Error()}
 	}
@@ -650,46 +543,16 @@ func (s *Server) evaluateCall(req *EvaluateRequest) (*simCall, *requestError) {
 				"mix", mix.Name, "ref_limit", req.RefLimit)
 			var p evalPayload
 			var err error
-			switch {
-			case req.Mode == "sampled":
-				p, err = evalSampled(ctx, req, design, mix)
-			case l2cfg != nil:
+			if l2cfg != nil {
 				p.Report, err = core.EvaluateHierarchyContext(ctx,
 					cache.HierarchyConfig{L1: design, L2: *l2cfg}, mix, req.RefLimit)
-			default:
+			} else {
 				p.Report, err = core.EvaluateContext(ctx, design, mix, req.RefLimit)
 			}
 			return p, err
 		},
 		reply: func(p any, r simReply) any { return EvaluateResponse{p.(evalPayload), r} },
 	}, nil
-}
-
-// evalSampled runs a sampled evaluation. The sampled engine may read its
-// stream twice (an exact fallback re-runs it), so the request materializes
-// the mix, ref_limit capping the total interleaved stream, and drops it
-// when the run ends.
-func evalSampled(ctx context.Context, req *EvaluateRequest, design cache.SystemConfig, mix workload.Mix) (evalPayload, error) {
-	sp := obs.StartSpan(ctx, "materialize:"+mix.Name)
-	rd, err := mix.Open()
-	if err != nil {
-		sp.End()
-		return evalPayload{}, err
-	}
-	hint := mix.TotalRefs()
-	if req.RefLimit > 0 {
-		rd = trace.NewLimitReader(rd, req.RefLimit)
-		hint = min(hint, req.RefLimit)
-	}
-	refs, err := trace.Collect(trace.NewContextReader(ctx, rd), 0, hint)
-	sp.AddRefs(int64(len(refs)))
-	sp.End()
-	if err != nil {
-		return evalPayload{}, err
-	}
-	rep, ci, info, err := core.EvaluateSampledRefsContext(ctx, design, mix.Name, refs,
-		&core.SampledOptions{ErrorBudget: req.ErrorBudget})
-	return evalPayload{Report: rep, MissRatioCI: missCIOut(ci), Sampled: sampledOut(info)}, err
 }
 
 // SweepRequest is the POST /v1/sweep body. Empty mixes selects the paper's
@@ -706,11 +569,6 @@ type SweepRequest struct {
 	Policy    string `json:"policy"`
 	RefLimit  int    `json:"ref_limit"`
 	TimeoutMS int    `json:"timeout_ms"`
-	// Mode and ErrorBudget opt the whole grid into interval-sampled
-	// simulation; see EvaluateRequest. Every variant then carries a
-	// miss-ratio CI and the response lists per-pass sampling metadata.
-	Mode        string  `json:"mode"`
-	ErrorBudget float64 `json:"error_budget"`
 	// Parallel raises the sweep's worker count — how many grid passes run
 	// at once — to N when N exceeds the server's SimWorkers (0-64). It
 	// cannot change the results, so it is excluded from the memoization
@@ -718,14 +576,12 @@ type SweepRequest struct {
 	Parallel int `json:"parallel"`
 	// Victim adds a fully-associative victim buffer of this many lines
 	// behind every cache in the grid; 0 means none. Victim sweeps break
-	// stack inclusion and run one cache per size. Rejected when combined
-	// with "mode":"sampled".
+	// stack inclusion and run one cache per size.
 	Victim int `json:"victim"`
 	// L2 opts the whole grid into two-level simulation: every L1 size runs
 	// in front of this second-level cache, and each variant then carries an
 	// "l2" block with local and global miss ratios. The L2 must hold the
 	// largest L1 in the grid (both caches of a split organization).
-	// Rejected when combined with "mode":"sampled".
 	L2 *L2In `json:"l2"`
 	// Trace opts into the per-stage timing breakdown; like timeout_ms it is
 	// excluded from the memoization key (see EvaluateRequest.Trace).
@@ -733,17 +589,14 @@ type SweepRequest struct {
 }
 
 // VariantOut summarizes one of a sweep cell's four simulations.
-// MissRatioCI appears only for sampled-mode sweeps whose pass met the
-// budget by sampling (a fallen-back pass is exact). VictimHits and L2
-// appear only for victim and two-level sweeps respectively; for two-level
-// sweeps TrafficBytes is the L2's memory-side traffic, the hierarchy's
-// true memory interface.
+// VictimHits and L2 appear only for victim and two-level sweeps
+// respectively; for two-level sweeps TrafficBytes is the L2's memory-side
+// traffic, the hierarchy's true memory interface.
 type VariantOut struct {
 	MissRatio    float64       `json:"miss_ratio"`
 	InstrMiss    float64       `json:"instr_miss"`
 	DataMiss     float64       `json:"data_miss"`
 	TrafficBytes uint64        `json:"traffic_bytes"`
-	MissRatioCI  *MissCIOut    `json:"miss_ratio_ci,omitempty"`
 	VictimHits   uint64        `json:"victim_hits,omitempty"`
 	L2           *L2VariantOut `json:"l2,omitempty"`
 }
@@ -770,24 +623,11 @@ type SweepCellOut struct {
 	UnifiedPrefetch VariantOut `json:"unified_prefetch"`
 }
 
-// SampledPassOut is SampledOut for one sweep grid pass, identifying which
-// (mix, organization, fetch policy) job it describes.
-type SampledPassOut struct {
-	Mix      string `json:"mix"`
-	Split    bool   `json:"split"`
-	Prefetch bool   `json:"prefetch"`
-	SampledOut
-}
-
-// sweepPayload is the memoized portion of a sweep response. Mode is the
-// canonical request mode ("exact" or "sampled"); Sampled lists per-pass
-// sampling metadata for sampled sweeps.
+// sweepPayload is the memoized portion of a sweep response.
 type sweepPayload struct {
-	Sizes   []int            `json:"sizes"`
-	Mixes   []string         `json:"mixes"`
-	Mode    string           `json:"mode"`
-	Cells   [][]SweepCellOut `json:"cells"`
-	Sampled []SampledPassOut `json:"sampled,omitempty"`
+	Sizes []int            `json:"sizes"`
+	Mixes []string         `json:"mixes"`
+	Cells [][]SweepCellOut `json:"cells"`
 }
 
 // SweepResponse is the POST /v1/sweep reply; Cells is indexed [mix][size].
@@ -847,22 +687,11 @@ func (s *Server) validateSweep(req *SweepRequest) ([]workload.Mix, cache.Replace
 	if req.LineSize > maxCacheBytes {
 		return nil, 0, errCacheTooLarge
 	}
-	mode, verr := validateMode(req.Mode, req.ErrorBudget)
-	if verr != nil {
-		return nil, 0, verr
-	}
-	req.Mode = mode // canonical spelling, relied on by downstream keying
 	if verr := validateParallel(req.Parallel); verr != nil {
 		return nil, 0, verr
 	}
-	if req.Victim != 0 || req.L2 != nil {
-		if req.Mode == "sampled" {
-			return nil, 0, &requestError{http.StatusBadRequest,
-				`victim and l2 are mutually exclusive with "mode":"sampled"`}
-		}
-		if req.L2 != nil && req.L2.Size > maxCacheBytes {
-			return nil, 0, errCacheTooLarge
-		}
+	if req.L2 != nil && req.L2.Size > maxCacheBytes {
+		return nil, 0, errCacheTooLarge
 	}
 	// Validate the per-size configs the grid will actually build by running
 	// the core spec check on the split organization (the stricter one: the
@@ -909,26 +738,22 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 
 // sweepCall validates a sweep request and prepares its run. The key carries
 // the parsed policy's canonical name, so the "slru", "segmented-lru" and
-// "2q" spellings memoize as one entry; mode and budget isolate sampled
-// results from exact ones. The worker count ("parallel") is left out: it
-// cannot change the cells.
+// "2q" spellings memoize as one entry. The worker count ("parallel") is
+// left out: it cannot change the cells.
 func (s *Server) sweepCall(req *SweepRequest) (*simCall, *requestError) {
 	mixes, repl, verr := s.validateSweep(req)
 	if verr != nil {
 		return nil, verr
 	}
 	key, err := requestKey("sweep", struct {
-		Mixes       []string
-		Sizes       []int
-		LineSize    int
-		Policy      string
-		RefLimit    int
-		Mode        string
-		ErrorBudget float64
-		Victim      int
-		L2          *core.L2Spec
-	}{req.Mixes, req.Sizes, req.LineSize, repl.String(), req.RefLimit, req.Mode, req.ErrorBudget,
-		req.Victim, req.L2.spec()})
+		Mixes    []string
+		Sizes    []int
+		LineSize int
+		Policy   string
+		RefLimit int
+		Victim   int
+		L2       *core.L2Spec
+	}{req.Mixes, req.Sizes, req.LineSize, repl.String(), req.RefLimit, req.Victim, req.L2.spec()})
 	if err != nil {
 		return nil, &requestError{http.StatusInternalServerError, err.Error()}
 	}
@@ -941,9 +766,6 @@ func (s *Server) sweepCall(req *SweepRequest) (*simCall, *requestError) {
 				Repl:    repl, Victim: req.Victim, L2: req.L2.spec(),
 				Sink: obs.SinkFrom(ctx), OnPass: onPass,
 			}
-			if req.Mode == "sampled" {
-				opts.Sampled = &core.SampledOptions{ErrorBudget: req.ErrorBudget}
-			}
 			obs.Logger(ctx).Info("sweep: simulation start",
 				"mixes", len(mixes), "sizes", len(opts.Sizes), "ref_limit", req.RefLimit)
 			res, err := experiments.SweepMixesContext(ctx, opts, mixes)
@@ -952,23 +774,17 @@ func (s *Server) sweepCall(req *SweepRequest) (*simCall, *requestError) {
 			}
 			sp := obs.StartSpan(ctx, "assemble")
 			defer sp.End()
-			return summarizeSweep(res, req.Mode), nil
+			return summarizeSweep(res), nil
 		},
 		reply: func(p any, r simReply) any { return SweepResponse{p.(sweepPayload), r} },
 	}, nil
 }
 
 // summarizeSweep flattens a SweepResult into its JSON summary.
-func summarizeSweep(res *experiments.SweepResult, mode string) sweepPayload {
-	out := sweepPayload{Sizes: res.Sizes, Mode: mode}
+func summarizeSweep(res *experiments.SweepResult) sweepPayload {
+	out := sweepPayload{Sizes: res.Sizes}
 	for _, m := range res.Mixes {
 		out.Mixes = append(out.Mixes, m.Name)
-	}
-	for _, p := range res.Sampled {
-		out.Sampled = append(out.Sampled, SampledPassOut{
-			Mix: p.Mix, Split: p.Split, Prefetch: p.Prefetch,
-			SampledOut: *sampledOut(&p.Info),
-		})
 	}
 	out.Cells = make([][]SweepCellOut, len(res.Cells))
 	for mi, row := range res.Cells {
@@ -999,7 +815,6 @@ func variantOut(o experiments.SimOut, split bool) VariantOut {
 		InstrMiss:    o.Ref.KindMissRatio(trace.IFetch),
 		DataMiss:     o.Ref.DataMissRatio(),
 		TrafficBytes: traffic,
-		MissRatioCI:  missCIOut(o.CI),
 		VictimHits:   victim,
 	}
 	if o.H != (cache.HierResult{}) {

@@ -98,18 +98,18 @@ type ReaderFunc func() (Ref, error)
 func (f ReaderFunc) Read() (Ref, error) { return f() }
 
 // Skipper is implemented by readers that can discard references without
-// materializing them. Consumers that skip long stretches of a stream (the
-// sampled sweep driver's gaps) use it to avoid a per-reference Read call;
-// Skip returns how many references were actually discarded, which is less
-// than n only when the stream ended first.
+// materializing them. A consumer that skips long stretches of a stream can
+// use it to avoid a per-reference Read call. Skip returns how many
+// references were actually discarded, which is less than n only when the
+// stream ended first.
 type Skipper interface {
 	Skip(n int) (int, error)
 }
 
 // Slicer is implemented by readers that can hand out their remaining
 // references as a shared slice without copying. Borrow uses it so that
-// consumers needing the whole stream in memory (the per-size and sampled
-// sweep engines) share the backing slice instead of collecting a copy;
+// consumers needing the whole stream in memory (the per-size sweep
+// engine) share the backing slice instead of collecting a copy;
 // ok=false means the reader cannot, and Borrow falls back to Collect.
 type Slicer interface {
 	RestSlice() (refs []Ref, ok bool)
