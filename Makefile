@@ -67,7 +67,7 @@ bench-pairs:
 # Fuzz smoke: run every Fuzz* target in the packages that define them for
 # FUZZTIME each (native go fuzzing; seeds always run under plain `go test`).
 FUZZTIME ?= 30s
-FUZZPKGS = ./internal/trace ./internal/cache ./internal/server ./internal/simcheck
+FUZZPKGS = ./internal/trace ./internal/cache ./internal/server ./internal/simcheck ./internal/workload
 fuzz:
 	@set -e; for pkg in $(FUZZPKGS); do \
 		for target in $$($(GO) test -list '^Fuzz' $$pkg | grep '^Fuzz'); do \

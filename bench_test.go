@@ -23,10 +23,12 @@ import (
 // (one iteration per benchmark) finish in seconds; absolute numbers from
 // short runs are not comparable to full ones.
 //
-// Every benchmark runs with obs.Discard installed so CI's bench-smoke gate
-// (threshold 1.5 against the merge-base) guards the overhead of the
-// instrumented engine path, not just the sink-free one. Discard is not
-// Enabled for obs.KindMissCauses, so the 3C tracker stays off.
+// Every artifact and sweep benchmark runs with obs.Discard installed so
+// CI's bench-smoke gate (threshold 1.5 against the merge-base) guards the
+// overhead of the instrumented engine path, not just the sink-free one;
+// the cache microbenchmarks time the uninstrumented System.Run loop.
+// Discard is not Enabled for obs.KindMissCauses, so the 3C tracker stays
+// off.
 func benchOpts() experiments.Options {
 	o := experiments.Options{RefLimit: 50000, Sink: obs.Discard}
 	if testing.Short() {
@@ -259,7 +261,6 @@ func benchCacheAccess(b *testing.B, sc cacheeval.SystemConfig) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		sys.SetSink(obs.Discard, "bench", int64(len(refs)))
 		if _, err := sys.Run(trace.NewSliceReader(refs), 0); err != nil {
 			b.Fatal(err)
 		}
@@ -281,14 +282,14 @@ func BenchmarkCachePrefetch(b *testing.B) {
 
 // benchSweepEngine times one RunSweep over FGO1 across the paper's full
 // 32B-64KB size grid with obs.Discard installed, the path every sweep
-// takes to the one-pass engine the spec selects.
-func benchSweepEngine(b *testing.B, fetch cacheeval.FetchPolicy) {
+// takes to the engine the spec selects.
+func benchSweepEngine(b *testing.B, fetch cacheeval.FetchPolicy, repl cacheeval.Replacement) {
 	refs := benchRefs(b, "FGO1", 100000)
 	sizes := make([]int, 0, 12)
 	for s := 32; s <= 65536; s *= 2 {
 		sizes = append(sizes, s)
 	}
-	spec := core.SweepSpec{Sizes: sizes, LineSize: 16, Quantum: 20000, Fetch: fetch}
+	spec := core.SweepSpec{Sizes: sizes, LineSize: 16, Quantum: 20000, Fetch: fetch, Repl: repl}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		out, err := core.RunSweep(context.Background(), spec, trace.NewSliceReader(refs), obs.Discard, "bench", int64(len(refs)))
@@ -304,12 +305,18 @@ func benchSweepEngine(b *testing.B, fetch cacheeval.FetchPolicy) {
 
 // BenchmarkMultiSystem measures the one-pass stack engine — the pass that
 // replaces twelve per-size demand simulations in each sweep.
-func BenchmarkMultiSystem(b *testing.B) { benchSweepEngine(b, cacheeval.DemandFetch) }
+func BenchmarkMultiSystem(b *testing.B) { benchSweepEngine(b, cacheeval.DemandFetch, cacheeval.LRU) }
 
 // BenchmarkFanoutSystem measures the one-pass multi-size prefetch engine —
 // the pass that replaces twelve per-size prefetch-always simulations in
 // each sweep.
-func BenchmarkFanoutSystem(b *testing.B) { benchSweepEngine(b, cacheeval.PrefetchAlways) }
+func BenchmarkFanoutSystem(b *testing.B) {
+	benchSweepEngine(b, cacheeval.PrefetchAlways, cacheeval.LRU)
+}
+
+// BenchmarkPerSizeSweep measures the per-size engine, which a FIFO sweep
+// selects: one cache.System per size, each run as an instrumented stream.
+func BenchmarkPerSizeSweep(b *testing.B) { benchSweepEngine(b, cacheeval.DemandFetch, cacheeval.FIFO) }
 
 func BenchmarkGenerator(b *testing.B) {
 	spec, err := workload.ByName("VCCOM")

@@ -6,6 +6,7 @@
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"io"
@@ -13,7 +14,7 @@ import (
 	"strings"
 	"text/tabwriter"
 
-	"cacheeval/internal/cache"
+	"cacheeval/internal/core"
 	"cacheeval/internal/obs"
 	"cacheeval/internal/trace"
 	"cacheeval/internal/workload"
@@ -80,19 +81,16 @@ func run(args []string, stdout, stderr io.Writer) error {
 		if err != nil {
 			return err
 		}
+		// Fully associative demand-LRU caches obey stack inclusion, so
+		// RunSweep simulates all four sizes in one pass.
+		out, err := core.RunSweep(context.Background(), core.SweepSpec{Sizes: sizes, LineSize: 16},
+			trace.NewSliceReader(refs), sink, "calibrate:"+spec.Name, int64(len(refs)))
+		if err != nil {
+			return err
+		}
 		var miss [4]float64
-		for i, size := range sizes {
-			sys, err := cache.NewSystem(cache.SystemConfig{
-				Unified: cache.Config{Size: size, LineSize: 16},
-			})
-			if err != nil {
-				return err
-			}
-			sys.SetSink(sink, fmt.Sprintf("calibrate:%s@%d", spec.Name, size), int64(len(refs)))
-			if _, err := sys.Run(trace.NewSliceReader(refs), 0); err != nil {
-				return err
-			}
-			miss[i] = sys.RefStats().MissRatio()
+		for i, r := range out.Results {
+			miss[i] = r.Ref.MissRatio()
 		}
 		g := group(spec)
 		a := aggs[g]

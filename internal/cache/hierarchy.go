@@ -3,9 +3,7 @@ package cache
 import (
 	"fmt"
 	"io"
-	"time"
 
-	"cacheeval/internal/obs"
 	"cacheeval/internal/trace"
 )
 
@@ -103,7 +101,6 @@ type HierResult struct {
 // propagate L1-first so dirty L1 lines write back through the L2 before
 // the L2 itself flushes to memory. Not safe for concurrent use.
 type Hierarchy struct {
-	engineSink
 	cfg        HierarchyConfig
 	l1         *System
 	l2         *Cache
@@ -273,25 +270,9 @@ func (h *Hierarchy) GlobalMissRatio() float64 {
 	return float64(h.ev.FetchMisses) / float64(acc)
 }
 
-// runFinish emits the run's end event followed by the batched hierarchy
-// counters.
-func (h *Hierarchy) runFinish(n int, t0 time.Time) {
-	if h.sink == nil {
-		return
-	}
-	h.runEnd(n, t0)
-	h.sink.Observe(obs.Event{
-		Kind: obs.KindHierarchyRun, Stage: h.stage,
-		L2Fetches: h.ev.Fetches, L2FetchMisses: h.ev.FetchMisses,
-		L2Writes: h.ev.Writes, L2WriteMisses: h.ev.WriteMisses,
-		VictimHits: h.l1.Stats().VictimHits,
-	})
-}
-
 // Run drives the hierarchy from rd until io.EOF or max references (when
 // max > 0) and returns the number of references processed.
 func (h *Hierarchy) Run(rd trace.Reader, max int) (int, error) {
-	t0 := h.runStart()
 	n := 0
 	for max <= 0 || n < max {
 		ref, err := rd.Read()
@@ -299,15 +280,10 @@ func (h *Hierarchy) Run(rd trace.Reader, max int) (int, error) {
 			break
 		}
 		if err != nil {
-			h.runFinish(n, t0)
 			return n, err
 		}
 		h.Ref(ref)
 		n++
-		if h.sink != nil && n%obs.ProgressInterval == 0 {
-			h.progress(n)
-		}
 	}
-	h.runFinish(n, t0)
 	return n, nil
 }

@@ -1,10 +1,8 @@
 package cache
 
 import (
-	"errors"
 	"testing"
 
-	"cacheeval/internal/obs"
 	"cacheeval/internal/trace"
 )
 
@@ -199,68 +197,6 @@ func TestHierarchyPurgeScheduling(t *testing.T) {
 	}
 	if h.L2Stats().BytesToMemory == 0 {
 		t.Error("purged L2 must have pushed dirty lines to memory")
-	}
-}
-
-type hierSink struct {
-	stage      string
-	fetches    uint64
-	writes     uint64
-	victimHits uint64
-	calls      int
-}
-
-func (p *hierSink) Enabled(obs.Kind) bool { return true }
-
-func (p *hierSink) Observe(e obs.Event) {
-	if e.Kind != obs.KindHierarchyRun {
-		return
-	}
-	p.stage, p.fetches, p.writes, p.victimHits = e.Stage, e.L2Fetches, e.L2Writes, e.VictimHits
-	p.calls++
-}
-
-type errReader struct{ err error }
-
-func (e errReader) Read() (trace.Ref, error) { return trace.Ref{}, e.err }
-
-func TestHierarchyRunReportsProbe(t *testing.T) {
-	hc := hierHC(256, 2048)
-	hc.L1.Unified.VictimLines = 4
-	h := mustHierarchy(t, hc)
-	p := &hierSink{}
-	// A cyclic sweep over 17 lines through the fully-associative 16-line
-	// L1 evicts, on every miss, exactly the line referenced next — so
-	// after warm-up every access is a victim-buffer hit.
-	refs := hierRefs(5000, 256)
-	for i := 0; i < 2000; i++ {
-		refs = append(refs, trace.Ref{Addr: uint64(i%17) * 16, Size: 4, Kind: trace.Read})
-	}
-	h.SetSink(p, "hier", int64(len(refs)))
-	if _, err := h.Run(trace.NewSliceReader(refs), 0); err != nil {
-		t.Fatal(err)
-	}
-	ev := h.HierStats()
-	if p.calls != 1 || p.stage != "hier" {
-		t.Fatalf("HierarchyRun calls = %d stage %q", p.calls, p.stage)
-	}
-	if p.fetches != ev.Fetches || p.writes != ev.Writes {
-		t.Errorf("sink saw %d/%d, stats say %d/%d", p.fetches, p.writes, ev.Fetches, ev.Writes)
-	}
-	if p.victimHits != h.Stats().VictimHits || p.victimHits == 0 {
-		t.Errorf("sink victim hits = %d, stats %d", p.victimHits, h.Stats().VictimHits)
-	}
-
-	// A read error surfaces from Run and still emits the batched report.
-	boom := errors.New("boom")
-	h2 := mustHierarchy(t, hierHC(256, 2048))
-	p2 := &hierSink{}
-	h2.SetSink(p2, "hier", 0)
-	if _, err := h2.Run(errReader{boom}, 0); !errors.Is(err, boom) {
-		t.Fatalf("Run error = %v, want boom", err)
-	}
-	if p2.calls != 1 {
-		t.Fatal("errored run must still report")
 	}
 }
 

@@ -125,7 +125,7 @@ func TestRecycledMatchesNew(t *testing.T) {
 					fresh.EnableMissCauses()
 					target.EnableMissCauses()
 				}
-				if !target.StateEqual(fresh) || target.Resident() != 0 {
+				if !target.stateEqual(fresh) || target.Resident() != 0 {
 					t.Errorf("%s: recycled cache not empty", name)
 				}
 				if err := target.checkInvariants(); err != nil {
@@ -137,7 +137,7 @@ func TestRecycledMatchesNew(t *testing.T) {
 					t.Errorf("%s: streams diverged:\nrecycled %+v %v\nfresh    %+v %v",
 						name, target.Stats(), causes(target), fresh.Stats(), causes(fresh))
 				}
-				if !target.StateEqual(fresh) {
+				if !target.stateEqual(fresh) {
 					t.Errorf("%s: stream left different state", name)
 				}
 				if err := target.checkInvariants(); err != nil {
@@ -180,7 +180,7 @@ func TestFanoutRecycledMatchesNew(t *testing.T) {
 				t.Errorf("split=%v size %d: recycled %+v, fresh %+v", split, want[i].Size, got[i], want[i])
 			}
 		}
-		if !target.StateEqual(fresh) {
+		if !target.stateEqual(fresh) {
 			t.Errorf("split=%v: recycled engine left different state", split)
 		}
 	}

@@ -3,9 +3,7 @@ package cache
 import (
 	"fmt"
 	"io"
-	"time"
 
-	"cacheeval/internal/obs"
 	"cacheeval/internal/trace"
 )
 
@@ -85,7 +83,6 @@ func (r RefStats) DataMissRatio() float64 {
 // split/unified routing, straddling references, purge scheduling and
 // reference-level accounting.
 type System struct {
-	engineSink
 	cfg        SystemConfig
 	unified    *Cache
 	icache     *Cache
@@ -121,51 +118,27 @@ func NewSystem(sc SystemConfig) (*System, error) {
 // Config returns the system configuration.
 func (s *System) Config() SystemConfig { return s.cfg }
 
-// SetSink installs an event sink for subsequent Run calls. When the sink
-// is Enabled for obs.KindMissCauses, 3C miss attribution is switched on
-// for the system's caches and reported in one event when Run finishes;
-// otherwise the attribution machinery stays off entirely.
-func (s *System) SetSink(sink obs.Sink, stage string, totalRefs int64) {
-	s.engineSink.SetSink(sink, stage, totalRefs)
-	if sink != nil && sink.Enabled(obs.KindMissCauses) {
-		for _, c := range []*Cache{s.unified, s.icache, s.dcache} {
-			if c != nil {
-				c.EnableMissCauses()
-			}
+// EnableMissCauses turns on 3C miss attribution for every cache in the
+// system (see Cache.EnableMissCauses). It must be called before the first
+// reference.
+func (s *System) EnableMissCauses() {
+	for _, c := range []*Cache{s.unified, s.icache, s.dcache} {
+		if c != nil {
+			c.EnableMissCauses()
 		}
 	}
 }
 
-// runFinish emits the run's end event followed by the batched reports: the
-// 3C attribution summed over the system's caches when it is on, and the
-// victim-buffer hits when the configuration has a victim buffer (zero L2
-// events: this system is single-level; Hierarchy reports its own batch).
-func (s *System) runFinish(n int, t0 time.Time) {
-	if s.sink == nil {
-		return
-	}
-	s.runEnd(n, t0)
-	causes := obs.Event{Kind: obs.KindMissCauses, Stage: s.stage}
-	attributed, victim := false, false
+// MissCauses returns the per-cause demand-miss counts summed over the
+// system's caches; all three are zero unless EnableMissCauses was called.
+func (s *System) MissCauses() (compulsory, capacity, conflict uint64) {
 	for _, c := range []*Cache{s.unified, s.icache, s.dcache} {
-		if c == nil {
-			continue
-		}
-		if c.causes != nil {
-			attributed = true
+		if c != nil {
 			a, b, d := c.MissCauses()
-			causes.Compulsory += a
-			causes.Capacity += b
-			causes.Conflict += d
+			compulsory, capacity, conflict = compulsory+a, capacity+b, conflict+d
 		}
-		victim = victim || c.cfg.VictimLines > 0
 	}
-	if attributed {
-		s.sink.Observe(causes)
-	}
-	if victim {
-		s.sink.Observe(obs.Event{Kind: obs.KindHierarchyRun, Stage: s.stage, VictimHits: s.Stats().VictimHits})
-	}
+	return compulsory, capacity, conflict
 }
 
 // cacheFor returns the cache that serves references of kind k.
@@ -304,7 +277,6 @@ func (s *System) Stats() Stats {
 // Run drives the system from rd until io.EOF or max references (when
 // max > 0) and returns the number of references processed.
 func (s *System) Run(rd trace.Reader, max int) (int, error) {
-	t0 := s.runStart()
 	n := 0
 	for max <= 0 || n < max {
 		ref, err := rd.Read()
@@ -312,15 +284,10 @@ func (s *System) Run(rd trace.Reader, max int) (int, error) {
 			break
 		}
 		if err != nil {
-			s.runFinish(n, t0)
 			return n, err
 		}
 		s.Ref(ref)
 		n++
-		if s.sink != nil && n%obs.ProgressInterval == 0 {
-			s.progress(n)
-		}
 	}
-	s.runFinish(n, t0)
 	return n, nil
 }

@@ -128,16 +128,15 @@ func evaluate(ctx context.Context, design cache.SystemConfig, l2 *cache.Config, 
 		return Report{}, err
 	}
 	stage := "simulate:" + name
-	sim.SetSink(obs.SinkFrom(ctx), stage, 0)
 	sp := obs.StartSpan(ctx, stage)
-	n, err := sim.Run(trace.NewContextReader(ctx, rd), 0)
-	sp.AddRefs(int64(n))
+	st := openSizeSim(sim, obs.SinkFrom(ctx), stage, 0)
+	_, err = st.Close(Feed(ctx, rd, st))
+	sp.AddRefs(st.n)
 	sp.End()
 	if err != nil {
 		return Report{}, fmt.Errorf("core: evaluating %s: %w", name, err)
 	}
-	r := sim.SizeResult(sizeOf(design))
-	return newReport(design, l2, name, r, sim.RefBytes()), nil
+	return newReport(design, l2, name, sim.SizeResult(sizeOf(design)), sim.RefBytes()), nil
 }
 
 // newReport derives the figures of merit of design — in front of l2 when

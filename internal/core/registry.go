@@ -5,8 +5,9 @@ package core
 // variance study, the experiments grid, the evaluation service's
 // /v1/sweep) routes through RunSweep, which selects the fastest engine
 // that is *sound* for the requested configuration instead of hard-wiring
-// the dispatch at each call site. The one-pass engines have no driver loop
-// of their own: RunSweep feeds them (SweepStream) and emits their events.
+// the dispatch at each call site. No engine has a driver loop of its own:
+// every run, one-pass sweep, per-size size or single-design evaluation,
+// is a SweepStream that Feed drives and that emits the run's events.
 //
 // The soundness argument: the one-pass engines rely on Mattson stack
 // inclusion — at every instant, a larger fully-associative cache holds a
@@ -21,11 +22,11 @@ package core
 // One per-size engine serves them all, two-level hierarchies included; it
 // borrows a materialized stream instead of copying it.
 //
-// Array ownership: an engine that builds a simulator and drops it when the
-// sweep ends — the per-size and fan-out engines — Releases it, so the next
-// size or pass draws its frame and tag arrays from the cache package's
-// recycler instead of the heap. Code that is handed a simulator never
-// releases it.
+// Array ownership: core releases every simulator it builds when the run's
+// stream closes — each per-size size, each fan-out pass and each
+// evaluation — so the next run draws its frame and tag arrays from the
+// cache package's recycler instead of the heap. Code that is handed a
+// simulator never releases it.
 
 import (
 	"context"
@@ -177,9 +178,9 @@ var fanoutEngine = SweepEngine{
 	Open:     openFanout,
 }
 
-// perSizeEngine: the universal fallback — borrow the stream once, then run
-// an independent simulation per size (see newSizeSim). Sound for every
-// configuration by construction; slowest.
+// perSizeEngine: the universal fallback — borrow the stream once, then feed
+// it to an independent simulation per size, one stream at a time (see
+// openSizeSim). Sound for every configuration by construction; slowest.
 var perSizeEngine = SweepEngine{
 	Name:     "persize",
 	Supports: func(SweepSpec) bool { return true },
@@ -200,13 +201,11 @@ var perSizeEngine = SweepEngine{
 			if err != nil {
 				return SweepOut{}, err
 			}
-			sim.SetSink(sink, stage+":"+strconv.Itoa(size), int64(len(refs)))
-			_, err = sim.Run(trace.NewContextReader(ctx, trace.NewSliceReader(refs)), 0)
-			out[i], purges = sim.SizeResult(size), sim.Purges()
-			sim.Release()
-			if err != nil {
+			st := openSizeSim(sim, sink, stage+":"+strconv.Itoa(size), int64(len(refs)))
+			if _, err := st.Close(Feed(ctx, trace.NewSliceReader(refs), st)); err != nil {
 				return SweepOut{}, err
 			}
+			out[i], purges = sim.SizeResult(size), sim.Purges()
 		}
 		return SweepOut{Results: out, Purges: purges}, nil
 	},
@@ -215,8 +214,7 @@ var perSizeEngine = SweepEngine{
 // sizeSim is one design's simulation, in the per-size engine and the
 // exact single-design evaluation: a cache.System or a cache.Hierarchy.
 type sizeSim interface {
-	SetSink(s obs.Sink, stage string, totalRefs int64)
-	Run(rd trace.Reader, max int) (int, error)
+	Ref(r trace.Ref)
 	Purges() uint64
 	RefBytes() uint64
 	SizeResult(size int) cache.SizeResult
@@ -230,6 +228,56 @@ func newSizeSim(sc cache.SystemConfig, l2 *cache.Config) (sizeSim, error) {
 		return cache.NewSystem(sc)
 	}
 	return cache.NewHierarchy(cache.HierarchyConfig{L1: sc, L2: *l2})
+}
+
+// openSizeSim opens the stream of one design's simulation. Close emits its
+// batched reports (reportSizeSim) and releases the simulator, and returns
+// no results: the caller reads them from the simulator, whose statistics
+// stay readable. A sink Enabled for obs.KindMissCauses switches on the 3C
+// tracker of a System.
+func openSizeSim(sim sizeSim, sink obs.Sink, stage string, total int64) *SweepStream {
+	if sys, ok := sim.(*cache.System); ok && sink != nil && sink.Enabled(obs.KindMissCauses) {
+		sys.EnableMissCauses()
+	}
+	st := newSweepStream(sink, stage, total,
+		func(refs []trace.Ref) {
+			for _, r := range refs {
+				sim.Ref(r)
+			}
+		},
+		nil, sim.Release)
+	st.sim = sim
+	return st
+}
+
+// reportSizeSim emits a size simulation's batched reports, after its run
+// end: the 3C attribution summed over a System's caches when the sink
+// asked for it, then the victim-buffer hits and a Hierarchy's L2 totals —
+// from a System only when it has a victim buffer, from a Hierarchy always.
+func reportSizeSim(sink obs.Sink, stage string, sim sizeSim) {
+	switch sim := sim.(type) {
+	case *cache.System:
+		if sink.Enabled(obs.KindMissCauses) {
+			a, b, c := sim.MissCauses()
+			sink.Observe(obs.Event{Kind: obs.KindMissCauses, Stage: stage, Compulsory: a, Capacity: b, Conflict: c})
+		}
+		sc := sim.Config()
+		victim := sc.Unified.VictimLines > 0
+		if sc.Split {
+			victim = sc.I.VictimLines > 0 || sc.D.VictimLines > 0
+		}
+		if victim {
+			sink.Observe(obs.Event{Kind: obs.KindHierarchyRun, Stage: stage, VictimHits: sim.Stats().VictimHits})
+		}
+	case *cache.Hierarchy:
+		ev := sim.HierStats()
+		sink.Observe(obs.Event{
+			Kind: obs.KindHierarchyRun, Stage: stage,
+			L2Fetches: ev.Fetches, L2FetchMisses: ev.FetchMisses,
+			L2Writes: ev.Writes, L2WriteMisses: ev.WriteMisses,
+			VictimHits: sim.Stats().VictimHits,
+		})
+	}
 }
 
 // Engines returns the registered sweep engines in selection order: fastest

@@ -1,18 +1,22 @@
 package core
 
-// The one-pass engines' incremental form. A multisystem or fan-out sweep
-// needs each reference once, in order, and never again, so it can be fed
-// in chunks as the stream is produced: the experiments grid feeds a mix's
-// passes straight from its generator through one reusable buffer instead of
-// materializing the stream, and the engines' own Run is the same form fed
-// from a reader.
+// The incremental form of every simulation run. A multisystem or fan-out
+// sweep needs each reference once, in order, and never again, so it can be
+// fed in chunks as the stream is produced: the experiments grid feeds a
+// mix's passes straight from its generator through one reusable buffer
+// instead of materializing the stream, and the engines' own Run is the same
+// form fed from a reader. Each size of a per-size sweep and each
+// single-design evaluation runs as a stream too (openSizeSim), so
+// SweepStream is the one emitter of run events.
 
 import (
 	"context"
 	"io"
+	"time"
 
 	"cacheeval/internal/cache"
 	"cacheeval/internal/obs"
+	"cacheeval/internal/recycle"
 	"cacheeval/internal/trace"
 )
 
@@ -22,24 +26,36 @@ import (
 // land on the same reference counts as a per-reference loop's.
 const ChunkRefs = 4096
 
-// SweepStream is one sweep in incremental form: opened with its spec
-// (SweepEngine.Open), fed its stream in order (Feed), and ended with Close,
-// which returns the results. It emits the same events as the engine's Run
-// under its stage: run start when opened, progress every
-// obs.ProgressInterval references, run end when closed.
+// SweepStream is one run in incremental form: opened with its spec
+// (SweepEngine.Open, or openSizeSim for one design), fed its stream in
+// order (Feed), and ended with Close, which returns the results. It emits
+// the run's events under its stage: run start when opened, progress every
+// obs.ProgressInterval references, run end when closed, then the run's
+// batched reports. Every event method is a no-op on a nil sink.
 type SweepStream struct {
 	feed    func(refs []trace.Ref)
 	finish  func() SweepOut
 	release func()
-	run     *stageRun
-	n       int64
+	// sim is the design a size stream simulates (openSizeSim), whose
+	// batched reports follow the run end; nil for the one-pass sweeps.
+	sim   sizeSim
+	sink  obs.Sink
+	stage string
+	t0    time.Time
+	n     int64
 }
 
 // newSweepStream opens a stream over an engine's per-chunk loop, its
-// result assembly and its release (nil when the engine owns no recycled
-// arrays), emitting the run's start event.
+// result assembly (nil when the caller reads the simulator itself) and its
+// release (nil when the engine owns no recycled arrays), emitting the
+// run's start event.
 func newSweepStream(sink obs.Sink, stage string, total int64, feed func([]trace.Ref), finish func() SweepOut, release func()) *SweepStream {
-	return &SweepStream{feed: feed, finish: finish, release: release, run: startStage(sink, stage, int(total))}
+	st := &SweepStream{feed: feed, finish: finish, release: release, sink: sink, stage: stage}
+	if sink != nil {
+		st.t0 = time.Now()
+		sink.Observe(obs.Event{Kind: obs.KindRunStart, Stage: stage, Total: total})
+	}
+	return st
 }
 
 // Feed simulates the next references of the stream.
@@ -47,35 +63,47 @@ func (st *SweepStream) Feed(refs []trace.Ref) {
 	st.feed(refs)
 	n0 := st.n
 	st.n += int64(len(refs))
-	if st.run.sink == nil {
+	if st.sink == nil {
 		return
 	}
 	for next := (n0/obs.ProgressInterval + 1) * obs.ProgressInterval; next <= st.n; next += obs.ProgressInterval {
-		st.run.sink.Observe(obs.Event{Kind: obs.KindProgress, Stage: st.run.stage, Refs: next})
+		st.sink.Observe(obs.Event{Kind: obs.KindProgress, Stage: st.stage, Refs: next})
 	}
 }
 
-// Close ends the run: it emits the run's end event and releases the
-// engine. With a nil err it returns the sweep's results; otherwise it
-// returns err. Every opened stream must be closed exactly once, on every
-// path, so its events stay paired and its arrays return to the recycler.
+// Close ends the run: it emits the run's end event and batched reports,
+// and releases the simulator. With a nil err it returns the run's results
+// (none for a size stream, whose simulator's statistics stay readable);
+// otherwise it returns err. Every opened stream must be closed exactly
+// once, on every path, so its events stay paired and its arrays return to
+// the recycler.
 func (st *SweepStream) Close(err error) (SweepOut, error) {
-	st.run.end(st.n)
+	if st.sink != nil {
+		st.sink.Observe(obs.Event{Kind: obs.KindRunEnd, Stage: st.stage, Refs: st.n, Elapsed: time.Since(st.t0)})
+		if st.sim != nil {
+			reportSizeSim(st.sink, st.stage, st.sim)
+		}
+	}
 	if st.release != nil {
 		defer st.release()
 	}
-	if err != nil {
+	if err != nil || st.finish == nil {
 		return SweepOut{}, err
 	}
 	return st.finish(), nil
 }
 
+// chunkPool recycles Feed's chunk buffers, so a reader that cannot lend
+// its slice costs one pooled buffer per in-flight Feed, not a fresh 64 KB
+// per call.
+var chunkPool recycle.Pool[trace.Ref]
+
 // Feed drives streams from rd until its end, handing each chunk to every
 // stream in turn. A reader that can share its backing slice (trace.Slicer)
 // is fed from that slice without a copy; any other is read into one
-// ChunkRefs buffer, reused for every chunk. The context is checked between
-// chunks. Feed returns the first error — rd's or the context's — and
-// leaves closing the streams to the caller.
+// ChunkRefs buffer, drawn from a recycler and reused for every chunk. The
+// context is checked between chunks. Feed returns the first error — rd's
+// or the context's — and leaves closing the streams to the caller.
 func Feed(ctx context.Context, rd trace.Reader, streams ...*SweepStream) error {
 	feed := func(chunk []trace.Ref) error {
 		if err := ctx.Err(); err != nil {
@@ -98,7 +126,8 @@ func Feed(ctx context.Context, rd trace.Reader, streams ...*SweepStream) error {
 			return nil
 		}
 	}
-	buf := make([]trace.Ref, ChunkRefs)
+	buf := chunkPool.Get(ChunkRefs)
+	defer chunkPool.Put(buf)
 	for {
 		n := 0
 		for ; n < len(buf); n++ {

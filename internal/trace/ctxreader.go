@@ -1,9 +1,6 @@
 package trace
 
-import (
-	"context"
-	"io"
-)
+import "context"
 
 // ctxCheckInterval is how many references a ContextReader passes through
 // between context polls. Polling every reference would put an atomic load on
@@ -15,8 +12,8 @@ const ctxCheckInterval = 1024
 // ContextReader wraps a Reader and aborts the stream with the context's
 // error once the context is cancelled or its deadline passes. It is how
 // long-running simulations honour per-request deadlines: every layer that
-// consumes the stream (System.Run, Collect, core.Feed) stops at the
-// first non-EOF error.
+// consumes the stream (Collect, Borrow, core.Feed) stops at the first
+// non-EOF error.
 type ContextReader struct {
 	ctx   context.Context
 	r     Reader
@@ -56,26 +53,4 @@ func (c *ContextReader) RestSlice() ([]Ref, bool) {
 		return sl.RestSlice()
 	}
 	return nil, false
-}
-
-// Skip forwards to the wrapped reader's Skipper when it has one (checking
-// the context once per call — a skip does no simulation work, so coarser
-// cancellation granularity costs nothing), and otherwise discards
-// references one Read at a time.
-func (c *ContextReader) Skip(n int) (int, error) {
-	if err := c.ctx.Err(); err != nil {
-		return 0, err
-	}
-	if sk, ok := c.r.(Skipper); ok {
-		return sk.Skip(n)
-	}
-	for i := 0; i < n; i++ {
-		if _, err := c.Read(); err != nil {
-			if err == io.EOF {
-				return i, nil
-			}
-			return i, err
-		}
-	}
-	return n, nil
 }

@@ -97,15 +97,6 @@ type ReaderFunc func() (Ref, error)
 // Read calls f.
 func (f ReaderFunc) Read() (Ref, error) { return f() }
 
-// Skipper is implemented by readers that can discard references without
-// materializing them. A consumer that skips long stretches of a stream can
-// use it to avoid a per-reference Read call. Skip returns how many
-// references were actually discarded, which is less than n only when the
-// stream ended first.
-type Skipper interface {
-	Skip(n int) (int, error)
-}
-
 // Slicer is implemented by readers that can hand out their remaining
 // references as a shared slice without copying. Borrow uses it so that
 // consumers needing the whole stream in memory (the per-size sweep
@@ -133,19 +124,6 @@ func (s *SliceReader) Read() (Ref, error) {
 	r := s.refs[s.pos]
 	s.pos++
 	return r, nil
-}
-
-// Skip discards up to n references in O(1), returning how many were
-// available.
-func (s *SliceReader) Skip(n int) (int, error) {
-	if n <= 0 {
-		return 0, nil
-	}
-	if rem := len(s.refs) - s.pos; n > rem {
-		n = rem
-	}
-	s.pos += n
-	return n, nil
 }
 
 // RestSlice returns the remaining references as a view of the underlying

@@ -199,28 +199,6 @@ func TestReaderFunc(t *testing.T) {
 	}
 }
 
-func TestSliceReaderSkip(t *testing.T) {
-	refs := []Ref{{Addr: 1}, {Addr: 2}, {Addr: 3}, {Addr: 4}}
-	r := NewSliceReader(refs)
-	if n, err := r.Skip(0); n != 0 || err != nil {
-		t.Fatalf("Skip(0) = %d, %v", n, err)
-	}
-	if n, err := r.Skip(2); n != 2 || err != nil {
-		t.Fatalf("Skip(2) = %d, %v", n, err)
-	}
-	got, err := r.Read()
-	if err != nil || got.Addr != 3 {
-		t.Fatalf("Read after Skip = %+v, %v, want Addr 3", got, err)
-	}
-	// Skipping past the end is clamped, not an error.
-	if n, err := r.Skip(10); n != 1 || err != nil {
-		t.Fatalf("Skip(10) = %d, %v, want 1", n, err)
-	}
-	if _, err := r.Read(); err != io.EOF {
-		t.Fatalf("exhausted Read err = %v, want io.EOF", err)
-	}
-}
-
 func TestSliceReaderRestSlice(t *testing.T) {
 	refs := []Ref{{Addr: 1}, {Addr: 2}, {Addr: 3}}
 	r := NewSliceReader(refs)
@@ -244,46 +222,34 @@ func TestSliceReaderRestSlice(t *testing.T) {
 	}
 }
 
-func TestContextReaderSkipAndRestSlice(t *testing.T) {
+func TestContextReaderRestSlice(t *testing.T) {
 	refs := []Ref{{Addr: 1}, {Addr: 2}, {Addr: 3}, {Addr: 4}}
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	r := NewContextReader(ctx, NewSliceReader(refs))
-	sk, ok := r.(Skipper)
-	if !ok {
-		t.Fatal("ContextReader must implement Skipper")
-	}
-	if n, err := sk.Skip(2); n != 2 || err != nil {
-		t.Fatalf("Skip = %d, %v", n, err)
+	for range 2 {
+		if _, err := r.Read(); err != nil {
+			t.Fatal(err)
+		}
 	}
 	rest, ok := r.(Slicer).RestSlice()
 	if !ok || len(rest) != 2 || rest[0].Addr != 3 {
 		t.Fatalf("RestSlice = %+v, %v", rest, ok)
 	}
-	// After cancellation: Skip errors, RestSlice declines.
+	// After cancellation: RestSlice declines.
 	r2 := NewContextReader(ctx, NewSliceReader(refs))
 	cancel()
-	if _, err := r2.(Skipper).Skip(1); err == nil {
-		t.Error("Skip after cancel must fail")
-	}
 	if _, ok := r2.(Slicer).RestSlice(); ok {
 		t.Error("RestSlice after cancel must decline")
 	}
 }
 
-func TestContextReaderSkipFallback(t *testing.T) {
-	// An inner reader without Skip: the wrapper discards one Read at a time
-	// and converts EOF into a short count.
+func TestContextReaderFallback(t *testing.T) {
+	// An inner reader that cannot lend its slice.
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	inner := NewSliceReader([]Ref{{Addr: 1}, {Addr: 2}, {Addr: 3}})
 	r := NewContextReader(ctx, ReaderFunc(inner.Read))
-	if n, err := r.(Skipper).Skip(2); n != 2 || err != nil {
-		t.Fatalf("Skip = %d, %v", n, err)
-	}
-	if n, err := r.(Skipper).Skip(5); n != 1 || err != nil {
-		t.Fatalf("Skip past EOF = %d, %v, want 1, nil", n, err)
-	}
 	if _, ok := r.(Slicer).RestSlice(); ok {
 		t.Error("RestSlice over a non-Slicer inner reader must decline")
 	}
