@@ -297,8 +297,14 @@ type multiSim struct {
 	lines []int // sorted distinct line counts, ascending
 	k     int
 
-	nodes   []msNode
-	index   map[uint64]int32
+	nodes []msNode
+	// slots is the line index: an open-addressed table keyed by
+	// nodes[ni].line (Fibonacci hashing, linear probing), each slot holding
+	// ni+1, 0 meaning empty. It is at most half full and doubles by
+	// reinserting every node; node indices never move, and lines leave
+	// only at a purge, which empties the whole table.
+	slots   []int32
+	shift   uint // 64 - log2(len(slots))
 	head    int32
 	tail    int32
 	markers []int32 // markers[i]: node just outside size i, -1 if not yet full
@@ -322,12 +328,14 @@ type multiSim struct {
 type msNode struct {
 	line       uint64
 	prev, next int32
-	// out is the number of sizes this line is currently outside of.
-	out int32
+	// out is the number of sizes this line is currently outside of. It
+	// is at most k, and k < 64 because the sizes are distinct powers of
+	// two.
+	out int16
 	// lo is the first size index at which the line is still dirty: the
 	// running max of out over reads since the last write. Valid only when
 	// written is set.
-	lo      int32
+	lo      int16
 	written bool
 }
 
@@ -336,7 +344,8 @@ func newMultiSim(lines []int) *multiSim {
 	return &multiSim{
 		lines:         lines,
 		k:             k,
-		index:         make(map[uint64]int32, 1024),
+		slots:         make([]int32, 1<<minSlotsLog),
+		shift:         64 - minSlotsLog,
 		head:          -1,
 		tail:          -1,
 		markers:       newMarkers(k),
@@ -348,6 +357,9 @@ func newMultiSim(lines []int) *multiSim {
 		dirtyDiff:     make([]int64, k+1),
 	}
 }
+
+// minSlotsLog is log2 of the line index's initial length.
+const minSlotsLog = 6
 
 func newMarkers(k int) []int32 {
 	m := make([]int32, k)
@@ -365,9 +377,19 @@ func (s *multiSim) access(line uint64, write bool) int {
 	if write {
 		s.writeAccesses++
 	}
-	ni, ok := s.index[line]
-	if !ok {
-		return s.cold(line, write)
+	mask := uint32(len(s.slots) - 1)
+	i := uint32((line * fibMult) >> s.shift)
+	var ni int32
+	for {
+		v := s.slots[i]
+		if v == 0 {
+			return s.cold(line, write, i)
+		}
+		if s.nodes[v-1].line == line {
+			ni = v - 1
+			break
+		}
+		i = (i + 1) & mask
 	}
 	n := &s.nodes[ni]
 	ub := int(n.out)
@@ -394,16 +416,17 @@ func (s *multiSim) access(line uint64, write bool) int {
 	if write {
 		n.written = true
 		n.lo = 0
-	} else if n.written && int32(ub) > n.lo {
-		n.lo = int32(ub)
+	} else if n.written && int16(ub) > n.lo {
+		n.lo = int16(ub)
 	}
 	n.out = 0
 	s.moveToFront(ni)
 	return ub
 }
 
-// cold handles a first-touch (in this purge epoch) access.
-func (s *multiSim) cold(line uint64, write bool) int {
+// cold handles a first-touch (in this purge epoch) access; slot is the
+// empty index slot access's probe ended at.
+func (s *multiSim) cold(line uint64, write bool, slot uint32) int {
 	k := s.k
 	s.missHist[k]++
 	if write {
@@ -425,9 +448,26 @@ func (s *multiSim) cold(line uint64, write bool) int {
 	}
 	ni := int32(len(s.nodes))
 	s.nodes = append(s.nodes, msNode{line: line, prev: -1, next: -1, written: write})
-	s.index[line] = ni
+	s.slots[slot] = ni + 1
+	if 2*len(s.nodes) > len(s.slots) {
+		s.grow()
+	}
 	s.pushFront(ni)
 	return k
+}
+
+// grow doubles the line index and reinserts every node.
+func (s *multiSim) grow() {
+	s.slots = make([]int32, 2*len(s.slots))
+	s.shift--
+	mask := uint32(len(s.slots) - 1)
+	for ni := range s.nodes {
+		i := uint32((s.nodes[ni].line * fibMult) >> s.shift)
+		for s.slots[i] != 0 {
+			i = (i + 1) & mask
+		}
+		s.slots[i] = int32(ni) + 1
+	}
 }
 
 // settle accounts the pushes that have not yet been attributed: every line
@@ -456,7 +496,7 @@ func (s *multiSim) settle(purge bool) {
 	}
 	if purge {
 		s.nodes = s.nodes[:0]
-		clear(s.index)
+		clear(s.slots)
 		s.head, s.tail = -1, -1
 		for i := range s.markers {
 			s.markers[i] = -1

@@ -59,6 +59,58 @@ func TestMultiSystemMatchesPerSizeRuns(t *testing.T) {
 			}
 		}
 	}
+	// A workload that grows the engine's line index from its initial 64
+	// slots to at least 16384 in one purge epoch: four members, each
+	// rebased at (i+1)<<33 so their lines differ only in high bits,
+	// interleaved 1000 references at a time. The nonzero quantum purges
+	// once the index has grown, so the second epoch runs on a grown,
+	// cleared index.
+	refs := wideStream(4, 15000, 1000)
+	const half = 30000
+	if n := distinctLines(refs[:half], 16); n < 5000 {
+		t.Fatalf("wide stream's first %d references touch %d distinct lines, want >= 5000", half, n)
+	}
+	for _, sizes := range append(sizeGrids, []int{1024, 65536, 131072}) {
+		for _, q := range []int{0, half} {
+			for _, split := range []bool{false, true} {
+				g := simcheck.Grid{Sizes: sizes, LineSize: 16, Split: split}
+				w := simcheck.Workload{Name: fmt.Sprintf("wide(q=%d)", q), Refs: refs, Quantum: q}
+				label := fmt.Sprintf("wide sizes=%v quantum=%d split=%v", sizes, q, split)
+				mustCompare(t, label, conform(t, simcheck.MultiEngine{}, g, w), conform(t, simcheck.SystemEngine{}, g, w))
+			}
+		}
+	}
+}
+
+// wideStream interleaves members synthetic streams of n references each,
+// chunk references at a time, with member i's addresses rebased at
+// (i+1)<<33.
+func wideStream(members, n, chunk int) []trace.Ref {
+	streams := make([][]trace.Ref, members)
+	for i := range streams {
+		streams[i] = simcheck.Stream(int64(100+i), n)
+		for j := range streams[i] {
+			streams[i][j].Addr += uint64(i+1) << 33
+		}
+	}
+	var refs []trace.Ref
+	for at := 0; at < n; at += chunk {
+		for _, st := range streams {
+			refs = append(refs, st[at:min(at+chunk, n)]...)
+		}
+	}
+	return refs
+}
+
+// distinctLines counts the lineSize-byte lines refs touch.
+func distinctLines(refs []trace.Ref, lineSize uint64) int {
+	seen := make(map[uint64]bool)
+	for _, r := range refs {
+		for a := r.Addr / lineSize; a <= (r.Addr+uint64(max(r.Size, 1))-1)/lineSize; a++ {
+			seen[a] = true
+		}
+	}
+	return len(seen)
 }
 
 // TestMultiSystemMatchesReferenceModel closes the loop against the naive

@@ -172,3 +172,54 @@ func TestEvaluateAllocBytes(t *testing.T) {
 		t.Errorf("warmed generator-fed evaluate allocated %d bytes, want <= %d", least, bound)
 	}
 }
+
+// TestSweepAllocBytes pins the bytes a warmed demand-LRU sweep allocates:
+// one RunSweep over BenchmarkMultiSystem's input (FGO1, 100k references,
+// the twelve sizes 32 B-64 KB, quantum 20000), which selects the one-pass
+// stack engine. The engine's line index is an open-addressed table of
+// 4-byte slots and its stack nodes are 24 bytes: the sweep allocates
+// 123048 bytes (go1.24, linux/amd64), and the bound is that plus 10%. With
+// a Go map for the index and 32-byte nodes it allocated 208000. The
+// table's growth does not depend on the runtime's map layout, so the
+// figure does not move between Go versions. Like
+// TestSweepRecyclesCacheArrays, it runs on one P.
+func TestSweepAllocBytes(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	spec, err := workload.ByName("FGO1")
+	if err != nil {
+		t.Fatal(err)
+	}
+	rd, err := spec.Open()
+	if err != nil {
+		t.Fatal(err)
+	}
+	refs, err := trace.Collect(rd, 100000, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var sizes []int
+	for size := 32; size <= 64<<10; size *= 2 {
+		sizes = append(sizes, size)
+	}
+	sweep := SweepSpec{Sizes: sizes, LineSize: 16, Quantum: 20000}
+	if name := SelectEngine(sweep).Name; name != "multisystem" {
+		t.Fatalf("sweep selects %s, want multisystem", name)
+	}
+	least := uint64(math.MaxUint64)
+	for i := range 4 {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		if _, err := RunSweep(context.Background(), sweep, trace.NewSliceReader(refs), obs.Discard, "allocs", int64(len(refs))); err != nil {
+			t.Fatal(err)
+		}
+		runtime.ReadMemStats(&after)
+		if i > 0 { // the first call warms the recycler
+			least = min(least, after.TotalAlloc-before.TotalAlloc)
+		}
+	}
+	t.Logf("warmed demand-LRU sweep: %d bytes", least)
+	const bound = 135353
+	if least > bound {
+		t.Errorf("warmed demand-LRU sweep allocated %d bytes, want <= %d", least, bound)
+	}
+}

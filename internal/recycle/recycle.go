@@ -12,10 +12,14 @@ package recycle
 import (
 	"math/bits"
 	"sync"
+	"unsafe"
 )
 
 // Pool recycles []T by capacity class: class k holds slices of capacity
-// exactly 1<<k. The zero value is ready to use and safe for concurrent use.
+// exactly 1<<k, each filed as a pointer to its first element. An interface
+// holds a pointer without allocating, where a slice header would have to
+// move to the heap on every Put. The zero value is ready to use and safe
+// for concurrent use.
 type Pool[T any] struct {
 	classes [bits.UintSize]sync.Pool
 }
@@ -27,8 +31,8 @@ func (p *Pool[T]) Get(n int) []T {
 		return nil
 	}
 	k := bits.Len(uint(n - 1))
-	if a, ok := p.classes[k].Get().(*[]T); ok {
-		return (*a)[:n]
+	if e, ok := p.classes[k].Get().(*T); ok {
+		return unsafe.Slice(e, 1<<k)[:n]
 	}
 	return make([]T, n, 1<<k)
 }
@@ -41,6 +45,5 @@ func (p *Pool[T]) Put(a []T) {
 	if c == 0 || c&(c-1) != 0 {
 		return
 	}
-	a = a[:c]
-	p.classes[bits.TrailingZeros(uint(c))].Put(&a)
+	p.classes[bits.TrailingZeros(uint(c))].Put(&a[:c][0])
 }

@@ -30,3 +30,15 @@ func TestPutIgnoresForeignSlices(t *testing.T) {
 		t.Errorf("Get(5) after foreign Puts: cap %d, want 8", cap(a))
 	}
 }
+
+// TestPutGetRoundTrip checks that a slice filed by Put comes back from Get
+// with its class's full capacity, whatever length it was put with.
+func TestPutGetRoundTrip(t *testing.T) {
+	var p Pool[int]
+	for _, n := range []int{0, 3, 8} {
+		p.Put(make([]int, n, 8))
+		if a := p.Get(5); len(a) != 5 || cap(a) != 8 {
+			t.Errorf("Get(5) after Put of len %d cap 8: len %d cap %d, want len 5 cap 8", n, len(a), cap(a))
+		}
+	}
+}
