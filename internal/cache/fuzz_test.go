@@ -2,10 +2,12 @@ package cache_test
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 
 	"cacheeval/internal/cache"
 	"cacheeval/internal/simcheck"
+	"cacheeval/internal/trace"
 )
 
 // FuzzConfigValidate fuzzes the configuration space: Validate must never
@@ -88,6 +90,68 @@ func FuzzConfigValidate(f *testing.F) {
 			if got, want := c.Stats(), oracle.Stats(); got != want {
 				t.Fatalf("%+v: stats diverge\n  impl %+v\noracle %+v", cfg, got, want)
 			}
+		}
+	})
+}
+
+// FuzzMissCauses checks 3C miss attribution against a naive model. A seed
+// draws a simcheck.RandConfig (the seeds below cover sectored,
+// set-associative, prefetching, victim-buffered and write-through
+// no-allocate caches) and a simcheck.Stream, purged every quantum
+// references. The model sees every demand access: a fetch unit it has
+// never seen is compulsory, one missing from a slice LRU of
+// Size/EffectiveSubBlock units is capacity, any other is conflict. It
+// records a cause only when the cache's Stats().Misses rises, and a purge
+// clears its LRU but not its seen set.
+func FuzzMissCauses(f *testing.F) {
+	for seed := range int64(40) {
+		f.Add(seed, []uint16{0, 53, 800}[seed%3])
+	}
+	f.Fuzz(func(t *testing.T, seed int64, quantum uint16) {
+		rng := rand.New(rand.NewSource(seed))
+		cfg := simcheck.RandConfig(rng)
+		c, err := cache.New(cfg)
+		if err != nil {
+			t.Fatalf("RandConfig drew an invalid %+v: %v", cfg, err)
+		}
+		c.EnableMissCauses()
+		sub := uint64(cfg.EffectiveSubBlock())
+		capUnits := cfg.Size / cfg.EffectiveSubBlock()
+		seen := map[uint64]bool{}
+		var lru []uint64 // most recently used first
+		var want [3]uint64
+		for i, r := range simcheck.Stream(rng.Int63(), 5000) {
+			if quantum > 0 && i > 0 && i%int(quantum) == 0 {
+				c.Purge()
+				lru = lru[:0]
+			}
+			unit := r.Addr / sub
+			everSeen := seen[unit]
+			seen[unit] = true
+			at := slices.Index(lru, unit)
+			if at >= 0 {
+				lru = slices.Delete(lru, at, at+1)
+			} else if len(lru) == capUnits {
+				lru = lru[:len(lru)-1]
+			}
+			lru = slices.Insert(lru, 0, unit)
+			before := c.Stats().Misses
+			c.Access(r.Addr, r.Kind == trace.Write, int(r.Size))
+			if c.Stats().Misses == before {
+				continue
+			}
+			switch {
+			case !everSeen:
+				want[0]++
+			case at < 0:
+				want[1]++
+			default:
+				want[2]++
+			}
+		}
+		a, b, d := c.MissCauses()
+		if got := [3]uint64{a, b, d}; got != want {
+			t.Fatalf("%+v quantum %d: MissCauses %v, model %v", cfg, quantum, got, want)
 		}
 	})
 }
