@@ -36,8 +36,11 @@ func runAllocs[E runner](t *testing.T, build func() (E, error), setup func(E), r
 // references — nothing grows per reference. The engines take no sink (core
 // emits every run event, and core's test of the same name pins a run's
 // stream with and without one), so what stays here is the loop itself and
-// the 3C tracker: a System with EnableMissCauses allocates per new line,
-// and those allocations show at 4N, which keeps the pin honest.
+// the 3C tracker. A warmed System with EnableMissCauses is flat too: its
+// shadow is a cache built with the System, and its seen set already holds
+// every unit of the stream. The control keeps that pin honest: a fresh
+// tracker's seen set grows with the distinct fetch units a run touches, so
+// a 4N stream over four times the units must allocate more.
 func TestSinkAllocsPerRun(t *testing.T) {
 	const n = 70000
 	short, long := simcheck.Stream(7, n), simcheck.Stream(7, 4*n)
@@ -60,7 +63,31 @@ func TestSinkAllocsPerRun(t *testing.T) {
 		flat(t, runAllocs(t, newHierarchy, nil, short), runAllocs(t, newHierarchy, nil, long))
 	})
 	causes := (*cache.System).EnableMissCauses
-	if a, b := runAllocs(t, newSystem, causes, short), runAllocs(t, newSystem, causes, long); b <= a {
-		t.Errorf("3C tracker: %v allocs per Run at %d refs, %v at %d; the pin cannot see it", a, n, b, 4*n)
+	t.Run("MissCauses", func(t *testing.T) {
+		flat(t, runAllocs(t, newSystem, causes, short), runAllocs(t, newSystem, causes, long))
+	})
+	fresh := func(refs []trace.Ref) float64 {
+		return testing.AllocsPerRun(1, func() {
+			s, err := newSystem()
+			if err != nil {
+				t.Fatal(err)
+			}
+			s.EnableMissCauses()
+			if _, err := s.Run(trace.NewSliceReader(refs), 0); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	spread := make([]trace.Ref, 0, 4*n)
+	for i := range uint64(4) {
+		for _, r := range short {
+			r.Addr += i << 20
+			spread = append(spread, r)
+		}
+	}
+	a, b := fresh(short), fresh(spread)
+	t.Logf("fresh 3C tracker: allocs per Run %v/%v (N/4N over 4x the units)", a, b)
+	if b <= a {
+		t.Errorf("fresh 3C tracker: %v allocs per Run at %d refs, %v at %d over 4x the units; the pin cannot see growth", a, n, b, 4*n)
 	}
 }

@@ -62,10 +62,6 @@ type node struct {
 	freq       int32 // LFU use count; unused by other policies
 }
 
-// linearScanAssoc is the largest associativity for which a set finds tags
-// by scanning its frames directly; larger sets use an open-addressed table.
-const linearScanAssoc = 8
-
 // chain is one doubly linked list of frames within a set, with its length.
 type chain struct {
 	head, tail int32
@@ -80,20 +76,14 @@ type chain struct {
 // ghosts and p carrying the B1/B2 tag history and the adaptive target.
 //
 // The index keeps the per-reference path allocation-free. Small sets
-// (assoc <= linearScanAssoc) leave table nil and scan frames directly —
-// at typical associativities a handful of comparisons beats any hashing.
-// Larger sets (fully associative caches route every line here) use an
-// open-addressed table of (tag, frame) slots with Fibonacci hashing,
-// linear probing at load factor <= 1/2, and backward-shift deletion
-// (Knuth vol. 3 §6.4, Algorithm R) so probe chains never grow tombstones.
-// Tags live in the slots so a probe costs one cache line, not a dependent
-// load into the frame array.
+// (assoc <= linearScanAssoc) leave the table's slots nil and scan frames
+// directly — at typical associativities a handful of comparisons beats any
+// hashing. Larger sets find tags through a tagTable.
 type set struct {
 	nodes []node
 	lists [2]chain
 	used  int32
-	table []tagSlot
-	shift uint // 64 - log2(len(table)); home slot = (tag * phi) >> shift
+	table tagTable
 
 	// ARC state: B1/B2 ghost tag lists (most-recently-evicted first), the
 	// adaptive target size of T1, and a free-frame stack balancing evictions
@@ -103,62 +93,20 @@ type set struct {
 	free   []int32
 }
 
-// tagSlot is one open-addressing slot: the stored tag and its frame index
-// (-1 = empty).
-type tagSlot struct {
-	tag uint64
-	ni  int32
-}
-
-// fibMult is 2^64 / golden ratio, the Fibonacci-hashing multiplier.
-const fibMult = 0x9E3779B97F4A7C15
-
-// tableLen returns the tag-table length a set of assoc frames indexes with:
-// zero for scanned sets, else the power of two at least 2*assoc (load
-// factor <= 1/2).
-func tableLen(assoc int) int {
-	if assoc <= linearScanAssoc {
-		return 0
+// newSet returns an empty set over the given frame array and tag-table
+// slots (nil for a scanned set), resetting both.
+func newSet(nodes []node, slots []tagSlot) set {
+	clear(nodes)
+	return set{
+		nodes: nodes,
+		lists: [2]chain{{head: -1, tail: -1}, {head: -1, tail: -1}},
+		table: newTagTable(slots),
 	}
-	return 1 << bits.Len(uint(2*assoc-1))
-}
-
-// newSet returns an empty set over the given frame array and tag table
-// (nil for a scanned set), resetting both.
-func newSet(nodes []node, table []tagSlot) set {
-	s := set{nodes: nodes, table: table}
-	if table != nil {
-		s.shift = 64 - uint(bits.TrailingZeros(uint(len(table))))
-	}
-	s.reset()
-	return s
-}
-
-// reset empties the set in place, keeping its frame and table arrays: no
-// frame in use, empty lists and tag table, no ARC ghosts, target or free
-// frames.
-func (s *set) reset() {
-	clear(s.nodes)
-	s.lists[0] = chain{head: -1, tail: -1}
-	s.lists[1] = chain{head: -1, tail: -1}
-	s.used = 0
-	for i := range s.table {
-		s.table[i] = tagSlot{ni: -1}
-	}
-	s.ghosts[0] = s.ghosts[0][:0]
-	s.ghosts[1] = s.ghosts[1][:0]
-	s.p = 0
-	s.free = s.free[:0]
-}
-
-// home returns a tag's preferred table slot.
-func (s *set) home(tag uint64) uint32 {
-	return uint32((tag * fibMult) >> s.shift)
 }
 
 // lookup finds the frame holding tag, if resident.
 func (s *set) lookup(tag uint64) (int32, bool) {
-	if s.table == nil {
+	if s.table.slots == nil {
 		for i := int32(0); i < s.used; i++ {
 			if n := &s.nodes[i]; n.present && n.tag == tag {
 				return i, true
@@ -166,61 +114,7 @@ func (s *set) lookup(tag uint64) (int32, bool) {
 		}
 		return -1, false
 	}
-	mask := uint32(len(s.table) - 1)
-	for i := s.home(tag); ; i = (i + 1) & mask {
-		sl := &s.table[i]
-		if sl.ni < 0 {
-			return -1, false
-		}
-		if sl.tag == tag {
-			return sl.ni, true
-		}
-	}
-}
-
-// idxInsert records that frame ni now holds tag. The tag must be absent.
-func (s *set) idxInsert(tag uint64, ni int32) {
-	if s.table == nil {
-		return
-	}
-	mask := uint32(len(s.table) - 1)
-	i := s.home(tag)
-	for s.table[i].ni >= 0 {
-		i = (i + 1) & mask
-	}
-	s.table[i] = tagSlot{tag: tag, ni: ni}
-}
-
-// idxDelete removes a resident tag from the table, back-shifting the probe
-// chain into the hole so later lookups need no tombstones.
-func (s *set) idxDelete(tag uint64) {
-	if s.table == nil {
-		return
-	}
-	mask := uint32(len(s.table) - 1)
-	i := s.home(tag)
-	for s.table[i].ni < 0 || s.table[i].tag != tag {
-		i = (i + 1) & mask
-	}
-	for {
-		s.table[i].ni = -1
-		j := i
-		for {
-			j = (j + 1) & mask
-			sl := s.table[j]
-			if sl.ni < 0 {
-				return
-			}
-			// Leave sl in place if its home lies cyclically in (i, j] —
-			// moving it to i would put it before its probe chain starts.
-			if (j-s.home(sl.tag))&mask < (j-i)&mask {
-				continue
-			}
-			s.table[i] = sl
-			break
-		}
-		i = j
-	}
+	return s.table.lookup(tag)
 }
 
 // New returns a Cache for cfg. It returns an error if cfg is invalid.
@@ -228,6 +122,11 @@ func New(cfg Config) (*Cache, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
+	return build(cfg), nil
+}
+
+// build returns a Cache for a valid cfg.
+func build(cfg Config) *Cache {
 	sub := cfg.EffectiveSubBlock()
 	c := &Cache{
 		cfg:       cfg,
@@ -259,11 +158,11 @@ func New(cfg Config) (*Cache, error) {
 		vb := newSet(framePool.Get(n), slotPool.Get(tableLen(n)))
 		c.vbuf = &vb
 	}
-	return c, nil
+	return c
 }
 
-// Release hands the cache's frame and tag arrays back for reuse by later
-// constructors and leaves the cache unusable: a later access panics
+// Release hands the cache's frame and tag arrays, and its 3C shadow's, back
+// for reuse by later constructors and leaves the cache unusable: a later access panics
 // instead of touching arrays another cache may own. Call it only when
 // nothing else holds the cache; releasing twice is a no-op.
 func (c *Cache) Release() {
@@ -271,7 +170,10 @@ func (c *Cache) Release() {
 	slotPool.Put(c.slots)
 	if c.vbuf != nil {
 		framePool.Put(c.vbuf.nodes)
-		slotPool.Put(c.vbuf.table)
+		slotPool.Put(c.vbuf.table.slots)
+	}
+	if c.causes != nil {
+		c.causes.shadow.Release()
 	}
 	c.sets, c.frames, c.slots, c.vbuf = nil, nil, nil, nil
 }
@@ -372,7 +274,7 @@ func (c *Cache) demand(addr uint64, write bool, storeBytes int) (hit, firstUse b
 	}
 	var cause missCause
 	if c.causes != nil {
-		cause = c.causes.access(addr >> c.subShift)
+		cause = c.causes.access(addr)
 	}
 	s := &c.sets[line&c.setMask]
 	ni, ok := s.lookup(line)
@@ -389,7 +291,7 @@ func (c *Cache) demand(addr uint64, write bool, storeBytes int) (hit, firstUse b
 	}
 	c.stats.Misses++
 	if c.causes != nil {
-		c.causes.record(cause)
+		c.causes.counts[cause]++
 	}
 	if write {
 		c.stats.WriteMisses++
@@ -573,7 +475,7 @@ func (c *Cache) insert(s *set, line uint64, valid uint64, prefetched bool) int32
 	if prefetched {
 		n.freq = 0
 	}
-	s.idxInsert(line, ni)
+	s.table.insert(line, ni)
 	s.pushFront(0, ni)
 	return ni
 }
@@ -688,7 +590,7 @@ func (c *Cache) arcInsert(s *set, line uint64, valid uint64, prefetched bool) in
 	n.dirty = 0
 	n.prefetched = prefetched
 	n.freq = 0
-	s.idxInsert(line, ni)
+	s.table.insert(line, ni)
 	s.pushFront(li, ni)
 	return ni
 }
@@ -765,7 +667,7 @@ func ghostDropLRU(g []uint64) []uint64 { return g[:len(g)-1] }
 func (c *Cache) push(s *set, ni int32, purge bool) {
 	n := &s.nodes[ni]
 	c.accountPush(n, purge)
-	s.idxDelete(n.tag)
+	s.table.delete(n.tag)
 	s.unlink(ni)
 	n.present = false
 	n.valid = 0
@@ -818,7 +720,7 @@ func (c *Cache) evictLine(s *set, ni int32) {
 	tag, valid, dirty := n.tag, n.valid, n.dirty
 	// Leave the main array without push accounting: the line stays inside
 	// the cache subsystem.
-	s.idxDelete(tag)
+	s.table.delete(tag)
 	s.unlink(ni)
 	n.present = false
 	n.valid = 0
@@ -838,7 +740,7 @@ func (c *Cache) evictLine(s *set, ni int32) {
 	vn.dirty = dirty
 	vn.prefetched = false
 	vn.freq = 0
-	vb.idxInsert(tag, vi)
+	vb.table.insert(tag, vi)
 	vb.pushFront(0, vi)
 }
 
@@ -861,7 +763,7 @@ func (c *Cache) vbufFrame() int32 {
 func (c *Cache) vbufRemove(vi int32) {
 	vb := c.vbuf
 	n := &vb.nodes[vi]
-	vb.idxDelete(n.tag)
+	vb.table.delete(n.tag)
 	vb.unlink(vi)
 	n.present = false
 	n.valid = 0
@@ -876,7 +778,7 @@ func (c *Cache) vbufPush(vi int32, purge bool) {
 	vb := c.vbuf
 	n := &vb.nodes[vi]
 	c.accountPush(n, purge)
-	vb.idxDelete(n.tag)
+	vb.table.delete(n.tag)
 	vb.unlink(vi)
 	n.present = false
 	n.valid = 0
@@ -917,7 +819,7 @@ func (c *Cache) Purge() {
 		vb.free = vb.free[:0]
 	}
 	if c.causes != nil {
-		c.causes.purge()
+		c.causes.shadow.Purge()
 	}
 }
 
@@ -1021,9 +923,9 @@ func (c *Cache) checkInvariants() error {
 			return fmt.Errorf("set %d: ghost lists exceed directory bound (B1=%d B2=%d resident=%d)",
 				si, len(s.ghosts[0]), len(s.ghosts[1]), seen)
 		}
-		if s.table != nil {
+		if s.table.slots != nil {
 			occupied := 0
-			for _, sl := range s.table {
+			for _, sl := range s.table.slots {
 				if sl.ni < 0 {
 					continue
 				}

@@ -12,13 +12,15 @@ const (
 	causeConflict
 )
 
-// causeTracker attributes demand misses by running a fully-associative LRU
-// shadow directory of the same capacity alongside the real cache, at
-// fetch-unit granularity. A unit never seen before is a compulsory miss; a
+// causeTracker attributes demand misses by running a fully associative LRU
+// shadow cache of the same capacity alongside the real cache, one shadow
+// line per fetch unit. A unit never seen before is a compulsory miss; a
 // unit absent from the shadow is a capacity miss; a unit the shadow still
-// holds is a conflict miss. Task-switch purges clear the shadow (the
-// fully-associative comparison cache is purged too) but not the seen set —
-// a re-fetch after a purge is not the first reference.
+// holds is a conflict miss. Task-switch purges purge the shadow too but
+// not the seen set — a re-fetch after a purge is not the first reference.
+// The shadow's arrays come from the recycler and go back with the real
+// cache's on Release; the seen set is a Go map, since it must remember
+// every unit the run has referenced.
 //
 // The shadow follows the demand stream only; prefetched lines do not enter
 // it (prefetch fills are traffic, not misses, so they are never
@@ -28,50 +30,28 @@ const (
 // The tracker is optional and nil by default — the hot path pays only a
 // nil check when attribution is off.
 type causeTracker struct {
-	cap    int                   // shadow capacity in fetch units
-	seen   map[uint64]struct{}   // every unit ever demand-referenced
-	shadow map[uint64]*shadowEnt // resident shadow units
-	head   *shadowEnt            // MRU
-	tail   *shadowEnt            // LRU
+	seen   map[uint64]struct{} // every unit ever demand-referenced
+	shadow *Cache              // fully associative LRU, LineSize = fetch unit
 	counts [3]uint64
-}
-
-// shadowEnt is one fetch unit in the shadow LRU list.
-type shadowEnt struct {
-	unit       uint64
-	prev, next *shadowEnt
 }
 
 func newCauseTracker(cfg Config) *causeTracker {
 	return &causeTracker{
-		cap:    cfg.Size / cfg.EffectiveSubBlock(),
 		seen:   make(map[uint64]struct{}),
-		shadow: make(map[uint64]*shadowEnt),
+		shadow: build(Config{Size: cfg.Size, LineSize: cfg.EffectiveSubBlock()}),
 	}
 }
 
-// access classifies a demand reference to a fetch unit and updates the
-// shadow. The classification only matters when the real cache misses; the
-// caller records it then.
-func (t *causeTracker) access(unit uint64) missCause {
+// access classifies a demand reference to the fetch unit holding addr and
+// updates the shadow. The classification only matters when the real cache
+// misses; the caller counts it then.
+func (t *causeTracker) access(addr uint64) missCause {
+	unit := t.shadow.LineOf(addr)
 	_, everSeen := t.seen[unit]
 	if !everSeen {
 		t.seen[unit] = struct{}{}
 	}
-	e, inShadow := t.shadow[unit]
-	if inShadow {
-		t.toFront(e)
-	} else {
-		if len(t.shadow) >= t.cap {
-			lru := t.tail
-			t.remove(lru)
-			delete(t.shadow, lru.unit)
-		}
-		e = &shadowEnt{unit: unit}
-		t.shadow[unit] = e
-		t.insertFront(e)
-	}
-	switch {
+	switch inShadow := t.shadow.Access(addr, false, 0); {
 	case !everSeen:
 		return causeCompulsory
 	case !inShadow:
@@ -81,60 +61,19 @@ func (t *causeTracker) access(unit uint64) missCause {
 	}
 }
 
-// record counts a classified miss.
-func (t *causeTracker) record(c missCause) { t.counts[c]++ }
-
-// purge empties the shadow directory; the seen set survives.
-func (t *causeTracker) purge() {
-	clear(t.shadow)
-	t.head, t.tail = nil, nil
-}
-
-func (t *causeTracker) insertFront(e *shadowEnt) {
-	e.prev = nil
-	e.next = t.head
-	if t.head != nil {
-		t.head.prev = e
-	}
-	t.head = e
-	if t.tail == nil {
-		t.tail = e
-	}
-}
-
-func (t *causeTracker) remove(e *shadowEnt) {
-	if e.prev != nil {
-		e.prev.next = e.next
-	} else {
-		t.head = e.next
-	}
-	if e.next != nil {
-		e.next.prev = e.prev
-	} else {
-		t.tail = e.prev
-	}
-	e.prev, e.next = nil, nil
-}
-
-func (t *causeTracker) toFront(e *shadowEnt) {
-	if t.head == e {
-		return
-	}
-	t.remove(e)
-	t.insertFront(e)
-}
-
 // EnableMissCauses turns on 3C miss attribution for this cache. It must be
 // called before the first access; attribution costs a map lookup and a
-// shadow-list update per demand reference.
+// shadow-cache access per demand reference, and the shadow's arrays (one
+// frame per fetch unit of capacity) are released with the cache's.
 func (c *Cache) EnableMissCauses() {
 	if c.causes == nil {
 		c.causes = newCauseTracker(c.cfg)
 	}
 }
 
-// MissCauses returns the per-cause demand-miss counts accumulated so far.
-// All three are zero unless EnableMissCauses was called.
+// MissCauses returns the per-cause demand-miss counts accumulated so far;
+// they stay readable after Release. All three are zero unless
+// EnableMissCauses was called.
 func (c *Cache) MissCauses() (compulsory, capacity, conflict uint64) {
 	if c.causes == nil {
 		return 0, 0, 0

@@ -282,11 +282,11 @@ func (f *FanoutSystem) Results() []SizeResult {
 
 // fanoutCache is one size's cache array: a specialization of Cache to the
 // engine's fixed policy (fully associative, LRU, copy-back, unsectored,
-// prefetch-always). The structure mirrors set — an intrusive recency list
-// over a frame arena plus a linear-scan (small) or open-addressed (large)
-// tag index — but with the policy dispatch stripped and the per-frame state
-// packed into 24 bytes (tag, two links, a flag byte; no sector masks), so
-// the list and index operations that dominate the fan-out hot path touch
+// prefetch-always). Like set it keeps an intrusive recency list over a
+// frame arena and finds tags by scanning a small arena or through set's
+// tagTable, but its recency list has no policy dispatch and packs the
+// per-frame state into 24 bytes (tag, two links, a flag byte; no sector
+// masks), so the list operations that dominate the fan-out hot path touch
 // half the memory the generic set would. Statistics are accounted exactly
 // as Cache does so the equivalence is bit-for-bit.
 type fanoutCache struct {
@@ -294,8 +294,7 @@ type fanoutCache struct {
 	head  int32
 	tail  int32
 	used  int32
-	table []tagSlot
-	shift uint // 64 - log2(len(table)); home slot = (tag * phi) >> shift
+	table tagTable
 
 	lineBytes uint64
 
@@ -337,23 +336,16 @@ const (
 func newFanoutCaches(lines []int, lineBytes uint64) []fanoutCache {
 	out := make([]fanoutCache, len(lines))
 	for i, l := range lines {
-		c := fanoutCache{
-			nodes: fanFramePool.Get(l), head: -1, tail: -1,
+		out[i] = fanoutCache{
+			nodes:     fanFramePool.Get(l),
+			head:      -1,
+			tail:      -1,
+			table:     newTagTable(slotPool.Get(tableLen(l))),
 			lineBytes: lineBytes,
 			lastNode:  [3]int32{-1, -1, -1},
 			probeNode: [3]int32{-1, -1, -1},
 		}
-		clear(c.nodes)
-		// Same index strategy as set: scan small arenas directly, index
-		// larger ones with an open-addressed table at ≤50% load.
-		if m := tableLen(l); m > 0 {
-			c.table = slotPool.Get(m)
-			for j := range c.table {
-				c.table[j].ni = -1
-			}
-			c.shift = 64 - log2(m)
-		}
-		out[i] = c
+		clear(out[i].nodes)
 	}
 	return out
 }
@@ -363,14 +355,14 @@ func newFanoutCaches(lines []int, lineBytes uint64) []fanoutCache {
 func releaseFanoutCaches(cs []fanoutCache) {
 	for i := range cs {
 		fanFramePool.Put(cs[i].nodes)
-		slotPool.Put(cs[i].table)
-		cs[i].nodes, cs[i].table = nil, nil
+		slotPool.Put(cs[i].table.slots)
+		cs[i].nodes, cs[i].table = nil, tagTable{}
 	}
 }
 
 // lookup finds the frame holding tag, if resident.
 func (c *fanoutCache) lookup(tag uint64) (int32, bool) {
-	if c.table == nil {
+	if c.table.slots == nil {
 		for i := int32(0); i < c.used; i++ {
 			if n := &c.nodes[i]; n.flags&fanPresent != 0 && n.tag == tag {
 				return i, true
@@ -378,59 +370,7 @@ func (c *fanoutCache) lookup(tag uint64) (int32, bool) {
 		}
 		return -1, false
 	}
-	mask := uint32(len(c.table) - 1)
-	for i := uint32((tag * fibMult) >> c.shift); ; i = (i + 1) & mask {
-		sl := &c.table[i]
-		if sl.ni < 0 {
-			return -1, false
-		}
-		if sl.tag == tag {
-			return sl.ni, true
-		}
-	}
-}
-
-// idxInsert records tag's frame in the open-addressed table.
-func (c *fanoutCache) idxInsert(tag uint64, ni int32) {
-	if c.table == nil {
-		return
-	}
-	mask := uint32(len(c.table) - 1)
-	i := uint32((tag * fibMult) >> c.shift)
-	for c.table[i].ni >= 0 {
-		i = (i + 1) & mask
-	}
-	c.table[i] = tagSlot{tag: tag, ni: ni}
-}
-
-// idxDelete removes a resident tag from the table, back-shifting the probe
-// chain exactly as set.idxDelete does.
-func (c *fanoutCache) idxDelete(tag uint64) {
-	if c.table == nil {
-		return
-	}
-	mask := uint32(len(c.table) - 1)
-	i := uint32((tag * fibMult) >> c.shift)
-	for c.table[i].ni < 0 || c.table[i].tag != tag {
-		i = (i + 1) & mask
-	}
-	for {
-		c.table[i].ni = -1
-		j := i
-		for {
-			j = (j + 1) & mask
-			sl := c.table[j]
-			if sl.ni < 0 {
-				return
-			}
-			home := uint32((sl.tag * fibMult) >> c.shift)
-			if (j-home)&mask >= (j-i)&mask {
-				c.table[i] = sl
-				break
-			}
-		}
-		i = j
-	}
+	return c.table.lookup(tag)
 }
 
 // pushFront makes frame ni the recency-list head.
@@ -557,7 +497,7 @@ func (c *fanoutCache) insert(line uint64, flags uint8) (int32, *fanNode) {
 	n := &c.nodes[ni]
 	n.tag = line
 	n.flags = fanPresent | flags
-	c.idxInsert(line, ni)
+	c.table.insert(line, ni)
 	c.pushFront(ni)
 	return ni, n
 }
@@ -571,7 +511,7 @@ func (c *fanoutCache) evict(ni int32) {
 		c.stats.WriteTransactions++
 		c.stats.BytesToMemory += c.lineBytes
 	}
-	c.idxDelete(n.tag)
+	c.table.delete(n.tag)
 	c.unlink(ni)
 	n.flags = 0
 }
@@ -592,9 +532,7 @@ func (c *fanoutCache) purge() {
 		n.flags = 0
 	}
 	c.head, c.tail, c.used = -1, -1, 0
-	for i := range c.table {
-		c.table[i].ni = -1
-	}
+	c.table.reset()
 }
 
 // purgeFanoutCaches purges one organization's array at every size.

@@ -188,7 +188,8 @@ func TestFanoutRecycledMatchesNew(t *testing.T) {
 
 // TestUseAfterReleasePanics checks that a released simulator cannot go on
 // silently sharing arrays another simulator now owns, and that a second
-// Release does not hand the same arrays out twice.
+// Release does not hand the same arrays out twice — a 3C shadow's
+// included. A released cache's miss causes stay readable.
 func TestUseAfterReleasePanics(t *testing.T) {
 	ref := trace.Ref{Addr: 64, Size: 4, Kind: trace.Read}
 	mustPanic := func(name string, f func()) {
@@ -209,6 +210,30 @@ func TestUseAfterReleasePanics(t *testing.T) {
 	a, b := mustCache(t, cfg), mustCache(t, cfg)
 	if &a.frames[0] == &b.frames[0] {
 		t.Error("a double Release handed one frame array to two caches")
+	}
+
+	fa := Config{Size: 1024, LineSize: 16}
+	c = mustCache(t, fa)
+	c.EnableMissCauses()
+	for _, addr := range []uint64{0, 2048, 0, 4096} {
+		c.Access(addr, false, 0)
+	}
+	x, y, z := c.MissCauses()
+	c.Release()
+	c.Release()
+	if a, b, d := c.MissCauses(); a != x || b != y || d != z || x != 3 {
+		t.Errorf("MissCauses after Release: %d/%d/%d, before %d/%d/%d (3 compulsory)", a, b, d, x, y, z)
+	}
+	mustPanic("Cache.Access with miss causes", func() { c.Access(0, false, 0) })
+	a, b = mustCache(t, fa), mustCache(t, fa)
+	a.EnableMissCauses()
+	b.EnableMissCauses()
+	drawn := map[*node]bool{}
+	for _, frames := range [][]node{a.frames, b.frames, a.causes.shadow.frames, b.causes.shadow.frames} {
+		drawn[&frames[0]] = true
+	}
+	if len(drawn) != 4 {
+		t.Error("a double Release handed one frame array to two caches or shadows")
 	}
 
 	sys, err := NewSystem(splitSC(512))

@@ -77,8 +77,11 @@ func (causeSink) Enabled(obs.Kind) bool { return true }
 // times). A measurement is the least of three runs, each after a
 // collection: a cost per reference shows in every run, a runtime
 // allocation that happens to land in one run does not. A sink Enabled for
-// obs.KindMissCauses does switch the tracker on, and its per-reference
-// allocations show at 4N, which keeps the pin honest.
+// obs.KindMissCauses does switch the tracker on: its shadow cache comes
+// from the recycler and its seen set grows only with the distinct fetch
+// units, so that run is flat at N and 4N too. The control keeps the pin
+// honest: a 4N stream whose four copies lie in four disjoint regions
+// touches four times the units, and must allocate more.
 func TestSinkAllocsPerRun(t *testing.T) {
 	n := obs.ProgressInterval + 5000
 	short := simcheck.Stream(7, n)
@@ -129,9 +132,24 @@ func TestSinkAllocsPerRun(t *testing.T) {
 			}
 		})
 	}
-	if a, b := allocs(evaluate, causeSink{}, short), allocs(evaluate, causeSink{}, long); b <= a {
-		t.Errorf("3C tracker: %v allocs per run at %d refs, %v at %d; the pin cannot see it", a, n, b, 4*n)
-	}
+	t.Run("MissCauses", func(t *testing.T) {
+		spread := make([]trace.Ref, 0, 4*n)
+		for i := range uint64(4) {
+			for _, r := range short {
+				r.Addr += i << 20
+				spread = append(spread, r)
+			}
+		}
+		atN, at4N := allocs(evaluate, causeSink{}, short), allocs(evaluate, causeSink{}, long)
+		spread4N := allocs(evaluate, causeSink{}, spread)
+		t.Logf("allocs per run: %v/%v (N/4N), %v over 4x the units", atN, at4N, spread4N)
+		if atN != at4N {
+			t.Errorf("3C tracker: allocations grow with the stream: %v→%v", atN, at4N)
+		}
+		if spread4N <= atN {
+			t.Errorf("3C tracker: %v allocs per run at %d refs, %v at %d over 4x the units; the pin cannot see growth", atN, n, spread4N, 4*n)
+		}
+	})
 }
 
 // TestEvaluateAllocBytes pins the bytes a warmed, generator-fed
@@ -143,6 +161,37 @@ func TestSinkAllocsPerRun(t *testing.T) {
 // every call; releasing the simulator at Close brings the run to about
 // 33 KB. Like TestSweepRecyclesCacheArrays, it runs on one P.
 func TestEvaluateAllocBytes(t *testing.T) {
+	least := evaluateAllocBytes(t, context.Background())
+	t.Logf("warmed generator-fed evaluate: %d bytes", least)
+	const bound = 114912
+	if least > bound {
+		t.Errorf("warmed generator-fed evaluate allocated %d bytes, want <= %d", least, bound)
+	}
+}
+
+// TestEvaluateCausesAllocBytes is TestEvaluateAllocBytes under a sink
+// Enabled for obs.KindMissCauses, as every cold evaluate in the service
+// runs: the 3C tracker's shadow is a cache whose arrays come from the
+// recycler, and what it allocates is its seen set, a Go map of every fetch
+// unit the run references. The evaluate allocates 182072 bytes (go1.24,
+// linux/amd64), and 134904 with the map layout of earlier Go versions
+// (GOEXPERIMENT=noswissmap; go1.22 itself not run); a shadow kept as a map
+// and a heap-allocated list entry per insert allocated 388888. The bound
+// is the go1.24 figure plus 40%.
+func TestEvaluateCausesAllocBytes(t *testing.T) {
+	least := evaluateAllocBytes(t, obs.WithSink(context.Background(), causeSink{}))
+	t.Logf("warmed generator-fed evaluate with 3C attribution: %d bytes", least)
+	const bound = 256000
+	if least > bound {
+		t.Errorf("warmed generator-fed evaluate with 3C attribution allocated %d bytes, want <= %d", least, bound)
+	}
+}
+
+// evaluateAllocBytes returns the least bytes a warmed, generator-fed
+// EvaluateContext of FGO1 (16 KB unified, 100k references) allocates
+// under ctx, on one P.
+func evaluateAllocBytes(t *testing.T, ctx context.Context) uint64 {
+	t.Helper()
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	spec, err := workload.ByName("FGO1")
 	if err != nil {
@@ -158,7 +207,7 @@ func TestEvaluateAllocBytes(t *testing.T) {
 	for i := range 4 {
 		var before, after runtime.MemStats
 		runtime.ReadMemStats(&before)
-		if _, err := EvaluateContext(context.Background(), design, mix, 100000); err != nil {
+		if _, err := EvaluateContext(ctx, design, mix, 100000); err != nil {
 			t.Fatal(err)
 		}
 		runtime.ReadMemStats(&after)
@@ -166,11 +215,7 @@ func TestEvaluateAllocBytes(t *testing.T) {
 			least = min(least, after.TotalAlloc-before.TotalAlloc)
 		}
 	}
-	t.Logf("warmed generator-fed evaluate: %d bytes", least)
-	const bound = 114912
-	if least > bound {
-		t.Errorf("warmed generator-fed evaluate allocated %d bytes, want <= %d", least, bound)
-	}
+	return least
 }
 
 // TestSweepAllocBytes pins the bytes a warmed demand-LRU sweep allocates:
