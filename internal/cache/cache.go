@@ -161,8 +161,8 @@ func build(cfg Config) *Cache {
 	return c
 }
 
-// Release hands the cache's frame and tag arrays, and its 3C shadow's, back
-// for reuse by later constructors and leaves the cache unusable: a later access panics
+// Release hands the cache's frame and tag arrays back for reuse by later
+// constructors and leaves the cache unusable: a later access panics
 // instead of touching arrays another cache may own. Call it only when
 // nothing else holds the cache; releasing twice is a no-op.
 func (c *Cache) Release() {
@@ -171,9 +171,6 @@ func (c *Cache) Release() {
 	if c.vbuf != nil {
 		framePool.Put(c.vbuf.nodes)
 		slotPool.Put(c.vbuf.table.slots)
-	}
-	if c.causes != nil {
-		c.causes.shadow.Release()
 	}
 	c.sets, c.frames, c.slots, c.vbuf = nil, nil, nil, nil
 }

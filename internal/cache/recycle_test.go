@@ -188,8 +188,9 @@ func TestFanoutRecycledMatchesNew(t *testing.T) {
 
 // TestUseAfterReleasePanics checks that a released simulator cannot go on
 // silently sharing arrays another simulator now owns, and that a second
-// Release does not hand the same arrays out twice — a 3C shadow's
-// included. A released cache's miss causes stay readable.
+// Release does not hand the same arrays out twice, also with 3C
+// attribution on, whose shadow draws from the same pools. A released
+// cache's miss causes stay readable.
 func TestUseAfterReleasePanics(t *testing.T) {
 	ref := trace.Ref{Addr: 64, Size: 4, Kind: trace.Read}
 	mustPanic := func(name string, f func()) {
@@ -233,7 +234,7 @@ func TestUseAfterReleasePanics(t *testing.T) {
 		drawn[&frames[0]] = true
 	}
 	if len(drawn) != 4 {
-		t.Error("a double Release handed one frame array to two caches or shadows")
+		t.Error("a double Release with miss causes on handed one frame array out twice")
 	}
 
 	sys, err := NewSystem(splitSC(512))

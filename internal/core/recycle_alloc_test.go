@@ -171,17 +171,17 @@ func TestEvaluateAllocBytes(t *testing.T) {
 
 // TestEvaluateCausesAllocBytes is TestEvaluateAllocBytes under a sink
 // Enabled for obs.KindMissCauses, as every cold evaluate in the service
-// runs: the 3C tracker's shadow is a cache whose arrays come from the
-// recycler, and what it allocates is its seen set, a Go map of every fetch
-// unit the run references. The evaluate allocates 182072 bytes (go1.24,
-// linux/amd64), and 134904 with the map layout of earlier Go versions
-// (GOEXPERIMENT=noswissmap; go1.22 itself not run); a shadow kept as a map
-// and a heap-allocated list entry per insert allocated 388888. The bound
-// is the go1.24 figure plus 40%.
+// runs. The 3C tracker allocates its shadow cache's arrays (81,920 bytes
+// at this size; they are not released, see causeTracker) and its seen
+// set, a Go map of every fetch unit the run references. The evaluate
+// allocates 263,992 bytes (go1.24, linux/amd64), and 217,096 with the map
+// layout of earlier Go versions (GOEXPERIMENT=noswissmap; go1.22 itself
+// not run); a shadow kept as a map and a heap-allocated list entry per
+// insert allocated 388,888. The bound is the go1.24 figure plus about 20%.
 func TestEvaluateCausesAllocBytes(t *testing.T) {
 	least := evaluateAllocBytes(t, obs.WithSink(context.Background(), causeSink{}))
 	t.Logf("warmed generator-fed evaluate with 3C attribution: %d bytes", least)
-	const bound = 256000
+	const bound = 320000
 	if least > bound {
 		t.Errorf("warmed generator-fed evaluate with 3C attribution allocated %d bytes, want <= %d", least, bound)
 	}

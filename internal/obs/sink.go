@@ -35,7 +35,8 @@ type Event struct {
 	Elapsed time.Duration // run wall time
 
 	// 3C miss causes ([Hill]'s classification via a same-capacity
-	// fully-associative LRU shadow), from the per-size engine only.
+	// fully-associative LRU shadow), from a single-level System's run
+	// only: a single-design evaluation or a per-size engine size.
 	Compulsory, Capacity, Conflict uint64
 
 	L2Fetches, L2FetchMisses, L2Writes, L2WriteMisses, VictimHits uint64

@@ -132,8 +132,9 @@ func (s *Server) buildProm() {
 // simSink feeds the engine metric families from engine events. One
 // instance serves every concurrent simulation; stage identity travels in
 // the events, so no per-run state is needed. Its Enabled covers
-// obs.KindMissCauses, which switches the per-size engine onto the 3C
-// attribution path whose totals land here at the end of each run.
+// obs.KindMissCauses, which switches every single-design evaluation and
+// per-size engine run of a single-level design onto the 3C attribution
+// path, whose totals land here at the end of each run.
 type simSink struct{ s *Server }
 
 // Enabled reports the kinds Observe counts.
