@@ -98,60 +98,91 @@ func FuzzConfigValidate(f *testing.F) {
 // draws a simcheck.RandConfig (the seeds below cover sectored,
 // set-associative, prefetching, victim-buffered and write-through
 // no-allocate caches) and a simcheck.Stream, purged every quantum
-// references. The model sees every demand access: a fetch unit it has
-// never seen is compulsory, one missing from a slice LRU of
-// Size/EffectiveSubBlock units is capacity, any other is conflict. It
-// records a cause only when the cache's Stats().Misses rises, and a purge
-// clears its LRU but not its seen set.
+// references; checkMissCauses holds the model.
 func FuzzMissCauses(f *testing.F) {
 	for seed := range int64(40) {
 		f.Add(seed, []uint16{0, 53, 800}[seed%3])
 	}
 	f.Fuzz(func(t *testing.T, seed int64, quantum uint16) {
 		rng := rand.New(rand.NewSource(seed))
-		cfg := simcheck.RandConfig(rng)
-		c, err := cache.New(cfg)
-		if err != nil {
-			t.Fatalf("RandConfig drew an invalid %+v: %v", cfg, err)
-		}
-		c.EnableMissCauses()
-		sub := uint64(cfg.EffectiveSubBlock())
-		capUnits := cfg.Size / cfg.EffectiveSubBlock()
-		seen := map[uint64]bool{}
-		var lru []uint64 // most recently used first
-		var want [3]uint64
-		for i, r := range simcheck.Stream(rng.Int63(), 5000) {
-			if quantum > 0 && i > 0 && i%int(quantum) == 0 {
-				c.Purge()
-				lru = lru[:0]
-			}
-			unit := r.Addr / sub
-			everSeen := seen[unit]
-			seen[unit] = true
-			at := slices.Index(lru, unit)
-			if at >= 0 {
-				lru = slices.Delete(lru, at, at+1)
-			} else if len(lru) == capUnits {
-				lru = lru[:len(lru)-1]
-			}
-			lru = slices.Insert(lru, 0, unit)
-			before := c.Stats().Misses
-			c.Access(r.Addr, r.Kind == trace.Write, int(r.Size))
-			if c.Stats().Misses == before {
-				continue
-			}
-			switch {
-			case !everSeen:
-				want[0]++
-			case at < 0:
-				want[1]++
-			default:
-				want[2]++
-			}
-		}
-		a, b, d := c.MissCauses()
-		if got := [3]uint64{a, b, d}; got != want {
-			t.Fatalf("%+v quantum %d: MissCauses %v, model %v", cfg, quantum, got, want)
-		}
+		checkMissCauses(t, simcheck.RandConfig(rng), simcheck.Stream(rng.Int63(), 5000), int(quantum))
 	})
+}
+
+// TestMissCausesShadowGrowth runs checkMissCauses on caches of 8192
+// fetch units, twice the 4096 the 3C shadow starts with, over a stream
+// spread over four times simcheck.Stream's addresses so that it touches
+// more units than that between purges: the shadow doubles mid-run and
+// later evicts at full size, so a grown shadow that lost lines or their
+// LRU order shows up as misattributed misses.
+func TestMissCausesShadowGrowth(t *testing.T) {
+	for _, cfg := range []cache.Config{
+		{Size: 32768, LineSize: 4},                        // fully associative
+		{Size: 32768, LineSize: 4, Assoc: 1},              // direct mapped
+		{Size: 32768, LineSize: 8, SubBlock: 4, Assoc: 2}, // sectored
+		{Size: 32768, LineSize: 16, SubBlock: 4, Assoc: 16},
+		{Size: 32768, LineSize: 4, Assoc: 4, Fetch: cache.PrefetchOnMiss},
+	} {
+		for _, quantum := range []int{0, 15000} {
+			refs := simcheck.Stream(int64(cfg.LineSize+cfg.Assoc+quantum), 30000)
+			for i := range refs {
+				refs[i].Addr *= 4
+			}
+			checkMissCauses(t, cfg, refs, quantum)
+		}
+	}
+}
+
+// checkMissCauses runs refs through a cause-enabled cache of cfg, purged
+// every quantum references (0 = never), and checks MissCauses against a
+// naive model. The model sees every demand access: a fetch unit it has
+// never seen is compulsory, one missing from a slice LRU of
+// Size/EffectiveSubBlock units is capacity, any other is conflict. It
+// records a cause only when the cache's Stats().Misses rises, and a purge
+// clears its LRU but not its seen set.
+func checkMissCauses(t *testing.T, cfg cache.Config, refs []trace.Ref, quantum int) {
+	t.Helper()
+	c, err := cache.New(cfg)
+	if err != nil {
+		t.Fatalf("invalid %+v: %v", cfg, err)
+	}
+	c.EnableMissCauses()
+	sub := uint64(cfg.EffectiveSubBlock())
+	capUnits := cfg.Size / cfg.EffectiveSubBlock()
+	seen := map[uint64]bool{}
+	var lru []uint64 // most recently used first
+	var want [3]uint64
+	for i, r := range refs {
+		if quantum > 0 && i > 0 && i%quantum == 0 {
+			c.Purge()
+			lru = lru[:0]
+		}
+		unit := r.Addr / sub
+		everSeen := seen[unit]
+		seen[unit] = true
+		at := slices.Index(lru, unit)
+		if at >= 0 {
+			lru = slices.Delete(lru, at, at+1)
+		} else if len(lru) == capUnits {
+			lru = lru[:len(lru)-1]
+		}
+		lru = slices.Insert(lru, 0, unit)
+		before := c.Stats().Misses
+		c.Access(r.Addr, r.Kind == trace.Write, int(r.Size))
+		if c.Stats().Misses == before {
+			continue
+		}
+		switch {
+		case !everSeen:
+			want[0]++
+		case at < 0:
+			want[1]++
+		default:
+			want[2]++
+		}
+	}
+	a, b, d := c.MissCauses()
+	if got := [3]uint64{a, b, d}; got != want {
+		t.Fatalf("%+v quantum %d: MissCauses %v, model %v", cfg, quantum, got, want)
+	}
 }

@@ -161,7 +161,7 @@ func TestSinkAllocsPerRun(t *testing.T) {
 // every call; releasing the simulator at Close brings the run to about
 // 33 KB. Like TestSweepRecyclesCacheArrays, it runs on one P.
 func TestEvaluateAllocBytes(t *testing.T) {
-	least := evaluateAllocBytes(t, context.Background())
+	least := evaluateAllocBytes(t, context.Background(), evaluateDesign)
 	t.Logf("warmed generator-fed evaluate: %d bytes", least)
 	const bound = 114912
 	if least > bound {
@@ -174,12 +174,12 @@ func TestEvaluateAllocBytes(t *testing.T) {
 // runs. The 3C tracker allocates its shadow cache's arrays (81,920 bytes
 // at this size; they are not released, see causeTracker) and its seen
 // set, a Go map of every fetch unit the run references. The evaluate
-// allocates 263,992 bytes (go1.24, linux/amd64), and 217,096 with the map
+// allocates 263,992 bytes (go1.24, linux/amd64), and 216,488 with the map
 // layout of earlier Go versions (GOEXPERIMENT=noswissmap; go1.22 itself
 // not run); a shadow kept as a map and a heap-allocated list entry per
 // insert allocated 388,888. The bound is the go1.24 figure plus about 20%.
 func TestEvaluateCausesAllocBytes(t *testing.T) {
-	least := evaluateAllocBytes(t, obs.WithSink(context.Background(), causeSink{}))
+	least := evaluateAllocBytes(t, obs.WithSink(context.Background(), causeSink{}), evaluateDesign)
 	t.Logf("warmed generator-fed evaluate with 3C attribution: %d bytes", least)
 	const bound = 320000
 	if least > bound {
@@ -187,10 +187,34 @@ func TestEvaluateCausesAllocBytes(t *testing.T) {
 	}
 }
 
+// TestEvaluateCausesLargeDesignAllocBytes is TestEvaluateCausesAllocBytes
+// for a design cut into many fetch units: 16 MiB unified, the largest
+// cache the service accepts, with 64-byte lines and 1-byte sub-blocks,
+// 16M units. The shadow grows with the units the run references: the
+// evaluate allocates 5,021,928 bytes (go1.24, linux/amd64), and 4,194,952
+// with the map layout of earlier Go versions (GOEXPERIMENT=noswissmap). A
+// shadow built at full capacity, 16M frames and 32M tag slots, would
+// allocate about 1.3 GB; a shadow kept as a map and a heap-allocated list
+// entry per insert allocated 5,688,112. The bound is the go1.24 figure
+// plus about 20%.
+func TestEvaluateCausesLargeDesignAllocBytes(t *testing.T) {
+	design := cache.SystemConfig{Unified: cache.Config{Size: 16 << 20, LineSize: 64, SubBlock: 1}}
+	least := evaluateAllocBytes(t, obs.WithSink(context.Background(), causeSink{}), design)
+	t.Logf("warmed generator-fed evaluate of %v with 3C attribution: %d bytes", design.Unified, least)
+	const bound = 6000000
+	if least > bound {
+		t.Errorf("warmed generator-fed evaluate of %v with 3C attribution allocated %d bytes, want <= %d", design.Unified, least, bound)
+	}
+}
+
+// evaluateDesign is the design TestEvaluateAllocBytes evaluates: 16 KB
+// unified with 16-byte lines.
+var evaluateDesign = cache.SystemConfig{Unified: cache.Config{Size: 16384, LineSize: 16}}
+
 // evaluateAllocBytes returns the least bytes a warmed, generator-fed
-// EvaluateContext of FGO1 (16 KB unified, 100k references) allocates
-// under ctx, on one P.
-func evaluateAllocBytes(t *testing.T, ctx context.Context) uint64 {
+// EvaluateContext of design over FGO1 (100k references, purged at FGO1's
+// quantum) allocates under ctx, on one P.
+func evaluateAllocBytes(t *testing.T, ctx context.Context, design cache.SystemConfig) uint64 {
 	t.Helper()
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	spec, err := workload.ByName("FGO1")
@@ -202,7 +226,7 @@ func evaluateAllocBytes(t *testing.T, ctx context.Context) uint64 {
 		t.Fatal(err)
 	}
 	mix := workload.Mix{Name: spec.Name, Specs: []workload.Spec{spec}, Quantum: arch.PurgeInterval}
-	design := cache.SystemConfig{Unified: cache.Config{Size: 16384, LineSize: 16}, PurgeInterval: mix.Quantum}
+	design.PurgeInterval = mix.Quantum
 	least := uint64(math.MaxUint64)
 	for i := range 4 {
 		var before, after runtime.MemStats
