@@ -56,8 +56,10 @@ bench-smoke:
 
 # Interleaved end-to-end benchmark pairs (bench/, BENCHMARK.json): the
 # PARENT revision against the working tree on one WORKLOAD, PAIRS runs per
-# side with a 25 s window, then the `bench/run.sh compare` table. See
-# scripts/benchpairs.sh. BENCH_2..7.json are kept as history.
+# side with a 25 s window, then the `bench/run.sh compare` table. The
+# parent runs from a temporary `git clone --shared` of the repository, so
+# the pairs write nothing under .git. See scripts/benchpairs.sh.
+# BENCH_2..7.json are kept as history.
 PARENT ?= HEAD
 WORKLOAD ?= grid-stack
 PAIRS ?= 5

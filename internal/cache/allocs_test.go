@@ -37,10 +37,12 @@ func runAllocs[E runner](t *testing.T, build func() (E, error), setup func(E), r
 // emits every run event, and core's test of the same name pins a run's
 // stream with and without one), so what stays here is the loop itself and
 // the 3C tracker. A warmed System with EnableMissCauses is flat too: its
-// shadow is a cache built with the System, and its seen set already holds
-// every unit of the stream. The control keeps that pin honest: a fresh
-// tracker's seen set grows with the distinct fetch units a run touches, so
-// a 4N stream over four times the units must allocate more.
+// fully associative LRU cache is its own shadow, and its seen set already
+// holds every unit of the stream. The control keeps that pin honest: a
+// fresh tracker's seen set grows with the distinct fetch units a run
+// touches, so a 4N stream over four times the units must allocate more.
+// The stream's 4,096 units lie on 128 pages of the seen set, so the four
+// copies 1 MB apart need a larger table than one.
 func TestSinkAllocsPerRun(t *testing.T) {
 	const n = 70000
 	short, long := simcheck.Stream(7, n), simcheck.Stream(7, 4*n)

@@ -270,7 +270,7 @@ func (c *Cache) demand(addr uint64, write bool, storeBytes int) (hit, firstUse b
 		c.combineLive = false
 	}
 	var cause missCause
-	if c.causes != nil {
+	if c.causes != nil && c.causes.shadow != nil {
 		cause = c.causes.access(addr)
 	}
 	s := &c.sets[line&c.setMask]
@@ -288,7 +288,7 @@ func (c *Cache) demand(addr uint64, write bool, storeBytes int) (hit, firstUse b
 	}
 	c.stats.Misses++
 	if c.causes != nil {
-		c.causes.counts[cause]++
+		c.causes.miss(addr, cause)
 	}
 	if write {
 		c.stats.WriteMisses++
@@ -815,7 +815,7 @@ func (c *Cache) Purge() {
 		vb.used = 0
 		vb.free = vb.free[:0]
 	}
-	if c.causes != nil {
+	if c.causes != nil && c.causes.shadow != nil {
 		c.causes.shadow.Purge()
 	}
 }

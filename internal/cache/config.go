@@ -295,8 +295,14 @@ func (c Config) EffectiveSubBlock() int {
 }
 
 // String summarizes the configuration, e.g.
-// "16384B/16B fully-assoc LRU copy-back demand".
+// "16384B/16B fully-assoc LRU copy-back demand". A config without a line
+// size, such as the unused I and D of a unified SystemConfig, has no
+// associativity to name.
 func (c Config) String() string {
+	policies := fmt.Sprintf("%s %s %s", c.Repl, c.Write, c.Fetch)
+	if c.LineSize == 0 {
+		return fmt.Sprintf("%dB/0B %s", c.Size, policies)
+	}
 	assoc := fmt.Sprintf("%d-way", c.EffectiveAssoc())
 	switch {
 	case c.EffectiveAssoc() == c.Lines():
@@ -304,7 +310,7 @@ func (c Config) String() string {
 	case c.EffectiveAssoc() == 1:
 		assoc = "direct-mapped"
 	}
-	return fmt.Sprintf("%dB/%dB %s %s %s %s", c.Size, c.LineSize, assoc, c.Repl, c.Write, c.Fetch)
+	return fmt.Sprintf("%dB/%dB %s %s", c.Size, c.LineSize, assoc, policies)
 }
 
 func isPow2(n int) bool { return n > 0 && n&(n-1) == 0 }

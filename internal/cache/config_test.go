@@ -1,6 +1,7 @@
 package cache
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 )
@@ -68,20 +69,24 @@ func TestEffectiveSubBlock(t *testing.T) {
 }
 
 func TestConfigString(t *testing.T) {
-	s := Config{Size: 16384, LineSize: 16}.String()
-	for _, want := range []string{"16384B", "fully-assoc", "LRU", "copy-back", "demand"} {
-		if !strings.Contains(s, want) {
-			t.Errorf("String() = %q, missing %q", s, want)
+	for _, tc := range []struct {
+		cfg  Config
+		want string
+	}{
+		{Config{Size: 16384, LineSize: 16}, "16384B/16B fully-assoc LRU copy-back demand"},
+		{Config{Size: 1024, LineSize: 16, Assoc: 1, Repl: FIFO, Write: WriteThrough, Fetch: PrefetchAlways},
+			"1024B/16B direct-mapped FIFO write-through prefetch-always"},
+		{Config{Size: 1024, LineSize: 16, Assoc: 4}, "1024B/16B 4-way LRU copy-back demand"},
+		{Config{}, "0B/0B LRU copy-back demand"},
+		{Config{Size: 4096, Repl: ARC}, "4096B/0B ARC copy-back demand"},
+	} {
+		if got := tc.cfg.String(); got != tc.want {
+			t.Errorf("%#v.String() = %q, want %q", tc.cfg, got, tc.want)
 		}
 	}
-	s = Config{Size: 1024, LineSize: 16, Assoc: 1, Repl: FIFO, Write: WriteThrough, Fetch: PrefetchAlways}.String()
-	for _, want := range []string{"direct-mapped", "FIFO", "write-through", "prefetch-always"} {
-		if !strings.Contains(s, want) {
-			t.Errorf("String() = %q, missing %q", s, want)
-		}
-	}
-	if !strings.Contains(Config{Size: 1024, LineSize: 16, Assoc: 4}.String(), "4-way") {
-		t.Error("4-way missing from String()")
+	unified := SystemConfig{Unified: Config{Size: 16384, LineSize: 16}}
+	if got := fmt.Sprint(unified); strings.Contains(got, "PANIC") {
+		t.Errorf("unified SystemConfig prints %q", got)
 	}
 }
 

@@ -13,3 +13,7 @@ func (s *System) StateEqual(o *System) bool { return s.stateEqual(o) }
 // StateEqual exposes the fan-out engine's logical state equality to the
 // external state tests.
 func (f *FanoutSystem) StateEqual(o *FanoutSystem) bool { return f.stateEqual(o) }
+
+// Shadowed reports whether the cache's 3C tracker runs a shadow cache; it
+// is false when attribution is off or the cache is its own shadow.
+func (c *Cache) Shadowed() bool { return c.causes != nil && c.causes.shadow != nil }

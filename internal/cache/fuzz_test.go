@@ -98,15 +98,98 @@ func FuzzConfigValidate(f *testing.F) {
 // draws a simcheck.RandConfig (the seeds below cover sectored,
 // set-associative, prefetching, victim-buffered and write-through
 // no-allocate caches) and a simcheck.Stream, purged every quantum
-// references; checkMissCauses holds the model.
+// references; checkMissCauses holds the model. A shape of 1 or 2 forces
+// the draw to a cache that is its own shadow (ownShadowShape), copy-back
+// or write-through, so the tracker runs without one.
 func FuzzMissCauses(f *testing.F) {
 	for seed := range int64(40) {
-		f.Add(seed, []uint16{0, 53, 800}[seed%3])
+		f.Add(seed, []uint16{0, 53, 800}[seed%3], uint8(0))
 	}
-	f.Fuzz(func(t *testing.T, seed int64, quantum uint16) {
+	for seed := range int64(20) {
+		f.Add(seed, []uint16{0, 53, 800}[seed%3], uint8(1+seed%2))
+	}
+	f.Fuzz(func(t *testing.T, seed int64, quantum uint16, shape uint8) {
 		rng := rand.New(rand.NewSource(seed))
-		checkMissCauses(t, simcheck.RandConfig(rng), simcheck.Stream(rng.Int63(), 5000), int(quantum))
+		cfg := simcheck.RandConfig(rng)
+		if shape%3 != 0 {
+			cfg = ownShadowShape(cfg, shape%3 == 2)
+		}
+		checkMissCauses(t, cfg, simcheck.Stream(rng.Int63(), 5000), int(quantum))
 	})
+}
+
+// ownShadowShape returns cfg forced to a cache that is its own 3C shadow:
+// fully associative, LRU, demand fetch, unsectored, write-allocate and
+// without a victim buffer, copy-back or (writeThrough) write-through.
+func ownShadowShape(cfg cache.Config, writeThrough bool) cache.Config {
+	cfg.Assoc, cfg.Repl, cfg.Fetch, cfg.SubBlock, cfg.VictimLines = 0, cache.LRU, cache.DemandFetch, 0, 0
+	cfg.Write, cfg.NoWriteAllocate, cfg.CombineWidth = cache.CopyBack, false, 0
+	if writeThrough {
+		cfg.Write = cache.WriteThrough
+	}
+	return cfg
+}
+
+// TestOwnShadow checks the caches that are their own 3C shadow. Drawn
+// simcheck.RandConfigs forced to that shape, under both write policies and
+// purged every 700 references, build no shadow, count no conflict miss,
+// and split every miss into compulsory and capacity, as checkMissCauses's
+// model does too. The same config with any one condition of the shape
+// broken keeps its shadow; the write-through no-allocate one, whose write
+// misses leave the cache behind the shadow, is judged by the model as
+// well.
+func TestOwnShadow(t *testing.T) {
+	const quantum = 700
+	rng := rand.New(rand.NewSource(31))
+	for i := range 100 {
+		cfg := ownShadowShape(simcheck.RandConfig(rng), i%2 == 1)
+		refs := simcheck.Stream(rng.Int63(), 5000)
+		c, err := cache.New(cfg)
+		if err != nil {
+			t.Fatalf("%+v: %v", cfg, err)
+		}
+		c.EnableMissCauses()
+		if c.Shadowed() {
+			t.Fatalf("%v: builds a shadow", cfg)
+		}
+		for j, r := range refs {
+			if j > 0 && j%quantum == 0 {
+				c.Purge()
+			}
+			c.Access(r.Addr, r.Kind == trace.Write, int(r.Size))
+		}
+		compulsory, capacity, conflict := c.MissCauses()
+		if misses := c.Stats().Misses; conflict != 0 || compulsory+capacity != misses || compulsory == 0 {
+			t.Fatalf("%v: MissCauses %d/%d/%d, want conflict 0 and compulsory + capacity = %d misses",
+				cfg, compulsory, capacity, conflict, misses)
+		}
+		checkMissCauses(t, cfg, refs, quantum)
+
+		noAllocate := cfg
+		noAllocate.Write, noAllocate.NoWriteAllocate = cache.WriteThrough, true
+		checkMissCauses(t, noAllocate, refs, quantum)
+		for _, broken := range []cache.Config{noAllocate, with(cfg, func(c *cache.Config) { c.Assoc = 1 }),
+			with(cfg, func(c *cache.Config) { c.Repl = cache.FIFO }),
+			with(cfg, func(c *cache.Config) { c.Fetch = cache.PrefetchOnMiss }),
+			with(cfg, func(c *cache.Config) { c.SubBlock = c.LineSize / 2 }),
+			with(cfg, func(c *cache.Config) { c.VictimLines = 1 }),
+		} {
+			c, err := cache.New(broken)
+			if err != nil {
+				t.Fatalf("%+v: %v", broken, err)
+			}
+			c.EnableMissCauses()
+			if !c.Shadowed() {
+				t.Fatalf("%+v: builds no shadow", broken)
+			}
+		}
+	}
+}
+
+// with returns cfg changed by edit.
+func with(cfg cache.Config, edit func(*cache.Config)) cache.Config {
+	edit(&cfg)
+	return cfg
 }
 
 // TestMissCausesShadowGrowth runs checkMissCauses on caches of 8192

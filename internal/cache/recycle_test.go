@@ -189,8 +189,9 @@ func TestFanoutRecycledMatchesNew(t *testing.T) {
 // TestUseAfterReleasePanics checks that a released simulator cannot go on
 // silently sharing arrays another simulator now owns, and that a second
 // Release does not hand the same arrays out twice, also with 3C
-// attribution on, whose shadow draws from the same pools. A released
-// cache's miss causes stay readable.
+// attribution on, whose shadow draws from the same pools (a 2-way cache,
+// since a fully associative LRU one is its own shadow and builds none). A
+// released cache's miss causes stay readable.
 func TestUseAfterReleasePanics(t *testing.T) {
 	ref := trace.Ref{Addr: 64, Size: 4, Kind: trace.Read}
 	mustPanic := func(name string, f func()) {
@@ -213,8 +214,8 @@ func TestUseAfterReleasePanics(t *testing.T) {
 		t.Error("a double Release handed one frame array to two caches")
 	}
 
-	fa := Config{Size: 1024, LineSize: 16}
-	c = mustCache(t, fa)
+	twoWay := Config{Size: 1024, LineSize: 16, Assoc: 2}
+	c = mustCache(t, twoWay)
 	c.EnableMissCauses()
 	for _, addr := range []uint64{0, 2048, 0, 4096} {
 		c.Access(addr, false, 0)
@@ -226,7 +227,7 @@ func TestUseAfterReleasePanics(t *testing.T) {
 		t.Errorf("MissCauses after Release: %d/%d/%d, before %d/%d/%d (3 compulsory)", a, b, d, x, y, z)
 	}
 	mustPanic("Cache.Access with miss causes", func() { c.Access(0, false, 0) })
-	a, b = mustCache(t, fa), mustCache(t, fa)
+	a, b = mustCache(t, twoWay), mustCache(t, twoWay)
 	a.EnableMissCauses()
 	b.EnableMissCauses()
 	drawn := map[*node]bool{}

@@ -77,11 +77,14 @@ func (causeSink) Enabled(obs.Kind) bool { return true }
 // times). A measurement is the least of three runs, each after a
 // collection: a cost per reference shows in every run, a runtime
 // allocation that happens to land in one run does not. A sink Enabled for
-// obs.KindMissCauses does switch the tracker on: its shadow cache comes
-// from the recycler and its seen set grows only with the distinct fetch
-// units, so that run is flat at N and 4N too. The control keeps the pin
-// honest: a 4N stream whose four copies lie in four disjoint regions
-// touches four times the units, and must allocate more.
+// obs.KindMissCauses does switch the tracker on: this design is its own
+// shadow, and the seen set grows only with the distinct fetch units, so
+// that run is flat at N and 4N too. The control keeps the pin honest: a 4N
+// stream whose four copies lie in four disjoint regions, with each 16-byte
+// unit moved to a 64-unit page of its own, touches four times the units on
+// over a thousand pages, and must allocate more. Copies 1 MB apart alone
+// would not do: the seen set keeps a page of units per slot, and its first
+// table holds the copies' 16 pages.
 func TestSinkAllocsPerRun(t *testing.T) {
 	n := obs.ProgressInterval + 5000
 	short := simcheck.Stream(7, n)
@@ -136,7 +139,7 @@ func TestSinkAllocsPerRun(t *testing.T) {
 		spread := make([]trace.Ref, 0, 4*n)
 		for i := range uint64(4) {
 			for _, r := range short {
-				r.Addr += i << 20
+				r.Addr = i<<20 | r.Addr>>4<<10 | r.Addr&15
 				spread = append(spread, r)
 			}
 		}
@@ -171,17 +174,17 @@ func TestEvaluateAllocBytes(t *testing.T) {
 
 // TestEvaluateCausesAllocBytes is TestEvaluateAllocBytes under a sink
 // Enabled for obs.KindMissCauses, as every cold evaluate in the service
-// runs. The 3C tracker allocates its shadow cache's arrays (81,920 bytes
-// at this size; they are not released, see causeTracker) and its seen
-// set, a Go map of every fetch unit the run references. The evaluate
-// allocates 263,992 bytes (go1.24, linux/amd64), and 216,488 with the map
-// layout of earlier Go versions (GOEXPERIMENT=noswissmap; go1.22 itself
-// not run); a shadow kept as a map and a heap-allocated list entry per
-// insert allocated 388,888. The bound is the go1.24 figure plus about 20%.
+// runs. This design, fully associative LRU, is its own 3C shadow, so the
+// tracker allocates only its seen set: FGO1's 2,586 distinct 16-byte units
+// lie on few enough 32-unit pages that the set's tables take a few
+// kilobytes. The evaluate allocates 35,504 bytes (go1.24, linux/amd64);
+// with a shadow cache and a Go map for the seen set it allocated 263,992,
+// and with a map for the shadow too 388,888. The bound is the go1.24
+// figure plus about 10%.
 func TestEvaluateCausesAllocBytes(t *testing.T) {
 	least := evaluateAllocBytes(t, obs.WithSink(context.Background(), causeSink{}), evaluateDesign)
 	t.Logf("warmed generator-fed evaluate with 3C attribution: %d bytes", least)
-	const bound = 320000
+	const bound = 39000
 	if least > bound {
 		t.Errorf("warmed generator-fed evaluate with 3C attribution allocated %d bytes, want <= %d", least, bound)
 	}
@@ -190,18 +193,17 @@ func TestEvaluateCausesAllocBytes(t *testing.T) {
 // TestEvaluateCausesLargeDesignAllocBytes is TestEvaluateCausesAllocBytes
 // for a design cut into many fetch units: 16 MiB unified, the largest
 // cache the service accepts, with 64-byte lines and 1-byte sub-blocks,
-// 16M units. The shadow grows with the units the run references: the
-// evaluate allocates 5,021,928 bytes (go1.24, linux/amd64), and 4,194,952
-// with the map layout of earlier Go versions (GOEXPERIMENT=noswissmap). A
-// shadow built at full capacity, 16M frames and 32M tag slots, would
-// allocate about 1.3 GB; a shadow kept as a map and a heap-allocated list
-// entry per insert allocated 5,688,112. The bound is the go1.24 figure
-// plus about 20%.
+// 16M units. A sectored cache keeps its shadow, which grows with the units
+// the run references, and the seen set grows with them too: the evaluate
+// allocates 2,705,392 bytes (go1.24, linux/amd64). With a Go map for the
+// seen set it allocated 5,021,928; a shadow built at full capacity, 16M
+// frames and 32M tag slots, would allocate about 1.3 GB. The bound is the
+// go1.24 figure plus about 20%.
 func TestEvaluateCausesLargeDesignAllocBytes(t *testing.T) {
 	design := cache.SystemConfig{Unified: cache.Config{Size: 16 << 20, LineSize: 64, SubBlock: 1}}
 	least := evaluateAllocBytes(t, obs.WithSink(context.Background(), causeSink{}), design)
 	t.Logf("warmed generator-fed evaluate of %v with 3C attribution: %d bytes", design.Unified, least)
-	const bound = 6000000
+	const bound = 3250000
 	if least > bound {
 		t.Errorf("warmed generator-fed evaluate of %v with 3C attribution allocated %d bytes, want <= %d", design.Unified, least, bound)
 	}

@@ -134,7 +134,10 @@ func (s *Server) buildProm() {
 // the events, so no per-run state is needed. Its Enabled covers
 // obs.KindMissCauses, which switches every single-design evaluation and
 // per-size engine run of a single-level design onto the 3C attribution
-// path, whose totals land here at the end of each run.
+// path, whose totals land here at the end of each run. A design that is its
+// own 3C shadow, such as the default fully associative LRU one, pays a
+// seen-set probe per miss; any other also runs a shadow cache per
+// reference (see cache.Cache.EnableMissCauses).
 type simSink struct{ s *Server }
 
 // Enabled reports the kinds Observe counts.

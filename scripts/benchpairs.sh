@@ -3,15 +3,17 @@
 #
 #   bash scripts/benchpairs.sh <parent-rev> <workload|all> <pairs> [first-seed]
 #
-# Checks the parent revision out into a temporary git worktree, then runs
-# `bash bench/run.sh` once at the parent and once at the working tree per
-# pair, alternating which side runs first (pair i uses seed first-seed+i-1,
-# default 1, and a 25 s window). Each side appends its run records to its
-# own NDJSON file under .bench_pairs/ (emptied first); the script ends by
-# printing `bench/run.sh compare` over the two. Each side builds the
-# benchmark from its own tree. The workload `all` runs every workload
-# BENCHMARK.json lists, in its order, and prints one compare table per
-# workload.
+# Clones the repository into a temporary directory (`git clone --shared
+# --no-checkout`, which borrows the objects and writes nothing under the
+# repository's .git) and checks the parent revision out there detached,
+# then runs `bash bench/run.sh` once at the parent and once at the working
+# tree per pair, alternating which side runs first (pair i uses seed
+# first-seed+i-1, default 1, and a 25 s window). Each side appends its run
+# records to its own NDJSON file under .bench_pairs/ (emptied first); the
+# script ends by printing `bench/run.sh compare` over the two. Each side
+# builds the benchmark from its own tree. The workload `all` runs every
+# workload BENCHMARK.json lists, in its order, and prints one compare
+# table per workload.
 set -euo pipefail
 
 if [ $# -lt 3 ]; then
@@ -22,13 +24,11 @@ parent=$1 workload=$2 pairs=$3 first=${4:-1}
 seconds=25
 
 root=$(git rev-parse --show-toplevel)
+rev=$(git -C "$root" rev-parse --verify "$parent^{commit}")
 tmp=$(mktemp -d)
-cleanup() {
-	git -C "$root" worktree remove --force "$tmp/parent" >/dev/null 2>&1 || true
-	rm -rf "$tmp"
-}
-trap cleanup EXIT
-git -C "$root" worktree add --detach "$tmp/parent" "$parent" >/dev/null
+trap 'rm -rf "$tmp"' EXIT
+git clone --quiet --shared --no-checkout "$root" "$tmp/parent"
+git -C "$tmp/parent" checkout --quiet --detach "$rev"
 
 out="$root/.bench_pairs"
 mkdir -p "$out"
