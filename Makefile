@@ -56,15 +56,17 @@ bench-smoke:
 
 # Interleaved end-to-end benchmark pairs (bench/, BENCHMARK.json): the
 # PARENT revision against the working tree on one WORKLOAD, PAIRS runs per
-# side with a 25 s window, then the `bench/run.sh compare` table. The
-# parent runs from a temporary `git clone --shared` of the repository, so
-# the pairs write nothing under .git. See scripts/benchpairs.sh.
+# side with a WINDOW-second window (default 25), then the `bench/run.sh
+# compare` table. The parent runs from a temporary `git clone --shared`
+# of the repository, so the pairs write nothing under .git. See
+# scripts/benchpairs.sh.
 # BENCH_2..7.json are kept as history.
 PARENT ?= HEAD
 WORKLOAD ?= grid-stack
 PAIRS ?= 5
+WINDOW ?= 25
 bench-pairs:
-	bash scripts/benchpairs.sh $(PARENT) $(WORKLOAD) $(PAIRS)
+	bash scripts/benchpairs.sh $(PARENT) $(WORKLOAD) $(PAIRS) 1 $(WINDOW)
 
 # Fuzz smoke: run every Fuzz* target in the packages that define them for
 # FUZZTIME each (native go fuzzing; seeds always run under plain `go test`).

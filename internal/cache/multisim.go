@@ -28,6 +28,12 @@ import (
 // demand fetch); the equivalence is enforced by tests. core.RunSweep
 // drives it: it feeds the stream through Ref and emits the run's events.
 //
+// Its memory follows the largest size, not the stream: a line deeper in
+// the recency stack than the largest size's capacity is outside every
+// size, so each stack holds at most that many lines, and its arrays grow
+// with the distinct lines a purge epoch touches up to that bound. They are
+// drawn from the recycler; Release hands them back.
+//
 // MultiSystem is not safe for concurrent use.
 type MultiSystem struct {
 	cfg       MultiConfig
@@ -208,6 +214,20 @@ func (m *MultiSystem) purge() {
 // Purges returns how many task-switch purges have occurred.
 func (m *MultiSystem) Purges() uint64 { return m.purges }
 
+// Release hands the stack arrays back for reuse by later engines and
+// leaves the engine unusable: a later reference panics instead of touching
+// arrays another engine may own. Call it only when nothing else holds the
+// engine, after its Results; releasing twice is a no-op.
+func (m *MultiSystem) Release() {
+	for _, s := range [...]*multiSim{m.unified, m.icache, m.dcache} {
+		if s != nil {
+			stackPool.Put(s.nodes)
+			lineSlotPool.Put(s.slots)
+			s.nodes, s.slots = nil, nil
+		}
+	}
+}
+
 // Results settles outstanding replacement accounting and returns the
 // per-size outcomes, indexed as cfg.Sizes. The engine cannot process
 // further references afterwards.
@@ -292,22 +312,28 @@ func prefixSums(hist []int64, k int) []uint64 {
 // is currently outside of — equivalently the index of the first marker
 // above the line's stack depth. Markers move one step towards the LRU end
 // exactly when an access comes from at or beyond them, which is also the
-// moment the line they newly point at crosses outside that size.
+// moment the line they newly point at crosses outside that size. The stack
+// holds at most the largest size's lines: a line pushed below them is
+// outside every size and leaves the stack (drop), so the largest size
+// needs no marker and out is below k for every line on the stack.
 type multiSim struct {
 	lines []int // sorted distinct line counts, ascending
 	k     int
 
+	// nodes is the stack's node array, at most lines[k-1] long; its
+	// capacity is a power of two, drawn from stackPool.
 	nodes []msNode
 	// slots is the line index: an open-addressed table keyed by
 	// nodes[ni].line (Fibonacci hashing, linear probing), each slot holding
-	// ni+1, 0 meaning empty. It is at most half full and doubles by
-	// reinserting every node; node indices never move, and lines leave
-	// only at a purge, which empties the whole table.
+	// ni+1, 0 meaning empty. It is twice cap(nodes) long, so at most half
+	// full, and doubles with nodes by reinserting every node. Node indices
+	// never move; a dropped line leaves by backward-shift deletion, and a
+	// purge empties the whole table.
 	slots   []int32
 	shift   uint // 64 - log2(len(slots))
 	head    int32
 	tail    int32
-	markers []int32 // markers[i]: node just outside size i, -1 if not yet full
+	markers []int32 // markers[i]: node just outside size i < k-1, -1 if not yet full
 
 	accesses      uint64
 	writeAccesses uint64
@@ -329,26 +355,28 @@ type msNode struct {
 	line       uint64
 	prev, next int32
 	// out is the number of sizes this line is currently outside of. It
-	// is at most k, and k < 64 because the sizes are distinct powers of
+	// is below k, and k < 64 because the sizes are distinct powers of
 	// two.
 	out int16
 	// lo is the first size index at which the line is still dirty: the
-	// running max of out over reads since the last write. Valid only when
-	// written is set.
+	// running max of out over reads since the last write, so below k too.
+	// Valid only when written is set.
 	lo      int16
 	written bool
 }
 
 func newMultiSim(lines []int) *multiSim {
 	k := len(lines)
-	return &multiSim{
+	n := min(lines[k-1], minStackNodes)
+	s := &multiSim{
 		lines:         lines,
 		k:             k,
-		slots:         make([]int32, 1<<minSlotsLog),
-		shift:         64 - minSlotsLog,
+		nodes:         stackPool.Get(n)[:0],
+		slots:         lineSlotPool.Get(2 * n),
+		shift:         64 - log2(2*n),
 		head:          -1,
 		tail:          -1,
-		markers:       newMarkers(k),
+		markers:       newMarkers(k - 1),
 		missHist:      make([]int64, k+1),
 		writeMissHist: make([]int64, k+1),
 		pushHist:      make([]int64, k+1),
@@ -356,10 +384,12 @@ func newMultiSim(lines []int) *multiSim {
 		purgeHist:     make([]int64, k+1),
 		dirtyDiff:     make([]int64, k+1),
 	}
+	clear(s.slots)
+	return s
 }
 
-// minSlotsLog is log2 of the line index's initial length.
-const minSlotsLog = 6
+// minStackNodes is the node array's initial capacity, a power of two.
+const minStackNodes = 32
 
 func newMarkers(k int) []int32 {
 	m := make([]int32, k)
@@ -378,7 +408,7 @@ func (s *multiSim) access(line uint64, write bool) int {
 		s.writeAccesses++
 	}
 	mask := uint32(len(s.slots) - 1)
-	i := uint32((line * fibMult) >> s.shift)
+	i := s.home(line)
 	var ni int32
 	for {
 		v := s.slots[i]
@@ -436,8 +466,8 @@ func (s *multiSim) cold(line uint64, write bool, slot uint32) int {
 	// whose capacity the stack just reached gains its first marker (its
 	// previous tail is the first line to fall outside).
 	live := len(s.nodes)
-	for i := 0; i < k; i++ {
-		if mi := s.markers[i]; mi >= 0 {
+	for i, mi := range s.markers {
+		if mi >= 0 {
 			p := s.nodes[mi].prev
 			s.markers[i] = p
 			s.nodes[p].out++
@@ -446,27 +476,106 @@ func (s *multiSim) cold(line uint64, write bool, slot uint32) int {
 			s.nodes[s.tail].out++
 		}
 	}
-	ni := int32(len(s.nodes))
-	s.nodes = append(s.nodes, msNode{line: line, prev: -1, next: -1, written: write})
-	s.slots[slot] = ni + 1
-	if 2*len(s.nodes) > len(s.slots) {
+	var ni int32
+	switch {
+	case live == s.lines[k-1]:
+		// The stack holds the largest size's lines, so its tail falls
+		// outside every size; the new line takes its node.
+		ni = s.drop()
+		slot = s.probe(line)
+	case live == cap(s.nodes):
 		s.grow()
+		slot = s.probe(line)
+		fallthrough
+	default:
+		ni = int32(live)
+		s.nodes = s.nodes[:live+1]
 	}
+	s.nodes[ni] = msNode{line: line, prev: -1, next: -1, written: write}
+	s.slots[slot] = ni + 1
 	s.pushFront(ni)
 	return k
 }
 
-// grow doubles the line index and reinserts every node.
-func (s *multiSim) grow() {
-	s.slots = make([]int32, 2*len(s.slots))
-	s.shift--
+// drop takes the tail off the stack and out of the index and returns its
+// node. The tail has just left the largest size, so it is outside every
+// size, and it is charged what its next access or settle would charge: a
+// push at every size, dirty from its lo bound up.
+func (s *multiSim) drop() int32 {
+	ni := s.tail
+	n := &s.nodes[ni]
+	s.pushHist[s.k]++
+	if n.written {
+		s.dirtyDiff[n.lo]++
+		s.dirtyDiff[s.k]--
+	}
+	s.tail = n.prev
+	if s.tail >= 0 {
+		s.nodes[s.tail].next = -1
+	} else {
+		s.head = -1
+	}
+	s.unindex(ni)
+	return ni
+}
+
+// home returns a line's preferred index slot.
+func (s *multiSim) home(line uint64) uint32 {
+	return uint32((line * fibMult) >> s.shift)
+}
+
+// probe returns the empty slot at the end of an absent line's probe chain.
+func (s *multiSim) probe(line uint64) uint32 {
 	mask := uint32(len(s.slots) - 1)
-	for ni := range s.nodes {
-		i := uint32((s.nodes[ni].line * fibMult) >> s.shift)
-		for s.slots[i] != 0 {
-			i = (i + 1) & mask
+	i := s.home(line)
+	for s.slots[i] != 0 {
+		i = (i + 1) & mask
+	}
+	return i
+}
+
+// unindex removes node ni's line from the index, back-shifting its probe
+// chain into the hole by tagTable.delete's rule, so no lookup meets a
+// tombstone.
+func (s *multiSim) unindex(ni int32) {
+	mask := uint32(len(s.slots) - 1)
+	i := s.home(s.nodes[ni].line)
+	for s.slots[i] != ni+1 {
+		i = (i + 1) & mask
+	}
+	for {
+		s.slots[i] = 0
+		j := i
+		for {
+			j = (j + 1) & mask
+			v := s.slots[j]
+			if v == 0 {
+				return
+			}
+			// Leave v in place if its home lies cyclically in (i, j].
+			if (j-s.home(s.nodes[v-1].line))&mask < (j-i)&mask {
+				continue
+			}
+			s.slots[i] = v
+			break
 		}
-		s.slots[i] = int32(ni) + 1
+		i = j
+	}
+}
+
+// grow doubles the node array and the line index, handing the outgrown
+// pair back to the recycler, and reinserts every node.
+func (s *multiSim) grow() {
+	nodes := stackPool.Get(2 * cap(s.nodes))[:len(s.nodes)]
+	copy(nodes, s.nodes)
+	stackPool.Put(s.nodes)
+	s.nodes = nodes
+	lineSlotPool.Put(s.slots)
+	s.slots = lineSlotPool.Get(2 * len(s.slots))
+	clear(s.slots)
+	s.shift--
+	for ni := range s.nodes {
+		s.slots[s.probe(s.nodes[ni].line)] = int32(ni) + 1
 	}
 }
 
@@ -485,7 +594,7 @@ func (s *multiSim) settle(purge bool) {
 		if purge {
 			s.pushLoHist[ubP]++
 			s.purgeHist[ubP]++
-			if n.written && int(n.lo) < k {
+			if n.written {
 				s.dirtyDiff[n.lo]++
 				s.dirtyDiff[k]--
 			}

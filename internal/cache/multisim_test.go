@@ -34,6 +34,38 @@ func mustCompare(t *testing.T, label string, got, want *simcheck.Outcome) {
 // engine's per-size statistics are bit-identical to independent per-size
 // System simulations (and both satisfy every simcheck invariant).
 func TestMultiSystemMatchesPerSizeRuns(t *testing.T) {
+	// Epochs that touch far more lines than the largest size, so once the
+	// stack holds that size's lines it drops its tail on nearly every first
+	// touch: quantum 0 (one epoch) and a quantum that purges a full stack,
+	// split and unified, duplicate sizes and a single line included. Every
+	// stack must stay within the largest size's lines with an index that
+	// holds exactly them; this runs first, since an index that kept dropped
+	// lines would fill and stall the later runs instead of failing them.
+	// Then the engine must match the per-size runs.
+	deep := wideStream(2, 6000, 500)
+	if n := distinctLines(deep[:2500], 16); n < 2*256 {
+		t.Fatalf("deep stream's first 2500 references touch %d distinct lines, want >= %d", n, 2*256)
+	}
+	for _, sizes := range [][]int{{16}, {64, 512, 512, 2048}, {4096, 256, 4096, 32}} {
+		for _, q := range []int{0, 2500} {
+			for _, split := range []bool{false, true} {
+				g := simcheck.Grid{Sizes: sizes, LineSize: 16, Split: split}
+				w := simcheck.Workload{Name: fmt.Sprintf("deep(q=%d)", q), Refs: deep, Quantum: q}
+				label := fmt.Sprintf("deep sizes=%v quantum=%d split=%v", sizes, q, split)
+				ms, err := cache.NewMultiSystem(cache.MultiConfig{Sizes: sizes, LineSize: 16, Split: split, PurgeInterval: q})
+				if err != nil {
+					t.Fatal(err)
+				}
+				for i, r := range deep {
+					ms.Ref(r)
+					if err := ms.CheckStacks(); err != nil {
+						t.Fatalf("%s, after %d references: %v", label, i+1, err)
+					}
+				}
+				mustCompare(t, label, conform(t, simcheck.MultiEngine{}, g, w), conform(t, simcheck.SystemEngine{}, g, w))
+			}
+		}
+	}
 	sizeGrids := [][]int{
 		{32, 64, 128, 256, 1024, 4096},
 		{16, 16384},
@@ -60,7 +92,8 @@ func TestMultiSystemMatchesPerSizeRuns(t *testing.T) {
 		}
 	}
 	// A workload that grows the engine's line index from its initial 64
-	// slots to at least 16384 in one purge epoch: four members, each
+	// slots to the 16384 that the largest grid's 8192 lines take in one
+	// purge epoch: four members, each
 	// rebased at (i+1)<<33 so their lines differ only in high bits,
 	// interleaved 1000 references at a time. The nonzero quantum purges
 	// once the index has grown, so the second epoch runs on a grown,

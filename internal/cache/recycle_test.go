@@ -186,12 +186,85 @@ func TestFanoutRecycledMatchesNew(t *testing.T) {
 	}
 }
 
-// TestUseAfterReleasePanics checks that a released simulator cannot go on
-// silently sharing arrays another simulator now owns, and that a second
-// Release does not hand the same arrays out twice, also with 3C
-// attribution on, whose shadow draws from the same pools (a 2-way cache,
-// since a fully associative LRU one is its own shadow and builds none). A
-// released cache's miss causes stay readable.
+func mustMulti(t *testing.T, cfg MultiConfig) *MultiSystem {
+	t.Helper()
+	m, err := NewMultiSystem(cfg)
+	if err != nil {
+		t.Fatalf("NewMultiSystem(%+v): %v", cfg, err)
+	}
+	return m
+}
+
+// stackArrays files the first elements of m's current stack arrays in
+// seen.
+func stackArrays(m *MultiSystem, seen map[any]bool) {
+	for _, s := range [...]*multiSim{m.unified, m.icache, m.dcache} {
+		if s != nil {
+			seen[&s.nodes[:1][0]] = true
+			seen[&s.slots[0]] = true
+		}
+	}
+}
+
+// TestMultiSystemRecycledMatchesNew is TestRecycledMatchesNew for the stack
+// engine: an engine whose node and index arrays a larger and a smaller
+// engine left behind, purged and grown through every class, produces the
+// same results as one built on a fresh heap. Every array the donors held is
+// recorded, and the target must draw at least one of them.
+func TestMultiSystemRecycledMatchesNew(t *testing.T) {
+	refs := recycleRefs(40000, 5)
+	for _, split := range []bool{false, true} {
+		cfg := MultiConfig{Sizes: []int{64, 256, 1024, 4096}, LineSize: 16, Split: split, PurgeInterval: 7000}
+		drainRecycler()
+		fresh := mustMulti(t, cfg)
+		donated := map[any]bool{}
+		for i, d := range []struct{ mul, div int }{{2, 1}, {1, 2}} {
+			dcfg := MultiConfig{LineSize: 16, Split: split, PurgeInterval: 3000}
+			for _, size := range cfg.Sizes {
+				dcfg.Sizes = append(dcfg.Sizes, size*d.mul/d.div)
+			}
+			donor := mustMulti(t, dcfg)
+			for _, r := range recycleRefs(20000, int64(10+i)) {
+				donor.Ref(r)
+				stackArrays(donor, donated)
+			}
+			donor.Results()
+			donor.Release()
+		}
+		target := mustMulti(t, cfg)
+		drawn := map[any]bool{}
+		for _, r := range refs {
+			target.Ref(r)
+			fresh.Ref(r)
+			stackArrays(target, drawn)
+		}
+		recycled := 0
+		for p := range drawn {
+			if donated[p] {
+				recycled++
+			}
+		}
+		if recycled == 0 {
+			t.Errorf("split=%v: the target drew none of the %d arrays the donors released", split, len(donated))
+		}
+		if err := target.checkStacks(); err != nil {
+			t.Errorf("split=%v: recycled engine: %v", split, err)
+		}
+		got, want := target.Results(), fresh.Results()
+		for i := range want {
+			if got[i] != want[i] {
+				t.Errorf("split=%v size %d: recycled %+v, fresh %+v", split, want[i].Size, got[i], want[i])
+			}
+		}
+	}
+}
+
+// TestUseAfterReleasePanics checks that a released simulator, the stack
+// engine included, cannot go on silently sharing arrays another simulator
+// now owns, and that a second Release does not hand the same arrays out
+// twice, also with 3C attribution on, whose shadow draws from the same
+// pools (a 2-way cache, since a fully associative LRU one is its own
+// shadow and builds none). A released cache's miss causes stay readable.
 func TestUseAfterReleasePanics(t *testing.T) {
 	ref := trace.Ref{Addr: 64, Size: 4, Kind: trace.Read}
 	mustPanic := func(name string, f func()) {
@@ -255,5 +328,25 @@ func TestUseAfterReleasePanics(t *testing.T) {
 		f.Release()
 		f.Release()
 		mustPanic("FanoutSystem.Ref", func() { f.Ref(ref) })
+	}
+
+	for _, split := range []bool{false, true} {
+		cfg := MultiConfig{Sizes: []int{64, 4096}, LineSize: 16, Split: split}
+		m := mustMulti(t, cfg)
+		m.Ref(ref)
+		m.Release()
+		m.Release()
+		mustPanic("MultiSystem.Ref", func() { m.Ref(ref) })
+		a, b := mustMulti(t, cfg), mustMulti(t, cfg)
+		drawn := map[any]bool{}
+		stackArrays(a, drawn)
+		stackArrays(b, drawn)
+		want := 4 // two engines' node and index arrays, per stack
+		if split {
+			want = 8
+		}
+		if len(drawn) != want {
+			t.Errorf("split=%v: a double MultiSystem.Release handed %d arrays out as %d", split, want, len(drawn))
+		}
 	}
 }

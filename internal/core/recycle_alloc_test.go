@@ -64,17 +64,17 @@ func (causeSink) Observe(obs.Event)     {}
 func (causeSink) Enabled(obs.Kind) bool { return true }
 
 // TestSinkAllocsPerRun pins the allocation profile of every run's stream
-// (the fan-out engine's and the per-size simulators' arrays come from the
-// recycler, hence the build tag): the one-pass sweeps through RunSweep, a
+// (every engine's simulator arrays come from the recycler, hence the build
+// tag): the one-pass sweeps through RunSweep, a
 // System through EvaluateRefsContext and a Hierarchy through the per-size
 // engine. A warmed run allocates the same over N and 4N references —
 // nothing grows per reference or per progress event — and obs.Discard
 // allocates exactly as much as no sink, so it leaves the 3C tracker off.
 // Each run builds a fresh simulator, so the streams must build the same
 // footprint: the 4N stream is the N stream four times over, with one purge
-// per copy, and addresses stay inside 4 KB, where the stack engine's line
-// index never grows (a growing map allocates a seed-dependent number of
-// times). A measurement is the least of three runs, each after a
+// per copy, and addresses stay inside 4 KB, so every copy grows the
+// simulators' arrays to the same size, and a warmed run draws them all
+// from the recycler. A measurement is the least of three runs, each after a
 // collection: a cost per reference shows in every run, a runtime
 // allocation that happens to land in one run does not. A sink Enabled for
 // obs.KindMissCauses does switch the tracker on: this design is its own
@@ -248,12 +248,13 @@ func evaluateAllocBytes(t *testing.T, ctx context.Context, design cache.SystemCo
 // one RunSweep over BenchmarkMultiSystem's input (FGO1, 100k references,
 // the twelve sizes 32 B-64 KB, quantum 20000), which selects the one-pass
 // stack engine. The engine's line index is an open-addressed table of
-// 4-byte slots and its stack nodes are 24 bytes: the sweep allocates
-// 123048 bytes (go1.24, linux/amd64), and the bound is that plus 10%. With
-// a Go map for the index and 32-byte nodes it allocated 208000. The
-// table's growth does not depend on the runtime's map layout, so the
-// figure does not move between Go versions. Like
-// TestSweepRecyclesCacheArrays, it runs on one P.
+// 4-byte slots and its stack nodes are 24 bytes, both drawn from the
+// recycler and handed back at Close: the sweep allocates 12752 bytes
+// (go1.24, linux/amd64), and the bound is that plus 10%. With both arrays
+// built fresh every pass it allocated 123048, and with a Go map for the
+// index and 32-byte nodes 208000. The table's growth does not depend on
+// the runtime's map layout, so the figure does not move between Go
+// versions. Like TestSweepRecyclesCacheArrays, it runs on one P.
 func TestSweepAllocBytes(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	spec, err := workload.ByName("FGO1")
@@ -289,7 +290,7 @@ func TestSweepAllocBytes(t *testing.T) {
 		}
 	}
 	t.Logf("warmed demand-LRU sweep: %d bytes", least)
-	const bound = 135353
+	const bound = 14027
 	if least > bound {
 		t.Errorf("warmed demand-LRU sweep allocated %d bytes, want <= %d", least, bound)
 	}

@@ -10,8 +10,8 @@ import (
 	"cacheeval/internal/trace"
 )
 
-// TestRecycledSweepsConcurrent runs per-size, hierarchy and fan-out sweeps
-// from four goroutines at once, each in its own order, so the engines
+// TestRecycledSweepsConcurrent runs per-size, hierarchy, fan-out and stack
+// sweeps from four goroutines at once, each in its own order, so the engines
 // release and draw arrays of the same classes concurrently through the
 // shared recycler. Every result must equal the spec's serial run: an array
 // handed to two simulators at once, or returned with stale state, shows up
@@ -27,6 +27,8 @@ func TestRecycledSweepsConcurrent(t *testing.T) {
 		{Sizes: sizes, LineSize: 16, Quantum: mix.Quantum, Split: true, L2: &L2Spec{Size: 16 << 10, Assoc: 4}},
 		{Sizes: sizes, LineSize: 16, Quantum: mix.Quantum, Fetch: cache.PrefetchAlways},
 		{Sizes: sizes, LineSize: 16, Quantum: mix.Quantum, Split: true, Fetch: cache.PrefetchAlways},
+		{Sizes: sizes, LineSize: 16, Quantum: mix.Quantum},
+		{Sizes: sizes, LineSize: 16, Quantum: mix.Quantum, Split: true},
 	}
 	run := func(spec SweepSpec) (SweepOut, error) {
 		return RunSweep(context.Background(), spec, trace.NewSliceReader(refs), nil, "test", n)

@@ -158,7 +158,8 @@ func streamed(open func(SweepSpec, obs.Sink, string, int64) (*SweepStream, error
 	}
 }
 
-// openMulti opens the generalized stack simulation.
+// openMulti opens the generalized stack simulation; Close releases its
+// stack arrays.
 func openMulti(s SweepSpec, sink obs.Sink, stage string, total int64) (*SweepStream, error) {
 	ms, err := cache.NewMultiSystem(cache.MultiConfig{
 		Sizes: s.Sizes, LineSize: s.LineSize, Split: s.Split, PurgeInterval: s.Quantum,
@@ -173,7 +174,7 @@ func openMulti(s SweepSpec, sink obs.Sink, stage string, total int64) (*SweepStr
 			}
 		},
 		func() SweepOut { return SweepOut{Results: ms.Results(), Purges: ms.Purges()} },
-		nil), nil
+		ms.Release), nil
 }
 
 // openFanout opens the prefetch fan-out engine; Close releases its

@@ -1,7 +1,8 @@
 // Package recycle hands out slices by power-of-two capacity class and takes
 // them back for reuse. The cache simulators draw their frame and tag arrays
-// from it, and the experiments sweep draws its materialized reference
-// streams (DESIGN.md §6 and §9).
+// from it, the stack engine its node arrays and line indexes, and the
+// experiments sweep its materialized reference streams (DESIGN.md §6 and
+// §9).
 //
 // A drawn slice holds stale contents: the caller sets up every element it
 // reads. Each class is a sync.Pool, which drops idle slices across garbage

@@ -1,27 +1,27 @@
 #!/usr/bin/env bash
 # Interleaved benchmark pairs: a parent revision against the working tree.
 #
-#   bash scripts/benchpairs.sh <parent-rev> <workload|all> <pairs> [first-seed]
+#   bash scripts/benchpairs.sh <parent-rev> <workload|all> <pairs> [first-seed] [seconds]
 #
 # Clones the repository into a temporary directory (`git clone --shared
 # --no-checkout`, which borrows the objects and writes nothing under the
 # repository's .git) and checks the parent revision out there detached,
 # then runs `bash bench/run.sh` once at the parent and once at the working
 # tree per pair, alternating which side runs first (pair i uses seed
-# first-seed+i-1, default 1, and a 25 s window). Each side appends its run
-# records to its own NDJSON file under .bench_pairs/ (emptied first); the
-# script ends by printing `bench/run.sh compare` over the two. Each side
+# first-seed+i-1, default 1, and a window of the given seconds, default 25,
+# as `bench/run.sh --seconds`). Each side appends its run records to its
+# own NDJSON file under .bench_pairs/ (emptied first); the script ends by
+# printing `bench/run.sh compare` over the two. Each side
 # builds the benchmark from its own tree. The workload `all` runs every
 # workload BENCHMARK.json lists, in its order, and prints one compare
 # table per workload.
 set -euo pipefail
 
 if [ $# -lt 3 ]; then
-	echo "usage: $0 <parent-rev> <workload|all> <pairs> [first-seed]" >&2
+	echo "usage: $0 <parent-rev> <workload|all> <pairs> [first-seed] [seconds]" >&2
 	exit 2
 fi
-parent=$1 workload=$2 pairs=$3 first=${4:-1}
-seconds=25
+parent=$1 workload=$2 pairs=$3 first=${4:-1} seconds=${5:-25}
 
 root=$(git rev-parse --show-toplevel)
 rev=$(git -C "$root" rev-parse --verify "$parent^{commit}")
